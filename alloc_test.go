@@ -89,6 +89,29 @@ func TestFig13BytesBudget(t *testing.T) {
 	}
 }
 
+// TestPopulationBytesBudget pins the clean inventory path by bytes: the
+// round-member broadcast (gen2.Population) and the round's reused reply
+// and responder buffers leave a quick population run at ≈6 MB, where
+// growing fresh reply slices on every command cost ≈16 MB. The budget
+// fails loudly if per-command allocation returns.
+func TestPopulationBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation; budget holds without -race")
+	}
+	runExperimentQuick(t, "population") // warm pools and lazy state
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runExperimentQuick(t, "population")
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perRun > 9e6 {
+		t.Fatalf("quick population allocates %.1f MB per run, budget 9 MB", perRun/1e6)
+	}
+}
+
 // TestObserverCostIsOptIn checks the other side of the zero-cost
 // contract: attaching an observer records events without perturbing the
 // exchange outcome.

@@ -25,6 +25,9 @@ package ivn
 //	BenchmarkFig15Waveforms          → paper Fig. 15(a)/(b)
 //	BenchmarkInVivoTable             → §6.2 in-vivo results
 //	BenchmarkAblation*               → design-choice ablations
+//	BenchmarkPopulation              → §3.7 multi-sensor regime, N up to 1000
+//	BenchmarkAdaptiveQ               → §3.7 adaptive-Q ablation at N=1000
+//	BenchmarkFaultMatrix             → §3.7 inventory under injected faults
 import (
 	"bytes"
 	"sync"
@@ -99,6 +102,10 @@ func BenchmarkAblationHopping(b *testing.B)         { runExperimentBench(b, "abl
 func BenchmarkAblationMultipath(b *testing.B)       { runExperimentBench(b, "ablation-multipath") }
 func BenchmarkAblationPhaseNoise(b *testing.B)      { runExperimentBench(b, "ablation-phasenoise") }
 func BenchmarkAblationMiller(b *testing.B)          { runExperimentBench(b, "ablation-miller") }
+
+func BenchmarkPopulation(b *testing.B)  { runExperimentBench(b, "population") }
+func BenchmarkAdaptiveQ(b *testing.B)   { runExperimentBench(b, "adaptiveq") }
+func BenchmarkFaultMatrix(b *testing.B) { runExperimentBench(b, "faultmatrix") }
 
 // BenchmarkInventoryExchange measures the cost of one full library-level
 // power-up + inventory exchange — the System hot path.

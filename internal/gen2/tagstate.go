@@ -344,10 +344,14 @@ func (t *TagLogic) enterSlot() Reply {
 
 func (t *TagLogic) handleQuery(q *Query) Reply {
 	// A tag still in Acknowledged/Open when a new Query arrives finishes
-	// its inventory first: it inverts its inventoried flag (Gen2
-	// §6.3.2.4), exactly as if a QueryRep had closed it out.
+	// its inventory first. A Query in the same session inverts that
+	// session's inventoried flag, exactly as if a QueryRep had closed it
+	// out; a Query naming another session leaves the prior session's
+	// flag unchanged (Gen2 §6.3.2.12.2.1).
 	if t.state == StateAcknowledged || t.state == StateOpen || t.state == StateSecured {
-		t.inventoried[t.session&3] = !t.inventoried[t.session&3]
+		if q.Session == t.session {
+			t.inventoried[t.session&3] = !t.inventoried[t.session&3]
+		}
 		t.state = StateReady
 	}
 	if !t.participates(q) {

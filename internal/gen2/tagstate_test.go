@@ -160,6 +160,30 @@ func TestQueryRepWrongSessionIgnored(t *testing.T) {
 	}
 }
 
+// TestQueryClosesOutOnlyItsOwnSession: a Query reaching an acknowledged
+// tag inverts the prior session's inventoried flag only when it names
+// that session (Gen2 §6.3.2.12.2.1); a Query in another session leaves
+// the flag at A, so the tag is still unread in its prior session.
+func TestQueryClosesOutOnlyItsOwnSession(t *testing.T) {
+	for _, tc := range []struct {
+		next Session
+		want bool
+	}{{S2, false}, {S1, true}} {
+		tag := newTag(t, 12)
+		var rn RN16Reply
+		if err := rn.DecodeFromBits(tag.HandleCommand(&Query{Q: 0, Session: S1}).Bits); err != nil {
+			t.Fatal(err)
+		}
+		if r := tag.HandleCommand(&ACK{RN16: rn.RN16}); r.Kind != ReplyEPC {
+			t.Fatalf("ACK reply kind = %s", r.Kind)
+		}
+		tag.HandleCommand(&Query{Q: 4, Session: tc.next})
+		if got := tag.Inventoried(S1); got != tc.want {
+			t.Errorf("Query in S%d after an S1 ACK: Inventoried(S1) = %v, want %v", tc.next, got, tc.want)
+		}
+	}
+}
+
 func TestMissedACKBackToArbitrate(t *testing.T) {
 	tag := newTag(t, 8)
 	tag.HandleCommand(&Query{Q: 0, Session: S0})

@@ -19,8 +19,9 @@ import (
 // DSP chain by TestEventChannelMatchesDSPOnSmallPopulations — converts
 // each tag's realized link budget into per-slot decode, collision and
 // capture draws, so populations of a thousand tags per reader session
-// run in seconds. This is the fidelity switch of ROADMAP item 2 applied
-// to the paper's multi-sensor story (§3.7).
+// run in seconds. This is the event-level fidelity switch (DESIGN.md,
+// "Event-level channel") applied to the paper's multi-sensor story
+// (§3.7).
 
 func init() {
 	register(Experiment{

@@ -72,7 +72,8 @@ type TagBudget struct {
 // synthesizing backscatter waveforms it converts each tag's realized
 // link budget into a decode probability (DecodeProbability, calibrated
 // against the DSP chain by test) and draws per-slot outcomes from the
-// round's rng stream. This is the fidelity switch of ROADMAP item 2 —
+// round's rng stream. It is the inventory's second fidelity level
+// beside the sample-level DSP chain (DESIGN.md, "Event-level channel"):
 // it frees inventory from the waveform-synthesis floor, so populations
 // of hundreds to thousands of tags per reader session run in seconds.
 type EventChannel struct {

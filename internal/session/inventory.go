@@ -267,6 +267,7 @@ func (s RoundStats) Efficiency() float64 {
 // realized budget.
 type medium struct {
 	tags    []*gen2.TagLogic
+	pop     gen2.Population // the clean path's broadcaster (fault == nil only)
 	channel Channel
 	rand    *rng.Rand
 	fault   ChannelFault
@@ -274,6 +275,11 @@ type medium struct {
 	lit     []bool // last observed power state per tag (fault != nil only)
 	stats   *RoundStats
 	trace   *Trace
+
+	// got and responders collect one broadcast's replies and their tag
+	// indices; both paths reuse them for the whole round.
+	got        []gen2.Reply
+	responders []int
 }
 
 // broadcast sends a command to every powered tag and classifies replies.
@@ -290,8 +296,7 @@ func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
 		}
 		return SlotEmpty, gen2.Reply{Kind: gen2.ReplyNone}, -1
 	}
-	var got []gen2.Reply
-	var responders []int
+	got, responders := m.got[:0], m.responders[:0]
 	for i, t := range m.tags {
 		if !m.fault.TagPowered(cmd, i) {
 			if m.lit[i] {
@@ -310,21 +315,17 @@ func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
 			responders = append(responders, i)
 		}
 	}
+	m.got, m.responders = got, responders
 	return m.classify(cmd, got, responders)
 }
 
-// broadcastClean is the historical fault-free path, kept separate so the
-// clean channel pays a single nil check and no per-tag bookkeeping.
+// broadcastClean is the fault-free path. Without faults only commands
+// change tag state, so gen2.Population can skip the tags that ignore a
+// command; the faulted path above must visit every tag on every command
+// to observe its power (a brownout resets even a Ready tag's S0 flag).
 func (m *medium) broadcastClean(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
-	var got []gen2.Reply
-	var responders []int
-	for i, t := range m.tags {
-		if r := t.HandleCommand(c); r.Kind != gen2.ReplyNone {
-			got = append(got, r)
-			responders = append(responders, i)
-		}
-	}
-	return m.classify(0, got, responders)
+	m.got, m.responders = m.pop.Broadcast(c, m.got[:0], m.responders[:0])
+	return m.classify(0, m.got, m.responders)
 }
 
 // classify resolves the collected replies of one broadcast into a slot
@@ -392,6 +393,8 @@ func (ic *InventoryController) runRound(tags []*gen2.TagLogic, q byte, r *rng.Ra
 		for i := range m.lit {
 			m.lit[i] = true
 		}
+	} else {
+		m.pop.Reset(tags)
 	}
 	if ic.Recovery != nil {
 		return ic.runAdaptive(m, stats, q, maxCmds, r)

@@ -34,7 +34,7 @@ EXP_TIME="${BENCHTIME_EXP:-4x}"
 MICRO_TIME="${BENCHTIME_MICRO:-1s}"
 COUNT="${BENCHCOUNT:-3}"
 
-EXP_BENCH='BenchmarkInventoryExchange$|BenchmarkFig6FreqSelectionCDF$|BenchmarkFig9GainVsAntennas$|BenchmarkFig12CIBvsBaselineCDF$|BenchmarkFig13RangeStandardAir$|BenchmarkFig13DepthStandardWater$'
+EXP_BENCH='BenchmarkInventoryExchange$|BenchmarkFig6FreqSelectionCDF$|BenchmarkFig9GainVsAntennas$|BenchmarkFig12CIBvsBaselineCDF$|BenchmarkFig13RangeStandardAir$|BenchmarkFig13DepthStandardWater$|BenchmarkPopulation$|BenchmarkAdaptiveQ$'
 MICRO_CORE='BenchmarkEnvelopeSeries10Carriers$|BenchmarkExpectedPeak$'
 MICRO_BASE='BenchmarkPeakReceivedPower'
 MICRO_DSP='BenchmarkMaxCorrelation4096x96$|BenchmarkGoertzelBank8Bins4096$'
