@@ -30,12 +30,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"ivn/internal/engine"
@@ -45,32 +48,39 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // run holds the real main body so deferred profile writers execute before
-// the process exits (os.Exit in main would skip them).
-func run() int {
+// the process exits (os.Exit in main would skip them) and can still turn
+// a failed profile write into a non-zero exit status.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("ivnsim", flag.ContinueOnError)
 	var (
-		list        = flag.Bool("list", false, "list available experiments")
-		runID       = flag.String("run", "", "experiment id to run, or \"all\"")
-		seed        = flag.Uint64("seed", 1, "random seed (equal seeds reproduce identical tables)")
-		trials      = flag.Int("trials", 0, "override the experiment's trial count (0 = default)")
-		quick       = flag.Bool("quick", false, "reduced workload")
-		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut     = flag.Bool("json", false, "emit JSON (typed cells) instead of aligned text")
-		parallel    = flag.Int("parallel", 0, "cap concurrent trial workers (0 = GOMAXPROCS; never changes results)")
-		outDir      = flag.String("out", "", "also write each result to DIR/<id>.txt, DIR/<id>.csv and DIR/<id>.json")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to FILE")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to FILE on exit")
-		faultScales = flag.String("faultscales", "", "comma-separated fault-intensity multiples for faultmatrix (e.g. 0,1,4)")
-		traceFile   = flag.String("trace", "", "write the session-layer event stream to FILE as JSON lines")
-		shardFlag   = flag.String("shard", "", "execute only fragment I/N of the run's trials (requires -journal; the journal is the output)")
-		journalFile = flag.String("journal", "", "checkpoint completed trials to FILE as JSONL")
-		resume      = flag.Bool("resume", false, "reload -journal and re-execute only trials it lacks")
-		mergeDir    = flag.String("merge", "", "merge the shard journals in DIR into the whole run's table (byte-identical to an unsharded run)")
+		list        = fs.Bool("list", false, "list available experiments")
+		runID       = fs.String("run", "", "experiment id to run, or \"all\"")
+		seed        = fs.Uint64("seed", 1, "random seed (equal seeds reproduce identical tables)")
+		trials      = fs.Int("trials", 0, "override the experiment's trial count (0 = default)")
+		quick       = fs.Bool("quick", false, "reduced workload")
+		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonOut     = fs.Bool("json", false, "emit JSON (typed cells) instead of aligned text")
+		parallel    = fs.Int("parallel", 0, "cap concurrent trial workers (0 = GOMAXPROCS; never changes results)")
+		outDir      = fs.String("out", "", "also write each result to DIR/<id>.txt, DIR/<id>.csv and DIR/<id>.json")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to FILE")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to FILE on exit")
+		faultScales = fs.String("faultscales", "", "comma-separated fault-intensity multiples for faultmatrix (e.g. 0,1,4)")
+		traceFile   = fs.String("trace", "", "write the session-layer event stream to FILE as JSON lines")
+		shardFlag   = fs.String("shard", "", "execute only fragment I/N of the run's trials (requires -journal; the journal is the output)")
+		journalFile = fs.String("journal", "", "checkpoint completed trials to FILE as JSONL")
+		resume      = fs.Bool("resume", false, "reload -journal and re-execute only trials it lacks")
+		mergeDir    = fs.String("merge", "", "merge the shard journals in DIR into the whole run's table (byte-identical to an unsharded run)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *csv && *jsonOut {
 		fmt.Fprintln(os.Stderr, "ivnsim: -csv and -json are mutually exclusive")
@@ -114,30 +124,50 @@ func run() int {
 		return 2
 	}
 
+	// A failure to write a profile fails the invocation: with a zero exit
+	// status nothing downstream would notice the missing profile.
+	profileFailed := func(flagName string, err error) {
+		fmt.Fprintf(os.Stderr, "ivnsim: %s: %v\n", flagName, err)
+		if code == 0 {
+			code = 1
+		}
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ivnsim: cpuprofile: %v\n", err)
 			return 2
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		w := bufio.NewWriter(f)
+		if err := pprof.StartCPUProfile(w); err != nil {
+			_ = f.Close() // the start error is the one to report
 			fmt.Fprintf(os.Stderr, "ivnsim: cpuprofile: %v\n", err)
 			return 2
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := closeProfile(w, f); err != nil {
+				profileFailed("cpuprofile", err)
+			}
+		}()
 	}
 	if *memProfile != "" {
+		// Open the file now, so a bad path fails before the run rather
+		// than after it.
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
+			return 2
+		}
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
+			w := bufio.NewWriter(f)
+			err := pprof.WriteHeapProfile(w)
+			if cerr := closeProfile(w, f); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				profileFailed("memprofile", err)
 			}
 		}()
 	}
@@ -208,7 +238,13 @@ func run() int {
 		spec.Journal = *journalFile
 		spec.Resume = *resume
 		if err := spec.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "ivnsim: %v\n", err)
+			// An unknown id comes back from ivnsim.ByID already
+			// prefixed; every other error gets the command's prefix.
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "ivnsim: ") {
+				msg = "ivnsim: " + msg
+			}
+			fmt.Fprintln(os.Stderr, msg)
 			return 2
 		}
 		if err := runOne(spec, lim, *jsonOut, render, *outDir, tlog); err != nil {
@@ -216,7 +252,7 @@ func run() int {
 			return 1
 		}
 	default:
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 
@@ -227,6 +263,17 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// closeProfile flushes a profile's buffer and closes its file.
+// runtime/pprof drops the errors of its own writes; the buffer keeps the
+// first one, and Flush returns it.
+func closeProfile(w *bufio.Writer, f *os.File) error {
+	err := w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runFragment executes one shard of a run, leaving its journal as the

@@ -147,3 +147,95 @@ func TestRunOneBadOutDirFailsWithPath(t *testing.T) {
 		t.Fatalf("error does not name the unwritable path %q: %v", badDir, err)
 	}
 }
+
+// runCLI runs the command with args, capturing its exit status, standard
+// output and standard error.
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	code = run(args)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	outF.Close()
+	errF.Close()
+	o, err := os.ReadFile(outF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := os.ReadFile(errF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(o), string(e)
+}
+
+// TestMemProfileBadPathFailsBeforeRun: an uncreatable -memprofile path
+// exits 2 before the experiment runs, as -cpuprofile does.
+func TestMemProfileBadPathFailsBeforeRun(t *testing.T) {
+	occupied := filepath.Join(t.TempDir(), "occupied")
+	if err := os.WriteFile(occupied, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCLI(t, "-run", "fig3", "-quick", "-memprofile", filepath.Join(occupied, "mem.pprof"))
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("the experiment ran despite the bad profile path:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "ivnsim: memprofile:") {
+		t.Fatalf("stderr does not report the profile failure:\n%s", stderr)
+	}
+}
+
+// TestProfileWriteFailureExitsNonZero: a profile that opens but cannot be
+// written fails the invocation after the run.
+func TestProfileWriteFailureExitsNonZero(t *testing.T) {
+	const full = "/dev/full" // every write fails with ENOSPC
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("no %s on this system", full)
+	}
+	for _, name := range []string{"cpuprofile", "memprofile"} {
+		code, stdout, stderr := runCLI(t, "-run", "fig3", "-quick", "-"+name, full)
+		if code != 1 {
+			t.Fatalf("-%s: exit %d, want 1; stderr:\n%s", name, code, stderr)
+		}
+		if !strings.Contains(stdout, "fig3") {
+			t.Fatalf("-%s: the experiment did not run:\n%s", name, stdout)
+		}
+		if !strings.Contains(stderr, "ivnsim: "+name+":") {
+			t.Fatalf("-%s: stderr does not report the profile failure:\n%s", name, stderr)
+		}
+	}
+}
+
+func TestUnknownRunIDHasOnePrefix(t *testing.T) {
+	code, _, stderr := runCLI(t, "-run", "nosuchfig")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.HasPrefix(stderr, "ivnsim: unknown experiment \"nosuchfig\"") {
+		t.Fatalf("stderr %q, want one ivnsim: prefix before the unknown id", stderr)
+	}
+}
+
+// TestInvalidSpecKeepsCommandPrefix: spec errors that do not come
+// prefixed still start with the command's name.
+func TestInvalidSpecKeepsCommandPrefix(t *testing.T) {
+	code, _, stderr := runCLI(t, "-run", "fig9", "-trials", "-1")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if want := "ivnsim: runspec: negative trials -1\n"; stderr != want {
+		t.Fatalf("stderr %q, want %q", stderr, want)
+	}
+}

@@ -76,6 +76,46 @@ func TestZeroConfigGetsDefaults(t *testing.T) {
 	}
 }
 
+// freshOperatingDrive runs the amplifier's operating-point search anew,
+// bypassing the value radio derives once for DefaultPA.
+func freshOperatingDrive(t *testing.T, pa radio.PowerAmp) float64 {
+	t.Helper()
+	d, err := pa.DriveFor(math.Sqrt(math.Pow(10, (pa.P1dBm-30)/10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestNewDrivesChainsAtFreshOperatingPoint pins the zero-DriveAmplitude
+// default: every chain carries exactly the drive a fresh search returns,
+// whether the amplifier is the default one (whose operating point radio
+// computes once per process) or another.
+func TestNewDrivesChainsAtFreshOperatingPoint(t *testing.T) {
+	other := DefaultConfig()
+	other.PA = radio.PowerAmp{GainDB: 17, P1dBm: 27, Smoothness: 3}
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "zero": {}, "other PA": other} {
+		b, err := New(cfg, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa := cfg.PA
+		if pa == (radio.PowerAmp{}) {
+			pa = radio.DefaultPA()
+		}
+		want := freshOperatingDrive(t, pa)
+		amp := pa.Amplify(want)
+		for i, c := range b.Array.Chains {
+			if c.DriveAmplitude != want {
+				t.Fatalf("%s: chain %d drive %v, fresh search %v", name, i, c.DriveAmplitude, want)
+			}
+			if got := c.Carrier().Amplitude; got != amp {
+				t.Fatalf("%s: chain %d amplitude %v, want %v", name, i, got, amp)
+			}
+		}
+	}
+}
+
 func TestRelockChangesPhases(t *testing.T) {
 	b, err := New(DefaultConfig(), rng.New(4))
 	if err != nil {

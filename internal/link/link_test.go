@@ -1,9 +1,11 @@
 package link
 
 import (
+	"math"
 	"testing"
 
 	"ivn/internal/em"
+	"ivn/internal/radio"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
 )
@@ -82,5 +84,19 @@ func TestDownlinkCoeffsIntoMatches(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("coeff %d: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestChainAmplitudeIsDefaultOperatingPoint pins ChainAmplitude, which
+// reads the default drive radio derives once per process, to a fresh
+// operating-point search of the default amplifier, bit for bit.
+func TestChainAmplitudeIsDefaultOperatingPoint(t *testing.T) {
+	pa := radio.DefaultPA()
+	drive, err := pa.DriveFor(math.Sqrt(math.Pow(10, (pa.P1dBm-30)/10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ChainAmplitude(), pa.Amplify(drive); got != want {
+		t.Fatalf("ChainAmplitude() = %v, fresh Amplify(OperatingDrive) = %v", got, want)
 	}
 }

@@ -71,10 +71,7 @@ func (p *typedPool[T]) get(n int) []T {
 		bk.free = bk.free[:len(bk.free)-1]
 		bk.mu.Unlock()
 		s = s[:n]
-		var zero T
-		for i := range s {
-			s[i] = zero
-		}
+		clear(s)
 		return s
 	}
 	bk.mu.Unlock()

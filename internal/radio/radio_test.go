@@ -437,6 +437,21 @@ func TestDriveForAndOperatingDrive(t *testing.T) {
 	}
 }
 
+// TestOperatingDriveMatchesFreshSearch pins the drive DefaultPA's
+// OperatingDrive returns without searching to a fresh DriveFor search,
+// bit for bit, and checks that other amplifiers still search.
+func TestOperatingDriveMatchesFreshSearch(t *testing.T) {
+	for _, pa := range []PowerAmp{DefaultPA(), {GainDB: 17, P1dBm: 27, Smoothness: 3}} {
+		want, err := pa.DriveFor(math.Sqrt(math.Pow(10, (pa.P1dBm-30)/10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pa.OperatingDrive(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%+v: OperatingDrive() = %v, fresh DriveFor search %v", pa, got, want)
+		}
+	}
+}
+
 func TestOscillatorLocked(t *testing.T) {
 	o := Oscillator{Freq: 915e6}
 	if o.Locked() {

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +102,60 @@ func TestIntnUniform(t *testing.T) {
 	for i, c := range counts {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Fatalf("bucket %d has %d draws, want ≈%v", i, c, want)
+		}
+	}
+}
+
+// schoolbookMul64 is the 128-bit product from four 32-bit partial
+// products, the form Intn used before math/bits.Mul64; it is the
+// reference that pins Intn's stream across the switch.
+func schoolbookMul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+func TestMul64MatchesSchoolbook(t *testing.T) {
+	edges := []uint64{0, 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, math.MaxUint64}
+	var pairs [][2]uint64
+	for _, a := range edges {
+		for _, b := range edges {
+			pairs = append(pairs, [2]uint64{a, b})
+		}
+	}
+	r := New(99)
+	for i := 0; i < 10000; i++ {
+		pairs = append(pairs, [2]uint64{r.Uint64(), r.Uint64() >> (i % 64)})
+	}
+	for _, p := range pairs {
+		hi, lo := bits.Mul64(p[0], p[1])
+		wantHi, wantLo := schoolbookMul64(p[0], p[1])
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("%d × %d: bits.Mul64 = (%d, %d), schoolbook (%d, %d)", p[0], p[1], hi, lo, wantHi, wantLo)
+		}
+	}
+	// Intn's stream is the schoolbook sampler's, draw for draw, on small
+	// and mid-sized bounds and on bounds just above 2⁶², where Lemire's
+	// method rejects about one draw in four.
+	a, b := New(7), New(7)
+	for i := 0; i < 10000; i++ {
+		n := []int{1 + i%1000, 1 + int(uint64(i)*2654435761%(1<<40)), math.MaxInt/2 + 1 + i}[i%3]
+		var want int
+		for {
+			hi, lo := schoolbookMul64(b.Uint64(), uint64(n))
+			if lo >= uint64(n) || lo >= -uint64(n)%uint64(n) {
+				want = int(hi)
+				break
+			}
+		}
+		if got := a.Intn(n); got != want {
+			t.Fatalf("draw %d: Intn(%d) = %d, schoolbook sampler %d", i, n, got, want)
 		}
 	}
 }

@@ -48,6 +48,14 @@
 #                              `ivnsim -json`, a second identical POST
 #                              must be a cache hit, DELETE must cancel,
 #                              and SIGTERM must drain cleanly
+# 11. benchmark self-test    — `(cd _perfbench && go test .)`: every
+#                              workload of the repository's benchmark at
+#                              its smallest size (outputs checked against
+#                              the goldens, exact counts, every metric
+#                              named in BENCHMARK.json emitted); its
+#                              drivers call link.ChainAmplitude, core.New
+#                              and the trial kits directly (≈30 s, no
+#                              network)
 #
 # Stages run fail-fast: the first failing stage stops the script with a
 # FAIL banner naming the stage, so CI logs point at the culprit directly.
@@ -182,5 +190,10 @@ daemon_smoke() {
   return "$rc"
 }
 stage "daemon smoke" daemon_smoke
+
+perfbench_selftest() {
+  (cd _perfbench && go test .)
+}
+stage "benchmark self-test" perfbench_selftest
 
 echo "verify: OK"
