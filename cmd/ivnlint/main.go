@@ -6,29 +6,20 @@
 //
 // Usage:
 //
-//	ivnlint [-json] [-analyzers determinism,pooldiscipline] [-nocache] [pattern ...]
+//	ivnlint [-json] [-analyzers determinism,pooldiscipline] [pattern ...]
 //	ivnlint -list
 //
 // Patterns are module-relative directories in the go tool's style:
 // ".", "./internal/dsp", "./...". With no pattern, "./..." is assumed.
 // Exit status: 0 clean, 1 findings reported, 2 usage or load error.
 //
-// Results are cached per package directory under the user cache dir
-// (override with -cachedir, disable with -nocache), keyed by the content
-// of the directory, its transitive module-local dependencies, the lint
-// implementation, and the toolchain — so a full-tree run after an
-// incremental edit re-analyzes only the changed packages and their
-// dependents.
-//
 // With -json the command emits a single report object:
 //
 //	{
-//	  "schema": 1,
+//	  "schema": 2,
 //	  "toolchain": "go1.x",
 //	  "analyzers": ["determinism", ...],
 //	  "packages": 28,
-//	  "cache_hits": 27,
-//	  "cache_misses": 1,
 //	  "findings": [{"file": ..., "line": ..., "col": ..., "analyzer": ..., "message": ...}]
 //	}
 //
@@ -53,24 +44,24 @@ import (
 	"ivn/internal/lint"
 )
 
+// reportSchema versions the -json report layout; bump it whenever a
+// field is added, removed or changes meaning.
+const reportSchema = 2
+
 // report is the -json output schema.
 type report struct {
-	Schema      int            `json:"schema"`
-	Toolchain   string         `json:"toolchain"`
-	Analyzers   []string       `json:"analyzers"`
-	Packages    int            `json:"packages"`
-	CacheHits   int            `json:"cache_hits"`
-	CacheMisses int            `json:"cache_misses"`
-	Findings    []lint.Finding `json:"findings"`
+	Schema    int            `json:"schema"`
+	Toolchain string         `json:"toolchain"`
+	Analyzers []string       `json:"analyzers"`
+	Packages  int            `json:"packages"`
+	Findings  []lint.Finding `json:"findings"`
 }
 
 func main() {
 	var (
-		asJSON   = flag.Bool("json", false, "emit a JSON report object")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		names    = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		noCache  = flag.Bool("nocache", false, "disable the per-package result cache")
-		cacheDir = flag.String("cachedir", "", "cache directory (default: <user cache dir>/ivnlint)")
+		asJSON = flag.Bool("json", false, "emit a JSON report object")
+		list   = flag.Bool("list", false, "list analyzers and exit")
+		names  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	)
 	flag.Parse()
 
@@ -113,7 +104,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings, hits, misses, err := run(root, dirs, analyzers, analyzerNames, cacheConfig(*noCache, *cacheDir))
+	findings, err := lint.LintDirs(root, dirs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ivnlint: %v\n", err)
 		os.Exit(2)
@@ -134,13 +125,11 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report{
-			Schema:      cacheSchema,
-			Toolchain:   runtime.Version(),
-			Analyzers:   analyzerNames,
-			Packages:    len(dirs),
-			CacheHits:   hits,
-			CacheMisses: misses,
-			Findings:    findings,
+			Schema:    reportSchema,
+			Toolchain: runtime.Version(),
+			Analyzers: analyzerNames,
+			Packages:  len(dirs),
+			Findings:  findings,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "ivnlint: %v\n", err)
 			os.Exit(2)
@@ -149,80 +138,11 @@ func main() {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
-		fmt.Fprintf(os.Stderr, "ivnlint: %d package dir(s), %d finding(s), cache %d hit(s) / %d miss(es)\n",
-			len(dirs), len(findings), hits, misses)
+		fmt.Fprintf(os.Stderr, "ivnlint: %d package dir(s), %d finding(s)\n", len(dirs), len(findings))
 	}
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// cacheConfig resolves the cache directory; "" disables caching.
-func cacheConfig(noCache bool, override string) string {
-	if noCache {
-		return ""
-	}
-	if override != "" {
-		return override
-	}
-	return defaultCacheDir()
-}
-
-// run lints dirs, replaying cached per-directory results where the key
-// matches and analyzing only the rest. Stale-suppression findings are
-// derived at merge time over the full requested set, so they stay exact
-// even when every directory is a cache hit.
-func run(root string, dirs []string, analyzers []*lint.Analyzer, analyzerNames []string, cacheDir string) (findings []lint.Finding, hits, misses int, err error) {
-	perDir := map[string]*lint.DirResult{}
-	missDirs := dirs
-	var (
-		c    *cache
-		keys map[string]string
-	)
-	if cacheDir != "" {
-		module, merr := modulePath(root)
-		if merr == nil {
-			c, merr = newCache(root, cacheDir, module, analyzerNames)
-		}
-		if merr != nil {
-			// A broken cache must never break the lint run.
-			c = nil
-		}
-	}
-	if c != nil {
-		keys = make(map[string]string, len(dirs))
-		missDirs = missDirs[:0:0]
-		for _, dir := range dirs {
-			key, kerr := c.key(dir)
-			if kerr == nil {
-				keys[dir] = key
-				if res := c.load(key); res != nil {
-					perDir[dir] = res
-					hits++
-					continue
-				}
-			}
-			missDirs = append(missDirs, dir)
-			misses++
-		}
-	}
-	if len(missDirs) > 0 {
-		// Stale reporting is deferred to the merge below: a fresh pass
-		// over a partial set cannot see uses recorded by cached dirs.
-		res, rerr := lint.LintDirsDetailed(root, missDirs, analyzers, lint.RunOptions{ReportStale: false})
-		if rerr != nil {
-			return nil, hits, misses, rerr
-		}
-		for dir, d := range res.PerDir {
-			perDir[dir] = d
-			if c != nil {
-				if key, ok := keys[dir]; ok {
-					c.store(key, d)
-				}
-			}
-		}
-	}
-	return lint.MergeDirResults(perDir, analyzerNames, true), hits, misses, nil
 }
 
 // moduleRoot walks up from the working directory to the enclosing go.mod.
@@ -241,19 +161,4 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// modulePath reads the module declaration from root's go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("no module line in %s", filepath.Join(root, "go.mod"))
 }

@@ -86,6 +86,10 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "ivnsim: -csv and -json are mutually exclusive")
 		return 2
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "ivnsim: -parallel %d: worker cap must be >= 0 (0 = GOMAXPROCS)\n", *parallel)
+		return 2
+	}
 	shard, err := engine.ParseShard(*shardFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ivnsim: -shard: %v\n", err)

@@ -239,3 +239,18 @@ func TestInvalidSpecKeepsCommandPrefix(t *testing.T) {
 		t.Fatalf("stderr %q, want %q", stderr, want)
 	}
 }
+
+// TestNegativeParallelRejected: a negative worker cap exits 2 before any
+// output, as -trials -1 does, instead of silently running at GOMAXPROCS.
+func TestNegativeParallelRejected(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-run", "fig3", "-quick", "-parallel", "-3")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("output before the rejection:\n%s", stdout)
+	}
+	if want := "ivnsim: -parallel -3: worker cap must be >= 0 (0 = GOMAXPROCS)\n"; stderr != want {
+		t.Fatalf("stderr %q, want %q", stderr, want)
+	}
+}

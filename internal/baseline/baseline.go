@@ -150,6 +150,7 @@ func carrierPhasors(carriers []radio.Carrier, chans []complex128) (freqs []float
 // The scan runs on the shared phasor-recurrence kernel
 // (internal/phasor); NaivePeakReceivedPower retains the direct
 // per-sample evaluation as the golden reference.
+//
 //ivn:hotpath
 func PeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
@@ -172,6 +173,7 @@ func PeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration fl
 // whose beat bandwidth is ≤ a few hundred Hz, against coarse grids of
 // thousands of points per second). samples must be a positive multiple of
 // coarseSamples for refinement to engage; otherwise the full scan runs.
+//
 //ivn:hotpath
 func PeakReceivedPowerRefined(carriers []radio.Carrier, chans []complex128, duration float64, coarseSamples, samples int) (float64, error) {
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
@@ -217,6 +219,7 @@ func NaivePeakReceivedPower(carriers []radio.Carrier, chans []complex128, durati
 // PeakReceivedPower — equal for CIB and a blind array with the same
 // channels and per-antenna power ("the average received energy is the
 // same across both encoding schemes", §3.4).
+//
 //ivn:hotpath
 func AverageReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {

@@ -33,6 +33,7 @@ import (
 //
 // Envelope is the naive (one Sincos per carrier) evaluation and serves as
 // the golden reference for the phasor-recurrence series kernels below.
+//
 //ivn:hotpath
 func Envelope(offsets, betas []float64, t float64) float64 {
 	if len(offsets) != len(betas) {
@@ -66,6 +67,7 @@ func phaseCoeffs(betas []float64) []complex128 {
 // dst when it has capacity. The evaluation runs on the shared
 // phasor-recurrence kernel with pooled scratch, so steady-state calls
 // with a recycled dst do not allocate.
+//
 //ivn:hotpath
 func EnvelopeSeries(offsets, betas []float64, period float64, n int, dst []float64) []float64 {
 	if cap(dst) >= n {
@@ -82,6 +84,7 @@ func EnvelopeSeries(offsets, betas []float64, period float64, n int, dst []float
 
 // PeakEnvelope returns max over n samples of Y(t) for t ∈ [0, period)
 // (half-open grid, as in EnvelopeSeries).
+//
 //ivn:hotpath
 func PeakEnvelope(offsets, betas []float64, period float64, n int) float64 {
 	if len(offsets) == 0 || n <= 0 {
@@ -95,6 +98,7 @@ func PeakEnvelope(offsets, betas []float64, period float64, n int) float64 {
 
 // FractionAbove returns the fraction of time Y(t) exceeds level over one
 // period — the conduction-angle proxy the §3.7 steady stage maximizes.
+//
 //ivn:hotpath
 func FractionAbove(offsets, betas []float64, level, period float64, n int) float64 {
 	if len(offsets) == 0 || n <= 0 {
@@ -192,6 +196,7 @@ func ExpectedConductionFraction(offsets []float64, level float64, trials, sample
 // 1 s period) the envelope stays above level for a given phase draw. The
 // envelope is sampled on the same half-open grid as EnvelopeSeries
 // (t ∈ [0, 1), samples points).
+//
 //ivn:hotpath
 func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64 {
 	if len(offsets) == 0 || samples <= 0 {

@@ -121,6 +121,7 @@ func normalizedCrossCorrelationRef(out, x, template []float64) []float64 {
 // the lag where it occurs. For degenerate inputs it returns (0, -1). The
 // correlation series lives in pooled scratch, so the reduction allocates
 // nothing in steady state.
+//
 //ivn:hotpath
 func MaxCorrelation(x, template []float64) (best float64, lag int) {
 	n, m := len(x), len(template)

@@ -83,7 +83,7 @@ func TestTrialsShardWithoutJournalErrors(t *testing.T) {
 
 func TestTrialsJournalRecordThenReplay(t *testing.T) {
 	const n = 16
-	direct, err := Trials(7, "replay", n, tMeasure)
+	direct, err := TrialsCtx(context.Background(), Limits{}, 7, "replay", n, tMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestTrialsShardExecutesOwnedOnly(t *testing.T) {
 
 func TestShardFragmentsMergeToDirectRun(t *testing.T) {
 	const n, count = 13, 4
-	direct, err := Trials(21, "merge", n, tMeasure)
+	direct, err := TrialsCtx(context.Background(), Limits{}, 21, "merge", n, tMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,16 @@ func TestRenderCSV(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("csv render:\n%q\nwant:\n%q", buf.String(), want)
 	}
+	// A quote inside a quoted field is doubled.
+	q := NewResult("q", "", Col("a", ""), Col("b", ""))
+	q.AddRow(Str(`va,l"ue`), Int(2))
+	buf.Reset()
+	if err := RenderCSV(q, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "a,b\n\"va,l\"\"ue\",2\n"; buf.String() != want {
+		t.Fatalf("csv render:\n%q\nwant:\n%q", buf.String(), want)
+	}
 }
 
 func TestRenderJSONRoundTrip(t *testing.T) {

@@ -76,63 +76,18 @@ func (rc *recorder[S]) record(i int) error {
 	return rc.call.record(i, data)
 }
 
-// Trials runs n independent trials of measure on the bounded scheduler
-// and returns the samples in trial order. Each trial's stream is derived
-// with SplitIndexed from a parent seeded with seed, so the sample slice —
-// not just its aggregate — is a pure function of (seed, label, n) at any
-// GOMAXPROCS. Equivalent to TrialsCtx with a background context and
-// default limits.
-func Trials[S any](seed uint64, label string, n int, measure func(trial int, r *rng.Rand) (S, error)) ([]S, error) {
-	return TrialsCtx(context.Background(), Limits{}, seed, label, n, measure)
-}
-
-// TrialsCtx is Trials under a cancellation context and per-run limits:
-// cancellation stops the run between trials (no partial samples are
-// returned — a cancelled run yields ctx's error), and lim caps this
-// run's parallelism independently of any other run in the process.
-//
-// When lim carries a Journal, recorded samples replay instead of
-// re-executing (they never enter the scheduler, so SchedMetrics.Trials
-// counts executed trials only), executed samples are recorded, and a
-// Shard restricts execution to owned indices — unowned missing indices
-// stay zero-valued and mark the call incomplete on the Journal.
+// TrialsCtx runs n independent trials of measure on the bounded
+// scheduler and returns the samples in trial order. Each trial's stream
+// is derived with SplitIndexed(label, i) from a parent seeded with seed,
+// so the sample slice — not just its aggregate — is a pure function of
+// (seed, label, n) at any worker cap. It is TrialsScratchCtx without
+// per-worker scratch, so the journal/shard semantics are the same. The
+// trial's *rng.Rand is worker storage reseeded for every trial: measure
+// must not keep it past its return.
 func TrialsCtx[S any](ctx context.Context, lim Limits, seed uint64, label string, n int, measure func(trial int, r *rng.Rand) (S, error)) ([]S, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("engine: %d trials", n)
-	}
-	parent := rng.New(seed)
-	samples := make([]S, n)
-	call, toRun, jerr := resolveJournal(lim, seed, label, samples)
-	if jerr != nil {
-		return nil, jerr
-	}
-	if call == nil {
-		err := ForEachCtx(ctx, lim, n, func(i int) error {
-			r := parent.SplitIndexed(label, i)
-			var e error
-			samples[i], e = measure(i, r)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return samples, nil
-	}
-	rec := &recorder[S]{call: call, samples: samples}
-	err := ForEachCtx(ctx, lim, len(toRun), func(k int) error {
-		i := toRun[k]
-		r := parent.SplitIndexed(label, i)
-		var e error
-		samples[i], e = measure(i, r)
-		if e != nil {
-			return e
-		}
-		return rec.record(i)
+	return TrialsScratchCtx(ctx, lim, seed, label, n, NewScratches(nil), func(i int, _ any, r *rng.Rand) (S, error) {
+		return measure(i, r)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
 }
 
 // Scratches is the engine's per-worker trial state for the batched
@@ -140,8 +95,8 @@ func TrialsCtx[S any](ctx context.Context, lim Limits, seed uint64, label string
 // scheduler worker. Each slot is only ever touched by the single
 // goroutine owning that worker id, so no locking is involved; slots are
 // created lazily on first use and persist across points (and across
-// separate ForEachScratch calls with the same Scratches), which is where
-// the allocation savings come from. A Scratches must not be shared
+// separate ForEachScratchCtx calls with the same Scratches), which is
+// where the allocation savings come from. A Scratches must not be shared
 // between concurrently running sweeps.
 type Scratches struct {
 	mk    func() any
@@ -165,21 +120,11 @@ func (s *Scratches) ensure(workers int) {
 	}
 }
 
-// ForEachScratch runs fn(0..n-1) on the bounded worker pool, handing each
-// invocation its worker's persistent scratch object and rng child slot.
-// The rng child arrives in whatever state the worker's previous trial
-// left it — callers reseed it per index (e.g. via SplitIndexedInto) so
-// results stay a pure function of the index, never of worker assignment.
-// Error selection matches ForEach: the lowest-indexed failure wins.
-// Equivalent to ForEachScratchCtx with a background context and default
-// limits.
-func ForEachScratch(n int, s *Scratches, fn func(i int, scratch any, r *rng.Rand) error) error {
-	return ForEachScratchCtx(context.Background(), Limits{}, n, s, fn)
-}
-
-// ForEachScratchCtx is ForEachScratch under a cancellation context and
-// per-run limits, with the same prompt cooperative cancellation contract
-// as ForEachCtx.
+// ForEachScratchCtx is ForEachCtx handing each invocation its worker's
+// persistent scratch object and rng child slot. The rng child arrives in
+// whatever state the worker's previous trial left it — callers reseed it
+// per index (e.g. via SplitIndexedInto) so results stay a pure function
+// of the index, never of worker assignment.
 func ForEachScratchCtx(ctx context.Context, lim Limits, n int, s *Scratches, fn func(i int, scratch any, r *rng.Rand) error) error {
 	workers := lim.maxParallel()
 	if workers > n {
@@ -197,18 +142,18 @@ func ForEachScratchCtx(ctx context.Context, lim Limits, n int, s *Scratches, fn 
 	})
 }
 
-// TrialsScratch is Trials over per-worker scratch state: each trial's
-// stream is still derived with SplitIndexed(label, i) from a parent
-// seeded with seed — written into the worker's reusable child, so the
-// derivation allocates nothing — and measure additionally receives the
-// worker's persistent scratch object. Samples are identical to Trials
-// for any measure that ignores the scratch, at any GOMAXPROCS.
-func TrialsScratch[S any](seed uint64, label string, n int, s *Scratches, measure func(trial int, scratch any, r *rng.Rand) (S, error)) ([]S, error) {
-	return TrialsScratchCtx(context.Background(), Limits{}, seed, label, n, s, measure)
-}
-
-// TrialsScratchCtx is TrialsScratch under a cancellation context and
-// per-run limits, with the same journal/shard semantics as TrialsCtx.
+// TrialsScratchCtx runs n trials under a cancellation context and
+// per-run limits, handing measure the worker's persistent scratch object
+// and its rng child, reseeded to SplitIndexed(label, i) of a parent
+// seeded with seed — so the derivation allocates nothing and samples are
+// the same at any worker cap. Cancellation stops the run between trials:
+// a cancelled run yields ctx's error, never partial samples.
+//
+// When lim carries a Journal, recorded samples replay instead of
+// re-executing (they never enter the scheduler, so SchedMetrics.Trials
+// counts executed trials only), executed samples are recorded, and a
+// Shard restricts execution to owned indices — unowned missing indices
+// stay zero-valued and mark the call incomplete on the Journal.
 func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label string, n int, s *Scratches, measure func(trial int, scratch any, r *rng.Rand) (S, error)) ([]S, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: %d trials", n)
@@ -219,31 +164,26 @@ func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label
 	if jerr != nil {
 		return nil, jerr
 	}
-	if call == nil {
-		err := ForEachScratchCtx(ctx, lim, n, s, func(i int, scratch any, r *rng.Rand) error {
-			// SplitIndexedInto only reads the parent state — concurrent
-			// derivation from the shared parent is race-free.
-			parent.SplitIndexedInto(r, label, i)
-			var e error
-			samples[i], e = measure(i, scratch, r)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return samples, nil
-	}
-	rec := &recorder[S]{call: call, samples: samples}
-	err := ForEachScratchCtx(ctx, lim, len(toRun), s, func(k int, scratch any, r *rng.Rand) error {
-		i := toRun[k]
+	trial := func(i int, scratch any, r *rng.Rand) error {
+		// SplitIndexedInto only reads the parent state — concurrent
+		// derivation from the shared parent is race-free.
 		parent.SplitIndexedInto(r, label, i)
-		var e error
-		samples[i], e = measure(i, scratch, r)
-		if e != nil {
-			return e
-		}
-		return rec.record(i)
-	})
+		var err error
+		samples[i], err = measure(i, scratch, r)
+		return err
+	}
+	var err error
+	if call == nil {
+		err = ForEachScratchCtx(ctx, lim, n, s, trial)
+	} else {
+		rec := &recorder[S]{call: call, samples: samples}
+		err = ForEachScratchCtx(ctx, lim, len(toRun), s, func(k int, scratch any, r *rng.Rand) error {
+			if err := trial(toRun[k], scratch, r); err != nil {
+				return err
+			}
+			return rec.record(toRun[k])
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -258,12 +198,6 @@ func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label
 // Points execute sequentially (trials within a point are what
 // parallelize), so Row closures may accumulate cross-point state such as
 // a worst-case statistic for a trailing note.
-//
-// Exactly one of Measure and MeasureScratch must be set. MeasureScratch
-// selects the batched path: Prepare (optional) builds a point's invariant
-// context once, shared read-only by every trial of that point, and each
-// scheduler worker carries a persistent scratch object (NewScratch)
-// reused across trials and points.
 type Sweep[P, S any] struct {
 	// Trials is the per-point trial count.
 	Trials int
@@ -272,52 +206,41 @@ type Sweep[P, S any] struct {
 	// the experiment deliberately reuses placements across rows (the
 	// paired-ablation pattern).
 	Plan func(p P) (seed uint64, label string)
-	// Measure runs one trial and returns a typed sample.
-	Measure func(p P, trial int, r *rng.Rand) (S, error)
-	// Row reduces a point's samples (in trial order) to one table row.
-	Row func(p P, samples []S) ([]Cell, error)
-
-	// Prepare builds the point's trial-invariant context once per point,
-	// before any trial runs. The returned value is handed to every
-	// MeasureScratch call of that point and MUST be treated as read-only
+	// Prepare, when set, builds the point's trial-invariant context once
+	// per point, before any trial runs. The returned value is handed to
+	// every Measure call of that point and MUST be treated as read-only
 	// there: trials run concurrently and share it. Nil Prepare passes a
 	// nil context.
 	Prepare func(p P) (any, error)
-	// NewScratch creates one worker's reusable scratch object (may be nil
-	// when MeasureScratch needs only the pooled rng children).
+	// NewScratch, when set, creates one worker's reusable scratch object,
+	// persistent across the trials and points that worker runs. Nil
+	// NewScratch passes a nil scratch.
 	NewScratch func() any
-	// MeasureScratch runs one trial on the batched path: ctx is the
+	// Measure runs one trial and returns a typed sample: prepared is the
 	// point's shared Prepare result, scratch the worker's persistent
-	// object. The sample must be a pure function of (p, ctx, trial, r) —
-	// never of which worker ran it.
-	MeasureScratch func(p P, ctx, scratch any, trial int, r *rng.Rand) (S, error)
+	// object. The sample must be a pure function of (p, prepared, trial,
+	// r) — never of which worker ran it.
+	Measure func(p P, prepared, scratch any, trial int, r *rng.Rand) (S, error)
+	// Row reduces a point's samples (in trial order) to one table row.
+	Row func(p P, samples []S) ([]Cell, error)
 }
 
-// Run executes the sweep over points and returns one row per point.
-// Equivalent to RunCtx with a background context and default limits.
-func (s Sweep[P, S]) Run(points []P) ([][]Cell, error) {
-	return s.RunCtx(context.Background(), Limits{}, points)
-}
-
-// RunCtx executes the sweep under a cancellation context and per-run
-// limits: ctx is checked between points and between trials (prompt
-// cooperative cancellation), and lim caps this sweep's parallelism
-// independently of any other run in the process.
-func (s Sweep[P, S]) RunCtx(ctx context.Context, lim Limits, points []P) ([][]Cell, error) {
-	if (s.Measure == nil) == (s.MeasureScratch == nil) {
-		return nil, fmt.Errorf("engine: sweep must set exactly one of Measure and MeasureScratch")
+// RunIntoCtx executes the sweep over points under a cancellation context
+// and per-run limits and appends one row per point to res: ctx is checked
+// between points and between trials (prompt cooperative cancellation),
+// and lim caps this sweep's parallelism independently of any other run
+// in the process. On error res may hold the rows of earlier points.
+func (s Sweep[P, S]) RunIntoCtx(ctx context.Context, lim Limits, res *Result, points []P) error {
+	if s.Measure == nil {
+		return fmt.Errorf("engine: sweep has no Measure")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var scratches *Scratches
-	if s.MeasureScratch != nil {
-		scratches = NewScratches(s.NewScratch)
-	}
-	rows := make([][]Cell, 0, len(points))
+	scratches := NewScratches(s.NewScratch)
 	for _, p := range points {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// Fragment mode: a shard that does not own all of a point's
 		// missing trials leaves the sample set incomplete, and reducing
@@ -329,51 +252,26 @@ func (s Sweep[P, S]) RunCtx(ctx context.Context, lim Limits, points []P) ([][]Ce
 			preIncomplete = lim.Journal.IncompleteCalls()
 		}
 		seed, label := s.Plan(p)
-		var samples []S
-		var err error
-		if s.Measure != nil {
-			samples, err = TrialsCtx(ctx, lim, seed, label, s.Trials, func(trial int, r *rng.Rand) (S, error) {
-				return s.Measure(p, trial, r)
-			})
-		} else {
-			var pctx any
-			if s.Prepare != nil {
-				if pctx, err = s.Prepare(p); err != nil {
-					return nil, err
-				}
+		var prepared any
+		if s.Prepare != nil {
+			var err error
+			if prepared, err = s.Prepare(p); err != nil {
+				return err
 			}
-			samples, err = TrialsScratchCtx(ctx, lim, seed, label, s.Trials, scratches, func(trial int, scratch any, r *rng.Rand) (S, error) {
-				return s.MeasureScratch(p, pctx, scratch, trial, r)
-			})
 		}
+		samples, err := TrialsScratchCtx(ctx, lim, seed, label, s.Trials, scratches, func(trial int, scratch any, r *rng.Rand) (S, error) {
+			return s.Measure(p, prepared, scratch, trial, r)
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if lim.Journal != nil && lim.Journal.IncompleteCalls() > preIncomplete {
 			continue
 		}
 		row, err := s.Row(p, samples)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RunInto executes the sweep and appends its rows to res.
-func (s Sweep[P, S]) RunInto(res *Result, points []P) error {
-	return s.RunIntoCtx(context.Background(), Limits{}, res, points)
-}
-
-// RunIntoCtx executes the sweep under ctx and lim and appends its rows
-// to res.
-func (s Sweep[P, S]) RunIntoCtx(ctx context.Context, lim Limits, res *Result, points []P) error {
-	rows, err := s.RunCtx(ctx, lim, points)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
 		res.AddRow(row...)
 	}
 	return nil

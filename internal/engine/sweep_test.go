@@ -14,18 +14,18 @@ func TestTrialsDeterministic(t *testing.T) {
 	measure := func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	}
-	a, err := Trials(7, "demo", 32, measure)
+	a, err := TrialsCtx(context.Background(), Limits{}, 7, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Trials(7, "demo", 32, measure)
+	b, err := TrialsCtx(context.Background(), Limits{}, 7, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical (seed, label, n) produced different samples")
 	}
-	c, err := Trials(8, "demo", 32, measure)
+	c, err := TrialsCtx(context.Background(), Limits{}, 8, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTrialsMatchesSplitIndexedByHand(t *testing.T) {
 	// The engine's streams must be exactly the hand-rolled pattern the
 	// experiments used before the migration: parent := rng.New(seed);
 	// r := parent.SplitIndexed(label, i).
-	got, err := Trials(11, "check", 8, func(_ int, r *rng.Rand) (float64, error) {
+	got, err := TrialsCtx(context.Background(), Limits{}, 11, "check", 8, func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestTrialsMatchesSplitIndexedByHand(t *testing.T) {
 
 func TestTrialsRejectsBadCount(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		if _, err := Trials(1, "x", n, func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
+		if _, err := TrialsCtx(context.Background(), Limits{}, 1, "x", n, func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
 			t.Fatalf("%d trials accepted", n)
 		}
 	}
@@ -63,7 +63,7 @@ func TestTrialsRejectsBadCount(t *testing.T) {
 
 func TestTrialsSurfacesLowestIndexError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Trials(1, "x", 16, func(i int, _ *rng.Rand) (int, error) {
+	_, err := TrialsCtx(context.Background(), Limits{}, 1, "x", 16, func(i int, _ *rng.Rand) (int, error) {
 		if i >= 4 {
 			return 0, fmt.Errorf("trial %d: %w", i, boom)
 		}
@@ -81,7 +81,7 @@ func TestSweepRunInto(t *testing.T) {
 		Plan: func(n int) (uint64, string) {
 			return uint64(n), fmt.Sprintf("point-%d", n)
 		},
-		Measure: func(n, trial int, _ *rng.Rand) (float64, error) {
+		Measure: func(n int, _, _ any, trial int, _ *rng.Rand) (float64, error) {
 			return float64(n * trial), nil
 		},
 		Row: func(n int, samples []float64) ([]Cell, error) {
@@ -92,7 +92,7 @@ func TestSweepRunInto(t *testing.T) {
 			return []Cell{Int(n), Number("%.0f", sum)}, nil
 		},
 	}
-	if err := sweep.RunInto(res, []int{1, 2, 3}); err != nil {
+	if err := sweep.RunIntoCtx(context.Background(), Limits{}, res, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
@@ -111,7 +111,7 @@ func TestSweepErrorsPropagate(t *testing.T) {
 	sweep := Sweep[int, int]{
 		Trials: 2,
 		Plan:   func(n int) (uint64, string) { return 0, "p" },
-		Measure: func(n, _ int, _ *rng.Rand) (int, error) {
+		Measure: func(n int, _, _ any, _ int, _ *rng.Rand) (int, error) {
 			if n == 2 {
 				return 0, boom
 			}
@@ -119,7 +119,8 @@ func TestSweepErrorsPropagate(t *testing.T) {
 		},
 		Row: func(n int, samples []int) ([]Cell, error) { return []Cell{Int(n)}, nil },
 	}
-	if _, err := sweep.Run([]int{1, 2}); !errors.Is(err, boom) {
+	res := NewResult("s", "", Col("n", ""))
+	if err := sweep.RunIntoCtx(context.Background(), Limits{}, res, []int{1, 2}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
 }
@@ -128,7 +129,7 @@ func TestTrialsScratchMatchesTrials(t *testing.T) {
 	measure := func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	}
-	want, err := Trials(19, "batched", 64, measure)
+	want, err := TrialsCtx(context.Background(), Limits{}, 19, "batched", 64, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTrialsScratchMatchesTrials(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: TrialsScratch diverged from Trials", workers)
+			t.Fatalf("workers=%d: TrialsScratchCtx diverged from TrialsCtx", workers)
 		}
 	}
 }
@@ -153,7 +154,7 @@ func TestScratchesPersistAcrossCalls(t *testing.T) {
 	created := 0
 	s := NewScratches(func() any { created++; return new(int) })
 	for call := 0; call < 3; call++ {
-		if _, err := TrialsScratch(1, "x", 32, s, func(int, any, *rng.Rand) (int, error) {
+		if _, err := TrialsScratchCtx(context.Background(), Limits{}, 1, "x", 32, s, func(int, any, *rng.Rand) (int, error) {
 			return 0, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -166,43 +167,47 @@ func TestScratchesPersistAcrossCalls(t *testing.T) {
 
 func TestSweepPreparedSharedContext(t *testing.T) {
 	// The batched path: Prepare runs once per point, its result is shared
-	// read-only by all trials, and the samples match what the unbatched
-	// Measure formulation yields on the same plan. Run under -race this
-	// also proves the sharing is race-free.
+	// read-only by all trials, and the samples match what a Measure that
+	// ignores prepared context and scratch yields on the same plan. Run
+	// under -race this also proves the sharing is race-free.
 	type ctx struct{ scale float64 }
 	prepares := 0
+	row := func(n int, samples []float64) ([]Cell, error) {
+		sum := 0.0
+		for _, v := range samples {
+			sum += v
+		}
+		return []Cell{Number("%.12g", sum)}, nil
+	}
 	batched := Sweep[int, float64]{
 		Trials:     32,
 		Plan:       func(n int) (uint64, string) { return uint64(n), "pt" },
 		Prepare:    func(n int) (any, error) { prepares++; return &ctx{scale: float64(n)}, nil },
 		NewScratch: func() any { return make([]float64, 8) },
-		MeasureScratch: func(n int, c, scratch any, trial int, r *rng.Rand) (float64, error) {
+		Measure: func(n int, c, scratch any, trial int, r *rng.Rand) (float64, error) {
 			buf := scratch.([]float64)
 			buf[0] = r.Float64() // scribble on worker scratch
 			return buf[0] * c.(*ctx).scale, nil
 		},
-		Row: func(n int, samples []float64) ([]Cell, error) {
-			sum := 0.0
-			for _, v := range samples {
-				sum += v
-			}
-			return []Cell{Number("%.12g", sum)}, nil
+		Row: row,
+	}
+	plain := Sweep[int, float64]{
+		Trials: 32,
+		Plan:   batched.Plan,
+		Measure: func(n int, _, _ any, trial int, r *rng.Rand) (float64, error) {
+			return r.Float64() * float64(n), nil
 		},
+		Row: row,
 	}
-	plain := batched
-	plain.Prepare, plain.NewScratch, plain.MeasureScratch = nil, nil, nil
-	plain.Measure = func(n, trial int, r *rng.Rand) (float64, error) {
-		return r.Float64() * float64(n), nil
-	}
-	got, err := batched.Run([]int{2, 3, 5})
-	if err != nil {
+	got := NewResult("s", "", Col("sum", ""))
+	if err := batched.RunIntoCtx(context.Background(), Limits{}, got, []int{2, 3, 5}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.Run([]int{2, 3, 5})
-	if err != nil {
+	want := NewResult("s", "", Col("sum", ""))
+	if err := plain.RunIntoCtx(context.Background(), Limits{}, want, []int{2, 3, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.TextRows(), want.TextRows()) {
 		t.Fatal("batched sweep diverged from the plain formulation")
 	}
 	if prepares != 3 {
@@ -211,20 +216,16 @@ func TestSweepPreparedSharedContext(t *testing.T) {
 }
 
 func TestSweepRejectsAmbiguousMeasure(t *testing.T) {
+	// A sweep must say how a trial is measured: a nil Measure is rejected
+	// before any point runs.
 	row := func(n int, samples []int) ([]Cell, error) { return []Cell{Int(n)}, nil }
 	plan := func(n int) (uint64, string) { return 0, "p" }
 	neither := Sweep[int, int]{Trials: 1, Plan: plan, Row: row}
-	if _, err := neither.Run([]int{1}); err == nil {
-		t.Fatal("sweep with neither Measure nor MeasureScratch accepted")
+	res := NewResult("s", "", Col("n", ""))
+	if err := neither.RunIntoCtx(context.Background(), Limits{}, res, []int{1}); err == nil {
+		t.Fatal("sweep without Measure accepted")
 	}
-	both := Sweep[int, int]{
-		Trials:         1,
-		Plan:           plan,
-		Row:            row,
-		Measure:        func(int, int, *rng.Rand) (int, error) { return 0, nil },
-		MeasureScratch: func(int, any, any, int, *rng.Rand) (int, error) { return 0, nil },
-	}
-	if _, err := both.Run([]int{1}); err == nil {
-		t.Fatal("sweep with both Measure and MeasureScratch accepted")
+	if len(res.Rows) != 0 {
+		t.Fatalf("rejected sweep appended %d rows", len(res.Rows))
 	}
 }

@@ -66,12 +66,13 @@ func runAblationCoherent(cfg Config) (*engine.Result, error) {
 	sweep := engine.Sweep[scenario.Scenario, GainSample]{
 		Trials: cfg.trials(80, 20),
 		Plan: func(scenario.Scenario) (uint64, string) {
-			// Every medium reuses the same streams: RunGainTrials' historical
+			// Every medium reuses the same streams: RunGainTrialsCtx's
 			// seeding, kept for byte-identical tables.
 			return cfg.Seed, "gain-trial"
 		},
-		Measure: func(sc scenario.Scenario, _ int, r *rng.Rand) (GainSample, error) {
-			return MeasureGains(sc, 10, r)
+		NewScratch: newGainKit,
+		Measure: func(sc scenario.Scenario, _, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc, 10, nil, r)
 		},
 		Row: func(sc scenario.Scenario, samples []GainSample) ([]engine.Cell, error) {
 			cib, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })
@@ -123,7 +124,7 @@ func runAblationEqualPower(cfg Config) (*engine.Result, error) {
 		Plan: func(n int) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("eqp-%d", n)
 		},
-		Measure: func(n, _ int, r *rng.Rand) (equalPowerSample, error) {
+		Measure: func(n int, _, _ any, _ int, r *rng.Rand) (equalPowerSample, error) {
 			var s equalPowerSample
 			p, err := sc.Realize(n, r)
 			if err != nil {
@@ -247,7 +248,7 @@ func runAblationFlatness(cfg Config) (*engine.Result, error) {
 		Plan: func(scale float64) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("flat-%v", scale)
 		},
-		Measure: func(scale float64, _ int, r *rng.Rand) (flatnessSample, error) {
+		Measure: func(scale float64, _, _ any, _ int, r *rng.Rand) (flatnessSample, error) {
 			var s flatnessSample
 			offsets := make([]float64, 10)
 			for i, f := range core.PaperOffsets() {
@@ -349,7 +350,7 @@ func runAblationAveraging(cfg Config) (*engine.Result, error) {
 		Plan: func(int) (uint64, string) {
 			return cfg.Seed, "avg" // same placements across K
 		},
-		Measure: func(k, _ int, r *rng.Rand) (bool, error) {
+		Measure: func(k int, _, _ any, _ int, r *rng.Rand) (bool, error) {
 			p, err := sc.Realize(8, r)
 			if err != nil {
 				return false, err

@@ -120,7 +120,7 @@ func runAblationFreqError(cfg Config) (*engine.Result, error) {
 		Plan: func(sigma float64) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("fe-%v", sigma)
 		},
-		Measure: func(sigma float64, _ int, r *rng.Rand) (freqErrorSample, error) {
+		Measure: func(sigma float64, _, _ any, _ int, r *rng.Rand) (freqErrorSample, error) {
 			var s freqErrorSample
 			offsets := make([]float64, n)
 			for i, f := range base {
@@ -245,7 +245,7 @@ func runAblationPhaseNoise(cfg Config) (*engine.Result, error) {
 		Plan: func(float64) (uint64, string) {
 			return cfg.Seed, "pn" // same placements across rows
 		},
-		Measure: func(drift float64, _ int, r *rng.Rand) (bool, error) {
+		Measure: func(drift float64, _, _ any, _ int, r *rng.Rand) (bool, error) {
 			p, err := sc.Realize(8, r)
 			if err != nil {
 				return false, err
@@ -327,10 +327,16 @@ func runAblationMultipath(cfg Config) (*engine.Result, error) {
 		Plan: func(p multipathPoint) (uint64, string) {
 			return cfg.Seed + uint64(p.index*997), "gain-trial"
 		},
-		Measure: func(p multipathPoint, _ int, r *rng.Rand) (GainSample, error) {
+		// The point's tank is built once and shared read-only across its
+		// parallel trials.
+		Prepare: func(p multipathPoint) (any, error) {
 			sc := scenario.NewTank(0.5, em.Water, 0.10)
 			sc.Multipath = p.mp
-			return MeasureGains(sc, 10, r)
+			return sc, nil
+		},
+		NewScratch: newGainKit,
+		Measure: func(_ multipathPoint, sc, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc.(scenario.Scenario), 10, nil, r)
 		},
 		Row: func(p multipathPoint, samples []GainSample) ([]engine.Cell, error) {
 			sum, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })

@@ -104,7 +104,7 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tab1.Rows, tab2.Rows) {
+	if !reflect.DeepEqual(tab1, tab2) {
 		t.Fatal("faultmatrix table rows differ across runs")
 	}
 }

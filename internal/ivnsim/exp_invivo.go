@@ -59,14 +59,15 @@ func runInVivo(cfg Config) (*engine.Result, error) {
 		Plan: func(c invivoCase) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("invivo-%d", c.index)
 		},
-		Measure: func(c invivoCase, i int, r *rng.Rand) (CommTrial, error) {
+		NewScratch: newCommKit,
+		Measure: func(c invivoCase, _, scratch any, i int, r *rng.Rand) (CommTrial, error) {
 			opts := CommOptions{Waveform: true}
 			if cfg.Trace != nil {
 				tr, commit := cfg.Trace.Span(fmt.Sprintf("invivo-%d/%04d", c.index, i))
 				defer commit() // defers run at Measure return, after the trial
 				opts.Trace = tr
 			}
-			return RunCommTrial(c.sc, 8, c.model, opts, r)
+			return scratch.(*commKit).trial(c.sc, 8, c.model, opts, r)
 		},
 		Row: func(c invivoCase, sessions []CommTrial) ([]engine.Cell, error) {
 			powered, decoded := 0, 0
@@ -108,32 +109,30 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 	parent := rng.New(cfg.Seed)
 	// Find a successful session (the paper likewise shows a sample output
 	// from a successful trial). The attempts are a sequential search — each
-	// stops as soon as one succeeds — so this stays off the scheduler.
+	// stops as soon as one succeeds — so this stays off the scheduler, on
+	// one comm kit.
+	var k commKit
 	maxAttempts := 40
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		r := parent.SplitIndexed("fig15", attempt)
-		p, err := sc.Realize(8, r)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := runCommAt(p, 8, model, CommOptions{Waveform: true}, r)
+		tr, err := k.trial(sc, 8, model, CommOptions{Waveform: true}, r)
 		if err != nil {
 			return nil, err
 		}
 		if !(tr.Powered && tr.Decoded) {
 			continue
 		}
-		// Re-synthesize the same session's waveform for display.
-		r2 := parent.SplitIndexed("fig15", attempt) // same stream
-		p2, err := sc.Realize(8, r2)
+		// Re-synthesize the same session's waveform for display: the same
+		// stream realizes the same placement again, into the kit's storage.
+		r2 := parent.SplitIndexed("fig15", attempt)
+		if err := scenario.RealizeInto(sc, &k.placement, 8, r2); err != nil {
+			return nil, err
+		}
+		p := &k.placement
+		tg, err := tag.New(model, defaultEPC, r2.Split("tag"))
 		if err != nil {
 			return nil, err
 		}
-		tg, err := tag.New(model, []byte{0xE2, 0x00, 0x12, 0x34}, r2.Split("tag"))
-		if err != nil {
-			return nil, err
-		}
-		_ = p2
 		tg.UpdatePower(tr.PeakPower)
 		reply := tg.HandleCommand(&gen2.Query{Q: 0})
 		rd := reader.New()

@@ -76,8 +76,8 @@ func runFig9(cfg Config) (*engine.Result, error) {
 		// per-worker gain kits absorb the per-trial allocation floor.
 		Prepare:    func(int) (any, error) { return sc, nil },
 		NewScratch: newGainKit,
-		MeasureScratch: func(n int, ctx, scratch any, _ int, r *rng.Rand) (GainSample, error) {
-			return measureGainsScratch(scratch.(*gainKit), ctx.(scenario.Scenario), n, nil, r)
+		Measure: func(n int, sc, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc.(scenario.Scenario), n, nil, r)
 		},
 		Row: func(n int, samples []GainSample) ([]engine.Cell, error) {
 			s, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })
@@ -107,8 +107,8 @@ func runFig10a(cfg Config) (*engine.Result, error) {
 		// and shared read-only across the point's parallel trials.
 		Prepare:    func(d float64) (any, error) { return base.WithDepth(d), nil },
 		NewScratch: newGainKit,
-		MeasureScratch: func(_ float64, ctx, scratch any, _ int, r *rng.Rand) (GainSample, error) {
-			return measureGainsScratch(scratch.(*gainKit), ctx.(scenario.Scenario), 10, nil, r)
+		Measure: func(_ float64, sc, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc.(scenario.Scenario), 10, nil, r)
 		},
 		Row: func(d float64, samples []GainSample) ([]engine.Cell, error) {
 			s, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })
@@ -147,8 +147,8 @@ func runFig10b(cfg Config) (*engine.Result, error) {
 			return sc, nil
 		},
 		NewScratch: newGainKit,
-		MeasureScratch: func(_ float64, ctx, scratch any, _ int, r *rng.Rand) (GainSample, error) {
-			return measureGainsScratch(scratch.(*gainKit), ctx.(scenario.Scenario), 10, nil, r)
+		Measure: func(_ float64, sc, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc.(scenario.Scenario), 10, nil, r)
 		},
 		Row: func(th float64, samples []GainSample) ([]engine.Cell, error) {
 			s, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })
@@ -184,8 +184,8 @@ func runFig11(cfg Config) (*engine.Result, error) {
 		},
 		Prepare:    func(p mediumPoint) (any, error) { return p.sc, nil },
 		NewScratch: newGainKit,
-		MeasureScratch: func(_ mediumPoint, ctx, scratch any, _ int, r *rng.Rand) (GainSample, error) {
-			return measureGainsScratch(scratch.(*gainKit), ctx.(scenario.Scenario), 10, nil, r)
+		Measure: func(_ mediumPoint, sc, scratch any, _ int, r *rng.Rand) (GainSample, error) {
+			return scratch.(*gainKit).measure(sc.(scenario.Scenario), 10, nil, r)
 		},
 		Row: func(p mediumPoint, samples []GainSample) ([]engine.Cell, error) {
 			cib, err := gainStats(samples, func(g GainSample) float64 { return g.CIB / g.Single })

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCommTrialHonorsScenarioGeometry is the regression test for the
-// hard-coded-geometry bug: runCommAt used scenario.DefaultGeometry() for
+// hard-coded-geometry bug: the comm trial used scenario.DefaultGeometry() for
 // the CIB carrier and leak regardless of the scenario that realized the
 // placement, so two scenarios differing only in Geometry produced
 // identical trials. The placement draw itself is frequency-independent,

@@ -8,7 +8,7 @@ import "testing"
 // model change cannot slip through as "just different random numbers".
 
 func TestGoldenFig2(t *testing.T) {
-	tab, err := mustRun(t, "fig2", Config{Seed: 1})
+	rows, err := mustRun(t, "fig2", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestGoldenFig2(t *testing.T) {
 		"0.600":  {"12.000", "6.000"},
 	}
 	seen := 0
-	for _, row := range tab.Rows {
+	for _, row := range rows {
 		if w, ok := want[row[0]]; ok {
 			if row[1] != w[0] || row[2] != w[1] {
 				t.Errorf("V=%s: got (%s, %s), want (%s, %s)", row[0], row[1], row[2], w[0], w[1])
@@ -34,7 +34,7 @@ func TestGoldenFig2(t *testing.T) {
 }
 
 func TestGoldenFig3(t *testing.T) {
-	tab, err := mustRun(t, "fig3", Config{Seed: 1})
+	rows, err := mustRun(t, "fig3", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGoldenFig3(t *testing.T) {
 		"30": {"9.54", "63.20"},
 	}
 	seen := 0
-	for _, row := range tab.Rows {
+	for _, row := range rows {
 		if w, ok := want[row[0]]; ok {
 			if row[1] != w[0] || row[2] != w[1] {
 				t.Errorf("d=%s cm: got (%s, %s), want (%s, %s)", row[0], row[1], row[2], w[0], w[1])
@@ -60,20 +60,20 @@ func TestGoldenFig3(t *testing.T) {
 }
 
 func TestGoldenFig4(t *testing.T) {
-	tab, err := mustRun(t, "fig4", Config{Seed: 1})
+	rows, err := mustRun(t, "fig4", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The three regimes' conduction angles, to three decimals.
 	wantAngles := []string{"0.474", "0.406", "0.000"}
 	for i, w := range wantAngles {
-		if tab.Rows[i][2] != w {
-			t.Errorf("regime %d conduction angle %s, want %s", i, tab.Rows[i][2], w)
+		if rows[i][2] != w {
+			t.Errorf("regime %d conduction angle %s, want %s", i, rows[i][2], w)
 		}
 	}
 	// Deep tissue harvests exactly nothing.
-	if tab.Rows[2][3] != "0.000" {
-		t.Errorf("deep-tissue V_DC %s, want 0.000", tab.Rows[2][3])
+	if rows[2][3] != "0.000" {
+		t.Errorf("deep-tissue V_DC %s, want 0.000", rows[2][3])
 	}
 }
 
@@ -88,14 +88,14 @@ func TestGoldenDeterminismAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Rows) != len(b.Rows) {
+		if len(a) != len(b) {
 			t.Fatalf("%s: row counts differ", id)
 		}
-		for i := range a.Rows {
-			for j := range a.Rows[i] {
-				if a.Rows[i][j] != b.Rows[i][j] {
+		for i := range a {
+			for j := range a[i] {
+				if a[i][j] != b[i][j] {
 					t.Fatalf("%s: row %d col %d differs across identical seeds: %q vs %q",
-						id, i, j, a.Rows[i][j], b.Rows[i][j])
+						id, i, j, a[i][j], b[i][j])
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package ivnsim
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,46 +13,6 @@ import (
 	"ivn/internal/scenario"
 	"ivn/internal/tag"
 )
-
-func TestTableRender(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "bb"}}
-	tab.AddRow("1", "2")
-	tab.AddRow("333") // padded
-	tab.AddNote("hello %d", 5)
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"demo", "a", "bb", "333", "note: hello 5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableAddRowRejectsWideRows(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "bb"}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row wider than the header was silently accepted")
-		}
-	}()
-	tab.AddRow("1", "2", "3") // wider than the header: must panic, not truncate
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "b"}}
-	tab.AddRow(`va,l"ue`, "2")
-	var buf bytes.Buffer
-	if err := tab.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"va,l""ue",2`) {
-		t.Fatalf("CSV escaping wrong:\n%s", out)
-	}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -101,11 +62,11 @@ func TestMeasureGainsRelationships(t *testing.T) {
 
 func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 	sc := scenario.NewTank(0.5, em.Water, 0.10)
-	a, err := RunGainTrials(sc, 4, 12, 7)
+	a, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, 4, 12, 7, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGainTrials(sc, 4, 12, 7)
+	b, err := RunGainTrialsCtx(context.Background(), engine.Limits{MaxParallel: 1}, sc, 4, 12, 7, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +75,7 @@ func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 			t.Fatalf("trial %d differs across identical runs", i)
 		}
 	}
-	if _, err := RunGainTrials(sc, 4, 0, 7); err == nil {
+	if _, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, 4, 0, 7, nil, ""); err == nil {
 		t.Fatal("0 trials accepted")
 	}
 }
@@ -122,7 +83,7 @@ func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 func TestCIBGainGrowsWithAntennas(t *testing.T) {
 	sc := scenario.NewTank(0.5, em.Water, 0.10)
 	med := func(n int) float64 {
-		samples, err := RunGainTrials(sc, n, 30, 3)
+		samples, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, n, 30, 3, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,11 +144,11 @@ func TestRunCommTrialWaveformAgreesNearOperatingPoint(t *testing.T) {
 func TestMaxOperatingDistanceProperties(t *testing.T) {
 	mk := func(d float64) scenario.Scenario { return scenario.NewAir(d) }
 	model := tag.StandardTag()
-	d1, err := MaxOperatingDistance(mk, 1, model, 0.3, 100, 3, 2, 9)
+	d1, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 0.3, 100, 3, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := MaxOperatingDistance(mk, 8, model, 0.3, 100, 3, 2, 9)
+	d8, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 8, model, 0.3, 100, 3, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +159,10 @@ func TestMaxOperatingDistanceProperties(t *testing.T) {
 		t.Fatalf("8-antenna range %v not well beyond single-antenna %v", d8, d1)
 	}
 	// Validation.
-	if _, err := MaxOperatingDistance(mk, 1, model, 0, 10, 3, 2, 1); err == nil {
+	if _, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 0, 10, 3, 2, 1); err == nil {
 		t.Fatal("bad interval accepted")
 	}
-	if _, err := MaxOperatingDistance(mk, 1, model, 1, 10, 2, 3, 1); err == nil {
+	if _, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 1, 10, 2, 3, 1); err == nil {
 		t.Fatal("successNeeded > trials accepted")
 	}
 }
@@ -235,14 +196,14 @@ func TestQuickExperimentsAllRun(t *testing.T) {
 }
 
 func TestFig9MonotoneShape(t *testing.T) {
-	tab, err := mustRun(t, "fig9", Config{Seed: 2, Quick: true})
+	rows, err := mustRun(t, "fig9", Config{Seed: 2, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Median gain at 10 antennas must exceed 5× the 2-antenna median and
 	// be below the N²=100 optimum... (allow fading headroom to 4N²).
 	med := func(row int) float64 {
-		v, err := strconv.ParseFloat(tab.Rows[row][2], 64)
+		v, err := strconv.ParseFloat(rows[row][2], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +218,7 @@ func TestFig9MonotoneShape(t *testing.T) {
 }
 
 func TestInVivoShape(t *testing.T) {
-	tab, err := mustRun(t, "invivo", Config{Seed: 2, Quick: true})
+	rows, err := mustRun(t, "invivo", Config{Seed: 2, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,19 +231,19 @@ func TestInVivoShape(t *testing.T) {
 		den, _ = strconv.Atoi(parts[1])
 		return
 	}
-	gm, _ := parse(tab.Rows[1][3])
+	gm, _ := parse(rows[1][3])
 	if gm != 0 {
-		t.Fatalf("gastric miniature decoded %s, want 0", tab.Rows[1][3])
+		t.Fatalf("gastric miniature decoded %s, want 0", rows[1][3])
 	}
-	ss, den := parse(tab.Rows[2][3])
+	ss, den := parse(rows[2][3])
 	if ss != den {
-		t.Fatalf("subcutaneous standard decoded %s, want all", tab.Rows[2][3])
+		t.Fatalf("subcutaneous standard decoded %s, want all", rows[2][3])
 	}
 }
 
-// mustRun executes an experiment and returns the string-level view of its
-// typed result, which the shape tests assert on.
-func mustRun(t *testing.T, id string, cfg Config) (*Table, error) {
+// mustRun executes an experiment and returns the text form of its rows,
+// which the shape tests assert on.
+func mustRun(t *testing.T, id string, cfg Config) ([][]string, error) {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
@@ -292,5 +253,5 @@ func mustRun(t *testing.T, id string, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return TableOf(res), nil
+	return res.TextRows(), nil
 }

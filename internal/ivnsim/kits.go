@@ -13,13 +13,14 @@ import (
 	"ivn/internal/tag"
 )
 
-// Worker kits: per-worker scratch for the batched trial paths. A kit is
+// Worker kits: the one implementation of a gain or comm trial. A kit is
 // handed to one scheduler worker via engine.Scratches and reused across
 // every trial (and sweep point) that worker runs, which is what removes
-// the per-trial allocation floors of the Fig9/Fig13 experiments. Kits
-// draw exactly the variate sequences of the original per-trial code —
-// the golden tables pin this — and must never be shared between
-// concurrently running trials.
+// the per-trial allocation floors of the Fig9/Fig13 experiments; a
+// one-shot call (MeasureGains, RunCommTrial) is a fresh kit used once.
+// A reused kit draws exactly the variate sequences of a fresh one — the
+// golden tables and TestKitsReusedMatchFresh pin this — and must never
+// be shared between concurrently running trials.
 
 // gainKit is one worker's reusable state for gain trials (Fig9-12): the
 // realized placement (channels + ray buffers), the CIB beamformer
@@ -36,11 +37,10 @@ type gainKit struct {
 
 func newGainKit() any { return new(gainKit) }
 
-// measureGainsScratch is MeasureGains through a worker kit: realize the
-// placement into retained storage, then measure the four schemes against
-// identical channels. Draw order matches MeasureGains exactly (placement
-// draws, "cib" split + PLL locks, "blind" split + phases).
-func measureGainsScratch(k *gainKit, sc scenario.Scenario, n int, tr *session.Trace, r *rng.Rand) (GainSample, error) {
+// measure realizes the placement into retained storage, then measures
+// the four schemes against identical channels. Draw order: placement
+// draws, "cib" split + PLL locks, "blind" split + phases.
+func (k *gainKit) measure(sc scenario.Scenario, n int, tr *session.Trace, r *rng.Rand) (GainSample, error) {
 	var out GainSample
 	if err := scenario.RealizeInto(sc, &k.placement, n, r); err != nil {
 		return out, err
@@ -120,10 +120,11 @@ type commKit struct {
 
 func newCommKit() any { return new(commKit) }
 
-// runCommScratch is RunCommTrial through a worker kit: placement and
-// link chain land in retained storage; the exchange itself is shared
-// with runCommAt. Draw order matches RunCommTrial exactly.
-func runCommScratch(k *commKit, sc scenario.Scenario, n int, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
+// trial realizes the placement and link chain into retained storage,
+// then runs the power-up + inventory exchange. Draw order: placement
+// draws, the link's "cib" split + PLL locks, "tag" split, then the
+// exchange's own draws from r.
+func (k *commKit) trial(sc scenario.Scenario, n int, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
 	if err := scenario.RealizeInto(sc, &k.placement, n, r); err != nil {
 		return CommTrial{}, err
 	}

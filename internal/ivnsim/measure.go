@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"ivn/internal/baseline"
-	"ivn/internal/core"
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
 	"ivn/internal/link"
@@ -32,87 +30,19 @@ type GainSample struct {
 }
 
 // MeasureGains realizes one placement of sc with n antennas and measures
-// the four schemes against identical channels.
+// the four schemes against identical channels: a fresh gain kit used
+// once, so it draws exactly what a reused kit draws for the same stream.
 func MeasureGains(sc scenario.Scenario, n int, r *rng.Rand) (GainSample, error) {
-	p, err := sc.Realize(n, r)
-	if err != nil {
-		return GainSample{}, err
-	}
-	return measureGainsAt(p, n, nil, r)
+	return new(gainKit).measure(sc, n, nil, r)
 }
 
-func measureGainsAt(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand) (GainSample, error) {
-	g := p.Geometry()
-	chans := link.DownlinkCoeffs(p, g.CIBFreq)
-	amp := link.ChainAmplitude()
-
-	var out GainSample
-
-	// CIB: offset carriers with fresh random PLL phases.
-	cfg := core.DefaultConfig()
-	cfg.Antennas = n
-	cfg.CenterFreq = g.CIBFreq
-	bf, err := core.New(cfg, r.Split("cib"))
-	if err != nil {
-		return out, err
-	}
-	out.CIB, err = link.PeakDownlink(bf, chans)
-	if err != nil {
-		return out, err
-	}
-	if tr != nil {
-		// Gain trials realize the CIB downlink without a full Link (no
-		// reader leg); report it with the same event the link layer emits.
-		tr.Emit(session.Event{Kind: session.EvLinkRealized, Value: 10*math.Log10(out.CIB) + 30})
-	}
-
-	// Single antenna: chain 0 alone.
-	single := baseline.SingleAntenna(g.CIBFreq, amp)
-	out.Single, err = baseline.PeakReceivedPower(single, chans[:1], link.ScanDuration, 1)
-	if err != nil {
-		return out, err
-	}
-
-	// Blind same-frequency array.
-	blind, err := baseline.BlindArray(n, g.CIBFreq, amp, r.Split("blind"))
-	if err != nil {
-		return out, err
-	}
-	out.Blind, err = baseline.PeakReceivedPower(blind, chans, link.ScanDuration, 1)
-	if err != nil {
-		return out, err
-	}
-
-	// Oracle MRT.
-	mrt, err := baseline.OracleMRT(g.CIBFreq, amp, chans)
-	if err != nil {
-		return out, err
-	}
-	out.MRT, err = baseline.PeakReceivedPower(mrt, chans, link.ScanDuration, 1)
-	if err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// RunGainTrials measures trials independent placements on the engine's
-// bounded scheduler and returns the samples in trial order (deterministic
-// regardless of scheduling).
-func RunGainTrials(sc scenario.Scenario, n, trials int, seed uint64) ([]GainSample, error) {
-	return RunGainTrialsTraced(sc, n, trials, seed, nil, "")
-}
-
-// RunGainTrialsTraced is RunGainTrials with per-trial trace spans: trial i
-// records under "<prefix>/NNNN". A nil log (the untraced form) draws the
-// same streams and returns identical samples. Trials run on the batched
-// scratch path: per-worker gain kits absorb the per-trial allocations.
-func RunGainTrialsTraced(sc scenario.Scenario, n, trials int, seed uint64, tlog *session.TraceLog, prefix string) ([]GainSample, error) {
-	return RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, n, trials, seed, tlog, prefix)
-}
-
-// RunGainTrialsCtx is RunGainTrialsTraced under a cancellation context
-// and per-run scheduler limits; samples are identical to the unlimited
-// form whenever the run completes.
+// RunGainTrialsCtx measures trials independent placements on the
+// engine's bounded scheduler under a cancellation context and per-run
+// limits, and returns the samples in trial order (deterministic
+// regardless of scheduling). With a non-nil log, trial i records under
+// "<prefix>/NNNN"; a nil log draws the same streams and returns
+// identical samples. Per-worker gain kits absorb the per-trial
+// allocations.
 func RunGainTrialsCtx(ctx context.Context, lim engine.Limits, sc scenario.Scenario, n, trials int, seed uint64, tlog *session.TraceLog, prefix string) ([]GainSample, error) {
 	s := engine.NewScratches(newGainKit)
 	return engine.TrialsScratchCtx(ctx, lim, seed, "gain-trial", trials, s, func(i int, scratch any, r *rng.Rand) (GainSample, error) {
@@ -122,7 +52,7 @@ func RunGainTrialsCtx(ctx context.Context, lim engine.Limits, sc scenario.Scenar
 			tr, commit = tlog.Span(fmt.Sprintf("%s/%04d", prefix, i))
 			defer commit()
 		}
-		return measureGainsScratch(scratch.(*gainKit), sc, n, tr, r)
+		return scratch.(*gainKit).measure(sc, n, tr, r)
 	})
 }
 
@@ -166,28 +96,16 @@ func (o CommOptions) faultAware() bool { return o.DecodeFault != nil || o.Retrie
 var defaultEPC = []byte{0xE2, 0x00, 0x12, 0x34}
 
 // RunCommTrial realizes a placement and attempts a full power-up +
-// inventory exchange with the given tag model.
+// inventory exchange with the given tag model: a fresh comm kit used
+// once.
 func RunCommTrial(sc scenario.Scenario, n int, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
-	p, err := sc.Realize(n, r)
-	if err != nil {
-		return CommTrial{}, err
-	}
-	return runCommAt(p, n, model, opts, r)
-}
-
-func runCommAt(p *scenario.Placement, n int, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
-	// Downlink power delivery at the placement's own geometry.
-	lk, err := link.ForTrial(p, n, opts.Trace, r)
-	if err != nil {
-		return CommTrial{}, err
-	}
-	return commExchangeAt(lk, r.Split("tag"), model, opts, r)
+	return new(commKit).trial(sc, n, model, opts, r)
 }
 
 // commExchangeAt runs the power-up + inventory exchange over an already
 // realized link. tagRand seeds the tag's RN16 stream; it must stay valid
 // for the whole exchange (gen2.TagLogic keeps the pointer and draws
-// later), which is why the scratch path hands in a persistent kit field.
+// later), which is why the kit hands in a persistent field.
 func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
 	var res CommTrial
 	res.PeakPower = lk.PeakPower()
@@ -236,18 +154,12 @@ func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts Comm
 	return res, nil
 }
 
-// MaxOperatingDistance finds the largest distance at which communication
-// succeeds, via bisection over mk(distance) scenarios. Success at a
-// distance means at least successNeeded of trialsPerPoint trials complete
-// the power-up + decode exchange. Returns 0 when even the minimum
-// distance fails.
-func MaxOperatingDistance(mk func(d float64) scenario.Scenario, n int, model tag.Model, lo, hi float64, trialsPerPoint, successNeeded int, seed uint64) (float64, error) {
-	return MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, n, model, lo, hi, trialsPerPoint, successNeeded, seed)
-}
-
-// MaxOperatingDistanceCtx is MaxOperatingDistance under a cancellation
-// context and per-run scheduler limits: each probe's trial loop checks
-// ctx between trials, so a cancelled bisection returns promptly.
+// MaxOperatingDistanceCtx finds the largest distance at which
+// communication succeeds, via bisection over mk(distance) scenarios.
+// Success at a distance means at least successNeeded of trialsPerPoint
+// trials complete the power-up + decode exchange. Returns 0 when even
+// the minimum distance fails. Each probe's trial loop checks ctx between
+// trials, so a cancelled bisection returns promptly.
 func MaxOperatingDistanceCtx(ctx context.Context, lim engine.Limits, mk func(d float64) scenario.Scenario, n int, model tag.Model, lo, hi float64, trialsPerPoint, successNeeded int, seed uint64) (float64, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, fmt.Errorf("ivnsim: bad search interval [%v, %v]", lo, hi)
@@ -271,7 +183,7 @@ func MaxOperatingDistanceCtx(ctx context.Context, lim engine.Limits, mk func(d f
 		label := fmt.Sprintf("range-%.6g", d)
 		err := engine.ForEachScratchCtx(ctx, lim, trialsPerPoint, scratches, func(i int, scratch any, r *rng.Rand) error {
 			parent.SplitIndexedInto(r, label, i)
-			tr, err := runCommScratch(scratch.(*commKit), sc, n, model, CommOptions{}, r)
+			tr, err := scratch.(*commKit).trial(sc, n, model, CommOptions{}, r)
 			if err != nil {
 				return err
 			}

@@ -11,13 +11,23 @@ import (
 // The scheduler's own unit tests live with it in internal/engine; this
 // file keeps the end-to-end determinism check at the experiment level.
 
-// renderedTable flattens a table to one comparable string.
-func renderedTable(tab *Table) string {
-	var sb strings.Builder
-	if err := tab.RenderCSV(&sb); err != nil {
-		return "render error: " + err.Error()
+// renderedCSV runs an experiment and flattens its result — rows and
+// notes — to one comparable CSV string.
+func renderedCSV(t *testing.T, id string, cfg Config) (string, error) {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		return "", err
 	}
-	return sb.String()
+	res, err := e.Run(cfg)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	if err := engine.RenderCSV(res, &sb); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 // TestTablesIdenticalAcrossWorkerCap is the same contract along the other
@@ -35,17 +45,16 @@ func TestTablesIdenticalAcrossWorkerCap(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true}
 	for _, id := range ids {
 		cfg.Limits = engine.Limits{MaxParallel: 1}
-		tabOne, err := mustRun(t, id, cfg)
+		one, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 1: %v", id, err)
 		}
-		one := renderedTable(tabOne)
 		cfg.Limits = engine.Limits{MaxParallel: 4}
-		tabFour, err := mustRun(t, id, cfg)
+		four, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 4: %v", id, err)
 		}
-		if four := renderedTable(tabFour); four != one {
+		if four != one {
 			t.Errorf("%s: table differs between -parallel 1 and 4:\nserial:\n%s\nparallel:\n%s", id, one, four)
 		}
 	}
@@ -66,12 +75,12 @@ func TestTablesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	serial := make(map[string]string)
 	for _, id := range ids {
-		tab, err := mustRun(t, id, cfg)
+		csv, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			runtime.GOMAXPROCS(prev)
 			t.Fatalf("%s serial: %v", id, err)
 		}
-		serial[id] = renderedTable(tab)
+		serial[id] = csv
 	}
 	runtime.GOMAXPROCS(prev)
 	if prev == 1 {
@@ -79,11 +88,11 @@ func TestTablesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(prev)
 	for _, id := range ids {
-		tab, err := mustRun(t, id, cfg)
+		got, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
-		if got := renderedTable(tab); got != serial[id] {
+		if got != serial[id] {
 			t.Errorf("%s: table differs between GOMAXPROCS=1 and %d:\nserial:\n%s\nparallel:\n%s",
 				id, prev, serial[id], got)
 		}

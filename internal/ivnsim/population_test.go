@@ -21,17 +21,16 @@ func TestPopulationTablesIdenticalAcrossWorkerCap(t *testing.T) {
 	cfg := Config{Seed: 7, Quick: true}
 	for _, id := range []string{"population", "adaptiveq"} {
 		cfg.Limits = engine.Limits{MaxParallel: 1}
-		tabOne, err := mustRun(t, id, cfg)
+		one, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 1: %v", id, err)
 		}
-		one := renderedTable(tabOne)
 		cfg.Limits = engine.Limits{MaxParallel: 4}
-		tabFour, err := mustRun(t, id, cfg)
+		four, err := renderedCSV(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 4: %v", id, err)
 		}
-		if four := renderedTable(tabFour); four != one {
+		if four != one {
 			t.Errorf("%s: table differs between -parallel 1 and 4:\nserial:\n%s\nparallel:\n%s", id, one, four)
 		}
 	}

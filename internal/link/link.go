@@ -7,13 +7,15 @@
 // real physics through it; tests script fakes against the same
 // interface.
 //
-// Two constructors cover the two historical pipelines:
+// Links come from two places:
 //
-//   - Realize binds an existing beamformer/reader pair (the ivn.System
-//     path); the leak term sums the array's actual radiated power.
-//   - ForTrial builds a fresh per-trial chain from the placement's
-//     geometry (the ivnsim measurement path); the leak term uses the
-//     nominal n·chainAmplitude² of the experiment write-ups.
+//   - RealizeInto binds an existing beamformer/reader pair (the
+//     ivn.System path); the leak term sums the array's actual radiated
+//     power.
+//   - TrialKit.ForTrial builds the per-trial chain from the placement's
+//     geometry (the ivnsim measurement path), reusing it across trials;
+//     the leak term uses the nominal n·chainAmplitude² of the experiment
+//     write-ups. The package-level ForTrial is a kit used once.
 //
 // The two leak expressions agree only to ~1 ulp for n ≥ 6, so each path
 // keeps its own arithmetic — collapsing them would silently shift every
@@ -109,20 +111,11 @@ type Link struct {
 	jam  [1]radio.ToneAt
 }
 
-// Realize binds an existing beamformer/reader pair to a placement — the
-// ivn.System path. The CIB→reader jam tone uses the array's actual
+// RealizeInto binds an existing beamformer/reader pair to a placement —
+// the ivn.System path — into caller-owned storage, so one Link value
+// serves sequential exchanges without allocating per exchange. l is
+// fully overwritten. The CIB→reader jam tone uses the array's actual
 // radiated-power sum.
-func Realize(bf *core.Beamformer, rd *reader.Reader, p *scenario.Placement, tr *session.Trace) (*Link, error) {
-	l := new(Link)
-	if err := RealizeInto(l, bf, rd, p, tr); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// RealizeInto is Realize into caller-owned storage, for hot paths that
-// reuse one Link value across sequential exchanges instead of allocating
-// per exchange. l is fully overwritten.
 func RealizeInto(l *Link, bf *core.Beamformer, rd *reader.Reader, p *scenario.Placement, tr *session.Trace) error {
 	chans := DownlinkCoeffs(p, bf.CenterFreq)
 	peak, err := PeakDownlink(bf, chans)
@@ -137,48 +130,22 @@ func RealizeInto(l *Link, bf *core.Beamformer, rd *reader.Reader, p *scenario.Pl
 	return nil
 }
 
-// ForTrial builds a fresh per-trial chain at the placement's geometry —
-// the ivnsim measurement path: a default n-antenna beamformer locked
-// from r.Split("cib") at the geometry's CIB carrier, and a default
-// reader at the geometry's out-of-band carrier carrying the placement's
-// motion-induced phase drift. The jam tone uses the nominal
-// n·chainAmplitude² leak of the experiment write-ups.
+// ForTrial builds a fresh per-trial chain at the placement's geometry: a
+// TrialKit used once (see TrialKit.ForTrial).
 func ForTrial(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand) (*Link, error) {
-	g := p.Geometry()
-	cfg := core.DefaultConfig()
-	cfg.Antennas = n
-	cfg.CenterFreq = g.CIBFreq
-	bf, err := core.New(cfg, r.Split("cib"))
-	if err != nil {
-		return nil, err
-	}
-	rd := reader.New()
-	rd.TxFreq = g.ReaderFreq
-	rd.RX = radio.NewReceiver(g.ReaderFreq)
-	rd.PhaseDriftPerPeriod = p.UplinkPhaseDriftPerPeriod
-	chans := DownlinkCoeffs(p, g.CIBFreq)
-	peak, err := PeakDownlink(bf, chans)
-	if err != nil {
-		return nil, err
-	}
-	l := &Link{Beamformer: bf, Reader: rd, Placement: p, Trace: tr, peak: peak}
-	amp := ChainAmplitude()
-	l.jam[0] = radio.ToneAt{Freq: g.CIBFreq, Power: p.CIBLeakPerWatt * float64(n) * amp * amp}
-	if tr != nil {
-		tr.Emit(session.Event{Kind: session.EvLinkRealized, Value: l.PeakPowerDBm()})
-	}
-	return l, nil
+	return new(TrialKit).ForTrial(p, n, tr, r)
 }
 
-// TrialKit amortizes ForTrial's per-trial chain across many trials: the
-// beamformer is relocked instead of rebuilt when the antenna count and
-// carrier are unchanged (core.New's only randomness is the PLL lock, so
-// Relock reproduces its phase stream exactly), the reader and its
-// receiver are reset in place, and coefficient/carrier buffers are
-// retained. ForTrial draws exactly the variate sequence of the package
-// function and yields an equivalent Link (TestTrialKitMatchesForTrial);
-// the returned Link aliases kit storage, so it is valid until the next
-// ForTrial call and a kit must not be shared between concurrent trials.
+// TrialKit is the per-trial link chain of the ivnsim measurement path,
+// amortized across many trials: the beamformer is relocked instead of
+// rebuilt when the antenna count and carrier are unchanged (core.New's
+// only randomness is the PLL lock, so Relock reproduces its phase stream
+// exactly), the reader and its receiver are reset in place, and
+// coefficient/carrier buffers are retained. A reused kit draws exactly
+// the variate sequence of a fresh one and yields an equivalent Link
+// (TestTrialKitMatchesForTrial); the returned Link aliases kit storage,
+// so it is valid until the next ForTrial call and a kit must not be
+// shared between concurrent trials.
 type TrialKit struct {
 	bf    *core.Beamformer
 	rd    *reader.Reader
@@ -188,7 +155,10 @@ type TrialKit struct {
 	child rng.Rand
 }
 
-// ForTrial is the kit counterpart of the package-level ForTrial.
+// ForTrial realizes the chain at the placement's geometry: a default
+// n-antenna beamformer locked from r.Split("cib") at the geometry's CIB
+// carrier, and a default reader at the geometry's out-of-band carrier
+// carrying the placement's motion-induced phase drift.
 func (k *TrialKit) ForTrial(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand) (*Link, error) {
 	g := p.Geometry()
 	r.SplitInto(&k.child, "cib")

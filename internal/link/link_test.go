@@ -10,11 +10,11 @@ import (
 	"ivn/internal/scenario"
 )
 
-// TestTrialKitMatchesForTrial pins the kit path to the package-level
-// ForTrial: same parent stream, same placement → identical link state,
-// identical parent advancement, across repeated trials and a change of
-// antenna count (which forces the kit's rebuild branch as well as its
-// relock branch).
+// TestTrialKitMatchesForTrial pins a reused kit to the package-level
+// ForTrial, which is a fresh kit per call: same parent stream, same
+// placement → identical link state, identical parent advancement, across
+// repeated trials and a change of antenna count (which forces the reused
+// kit's rebuild branch as well as its relock branch).
 func TestTrialKitMatchesForTrial(t *testing.T) {
 	sc := scenario.NewTank(0.5, em.Water, 0.1)
 	var kit TrialKit

@@ -282,9 +282,9 @@ func cmp(a, b float64) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunAnalyzersDetailed(pkgs, l.Support(), []*Analyzer{FloatCmp}, RunOptions{ReportStale: true})
+	findings := RunAnalyzers(pkgs, l.Support(), []*Analyzer{FloatCmp})
 	var stale []Finding
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		if !strings.Contains(f.Message, "stale suppression") {
 			t.Errorf("unexpected finding: %s", f)
 			continue
@@ -297,9 +297,8 @@ func cmp(a, b float64) bool {
 
 	// The same package under an analyzer set without floatcmp: the site's
 	// liveness is unknowable, so nothing is reported.
-	res = RunAnalyzersDetailed(pkgs, l.Support(), []*Analyzer{ErrCheck}, RunOptions{ReportStale: true})
-	if len(res.Findings) != 0 {
-		t.Errorf("stale reported without its analyzer in the run set: %v", res.Findings)
+	if findings := RunAnalyzers(pkgs, l.Support(), []*Analyzer{ErrCheck}); len(findings) != 0 {
+		t.Errorf("stale reported without its analyzer in the run set: %v", findings)
 	}
 }
 

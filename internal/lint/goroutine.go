@@ -18,8 +18,8 @@ import (
 //
 //   - a go statement outside a sanctioned runner function (by name:
 //     forEachWorkerN, the pool's one launch site; forEachIndexed and
-//     ForEachScratch delegate to it) is reported — route the work through
-//     the runner, or annotate a deliberate exception;
+//     ForEachScratchCtx delegate to it) is reported — route the work
+//     through the runner, or annotate a deliberate exception;
 //   - sync.WaitGroup.Add called *inside* a spawned goroutine races with
 //     the corresponding Wait (Wait can return before the Add executes);
 //     Add must happen on the spawning side. This is checked everywhere,

@@ -179,8 +179,7 @@ type suppSite struct {
 	file     string
 	line     int
 	col      int
-	dir      string // directory of the package declaring the site
-	support  bool   // declared in a support (not analyzed) package
+	support  bool // declared in a support (not analyzed) package
 }
 
 // fileSuppressions scans a file's comments for //ivn:allow directives,
@@ -234,71 +233,18 @@ func fileSuppressions(fset *token.FileSet, f *ast.File) ([]*suppSite, []Finding)
 	return sites, malformed
 }
 
-// SuppRef identifies a suppression site (or a use of one) across cache
-// entries: the comment's own file/line/col plus the analyzer it allows.
-type SuppRef struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-}
-
-// DirResult is the per-directory slice of a run, the unit cmd/ivnlint
-// caches: the findings produced by that directory's passes (which may
-// point into other directories — a hot path's closure crosses packages),
-// the suppression sites its files declare, and the sites its passes
-// consumed. Stale-suppression findings are NOT included — they are a
-// whole-run property, recomputed by MergeDirResults from sites and uses.
-type DirResult struct {
-	Findings []Finding `json:"findings"`
-	Sites    []SuppRef `json:"sites"`
-	Used     []SuppRef `json:"used"`
-}
-
-// RunResult is the full outcome of RunAnalyzersDetailed.
-type RunResult struct {
-	// Findings is the merged, sorted finding list (stale-suppression
-	// findings included when requested).
-	Findings []Finding
-	// PerDir maps each analyzed package directory to its slice of the
-	// run.
-	PerDir map[string]*DirResult
-}
-
-// RunOptions tunes RunAnalyzersDetailed.
-type RunOptions struct {
-	// ReportStale emits an "ivnlint" finding for each suppression in an
-	// analyzed package that no finding of the named analyzer matched.
-	// Callers running a partial package set should disable it: a
-	// suppression may be consumed by a pass over a package outside the
-	// run (hot-path closures cross packages).
-	ReportStale bool
-}
-
-// RunAnalyzers executes every analyzer over every package, applies the
-// //ivn:allow suppressions, reports stale ones, and returns the surviving
-// findings sorted by file, line, column and analyzer.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return RunAnalyzersDetailed(pkgs, nil, analyzers, RunOptions{ReportStale: true}).Findings
-}
-
-// RunAnalyzersDetailed is RunAnalyzers with interprocedural support
-// packages, per-directory result attribution, and configurable stale
-// reporting. Suppressions are module-wide: a finding located in another
-// package's file is silenced by the //ivn:allow at that file's line, no
-// matter which pass produced it.
-func RunAnalyzersDetailed(pkgs, support []*Package, analyzers []*Analyzer, opts RunOptions) *RunResult {
+// RunAnalyzers executes every analyzer over every package, with the
+// support packages' bodies and facts in view, applies the //ivn:allow
+// suppressions, reports stale ones, and returns the surviving findings
+// sorted by file, line, column and analyzer. Suppressions are
+// module-wide: a finding located in another package's file is silenced by
+// the //ivn:allow at that file's line, no matter which pass produced it.
+// A suppression declared in an analyzed package is stale when its
+// analyzer ran and no finding consumed it; sites in support packages are
+// never reported. Duplicate positions from interprocedural analyzers (two
+// roots reaching one site) collapse to a single finding.
+func RunAnalyzers(pkgs, support []*Package, analyzers []*Analyzer) []Finding {
 	prog := BuildProgram(pkgs, support)
-
-	res := &RunResult{PerDir: map[string]*DirResult{}}
-	dirOf := func(dir string) *DirResult {
-		d := res.PerDir[dir]
-		if d == nil {
-			d = &DirResult{}
-			res.PerDir[dir] = d
-		}
-		return d
-	}
 
 	// Module-wide suppression map over analyzed and support files alike.
 	type key struct {
@@ -307,18 +253,18 @@ func RunAnalyzersDetailed(pkgs, support []*Package, analyzers []*Analyzer, opts 
 	}
 	allowed := map[key][]*suppSite{}
 	var sites []*suppSite
+	var all []Finding
 	collect := func(pkg *Package, isSupport bool) {
 		for _, f := range pkg.Files {
 			fs, malformed := fileSuppressions(pkg.Fset, f)
 			for _, s := range fs {
-				s.dir = pkg.Dir
 				s.support = isSupport
 				sites = append(sites, s)
 				allowed[key{s.file, s.line}] = append(allowed[key{s.file, s.line}], s)
 				allowed[key{s.file, s.line + 1}] = append(allowed[key{s.file, s.line + 1}], s)
 			}
 			if !isSupport {
-				dirOf(pkg.Dir).Findings = append(dirOf(pkg.Dir).Findings, malformed...)
+				all = append(all, malformed...)
 			}
 		}
 	}
@@ -328,14 +274,13 @@ func RunAnalyzersDetailed(pkgs, support []*Package, analyzers []*Analyzer, opts 
 	for _, pkg := range prog.Support {
 		collect(pkg, true)
 	}
-	for _, s := range sites {
-		if !s.support {
-			dirOf(s.dir).Sites = append(dirOf(s.dir).Sites, SuppRef{s.file, s.line, s.col, s.analyzer})
-		}
-	}
 
+	used := map[*suppSite]bool{}
+	ran := map[string]bool{}
+	for _, an := range analyzers {
+		ran[an.Name] = true
+	}
 	for _, pkg := range prog.Packages {
-		dir := dirOf(pkg.Dir)
 		for _, an := range analyzers {
 			files := pkg.Files
 			if an.SkipTests {
@@ -363,60 +308,27 @@ func RunAnalyzersDetailed(pkgs, support []*Package, analyzers []*Analyzer, opts 
 				for _, s := range allowed[key{fd.File, fd.Line}] {
 					if s.analyzer == fd.Analyzer {
 						dropped = true
-						dir.Used = append(dir.Used, SuppRef{s.file, s.line, s.col, s.analyzer})
+						used[s] = true
 					}
 				}
 				if !dropped {
-					dir.Findings = append(dir.Findings, fd)
+					all = append(all, fd)
 				}
 			}
 		}
 	}
-
-	names := make([]string, 0, len(analyzers))
-	for _, an := range analyzers {
-		names = append(names, an.Name)
-	}
-	res.Findings = MergeDirResults(res.PerDir, names, opts.ReportStale)
-	return res
-}
-
-// MergeDirResults combines per-directory results — fresh or replayed from
-// a cache — into the final sorted finding list. Stale-suppression
-// findings are derived here: a site declared in some directory is stale
-// when its analyzer was part of the run and no directory's passes
-// consumed it. Duplicate positions from interprocedural analyzers (two
-// roots reaching one site) collapse to a single finding.
-func MergeDirResults(perDir map[string]*DirResult, analyzerNames []string, reportStale bool) []Finding {
-	ran := map[string]bool{}
-	for _, n := range analyzerNames {
-		ran[n] = true
-	}
-	used := map[SuppRef]bool{}
-	if reportStale {
-		for _, d := range perDir {
-			for _, u := range d.Used {
-				used[u] = true
-			}
+	for _, s := range sites {
+		if !s.support && ran[s.analyzer] && !used[s] {
+			all = append(all, Finding{
+				Analyzer: "ivnlint",
+				File:     s.file,
+				Line:     s.line,
+				Col:      s.col,
+				Message:  fmt.Sprintf("stale suppression: //ivn:allow %s no longer matches any finding on this line or the next; delete it", s.analyzer),
+			})
 		}
 	}
-	var all []Finding
-	for _, d := range perDir {
-		all = append(all, d.Findings...)
-		if reportStale {
-			for _, s := range d.Sites {
-				if ran[s.Analyzer] && !used[s] {
-					all = append(all, Finding{
-						Analyzer: "ivnlint",
-						File:     s.File,
-						Line:     s.Line,
-						Col:      s.Col,
-						Message:  fmt.Sprintf("stale suppression: //ivn:allow %s no longer matches any finding on this line or the next; delete it", s.Analyzer),
-					})
-				}
-			}
-		}
-	}
+
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.File != b.File {
@@ -433,7 +345,7 @@ func MergeDirResults(perDir map[string]*DirResult, analyzerNames []string, repor
 		}
 		return a.Message < b.Message
 	})
-	// Interprocedural findings can repeat a position across directories
+	// Interprocedural findings can repeat a position across packages
 	// with root-dependent wording; keep the first per (analyzer, pos).
 	type posKey struct {
 		analyzer, file string

@@ -104,7 +104,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}
-			findings := RunAnalyzers(pkgs, []*Analyzer{an})
+			findings := RunAnalyzers(pkgs, nil, []*Analyzer{an})
 			wants := collectWants(t, pkgs)
 			for _, f := range findings {
 				if f.Analyzer == "ivnlint" {

@@ -52,10 +52,10 @@ type Loader struct {
 	// ModulePath is the module path declared in go.mod.
 	ModulePath string
 
-	std     types.Importer
-	pure    map[string]*types.Package // non-test package cache, by import path
-	retained map[string]*Package      // full syntax+Info for module-local imports
-	loading map[string]bool           // cycle detection
+	std      types.Importer
+	pure     map[string]*types.Package // non-test package cache, by import path
+	retained map[string]*Package       // full syntax+Info for module-local imports
+	loading  map[string]bool           // cycle detection
 }
 
 // NewLoader returns a loader rooted at the module directory rootDir.
@@ -82,10 +82,9 @@ func NewLoader(rootDir string) (*Loader, error) {
 
 // Support returns the module-local packages the loader imported as
 // dependencies of the explicitly loaded directories, with full syntax and
-// type info, sorted by path. Handing these to RunAnalyzersDetailed lets
-// the interprocedural analyzers see through cross-package calls even when
-// only a subset of directories is being analyzed (the cmd/ivnlint cache
-// path).
+// type info, sorted by path. Handing these to RunAnalyzers lets the
+// interprocedural analyzers see through cross-package calls even when
+// only a subset of directories is being analyzed.
 func (l *Loader) Support() []*Package {
 	paths := make([]string, 0, len(l.retained))
 	for p := range l.retained {
@@ -408,23 +407,13 @@ func ExpandPatterns(root string, patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
-// LintDirs loads every directory as a package of the module rooted at root
-// and runs the analyzers over all of them, returning the surviving
-// (unsuppressed) findings sorted by position.
+// LintDirs loads every directory as a package of the module rooted at
+// root and runs the analyzers over all of them, returning the surviving
+// (unsuppressed) findings sorted by position. Module-local dependencies
+// of the loaded directories participate as support packages, so
+// hot-path closures and derived pool facts resolve across package
+// boundaries even for partial directory sets.
 func LintDirs(root string, dirs []string, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := LintDirsDetailed(root, dirs, analyzers, RunOptions{ReportStale: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// LintDirsDetailed is LintDirs with per-directory result attribution and
-// configurable stale-suppression reporting. Module-local dependencies of
-// the loaded directories participate as support packages, so hot-path
-// closures and derived pool facts resolve across package boundaries even
-// for partial directory sets.
-func LintDirsDetailed(root string, dirs []string, analyzers []*Analyzer, opts RunOptions) (*RunResult, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -449,5 +438,5 @@ func LintDirsDetailed(root string, dirs []string, analyzers []*Analyzer, opts Ru
 		}
 		pkgs = append(pkgs, loaded...)
 	}
-	return RunAnalyzersDetailed(pkgs, loader.Support(), analyzers, opts), nil
+	return RunAnalyzers(pkgs, loader.Support(), analyzers), nil
 }

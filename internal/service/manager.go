@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ivn/internal/engine"
@@ -205,7 +206,7 @@ type Manager struct {
 
 	// maxParallel is the per-job trial-worker cap; atomic so SIGHUP
 	// reconfiguration never races job starts.
-	maxParallel atomicInt
+	maxParallel atomic.Int64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -217,16 +218,6 @@ type Manager struct {
 	seq    uint64
 	closed bool
 }
-
-// atomicInt is a tiny alias-free wrapper so Config ints and atomics
-// don't mix up call sites.
-type atomicInt struct {
-	v sync.Mutex
-	n int
-}
-
-func (a *atomicInt) store(n int) { a.v.Lock(); a.n = n; a.v.Unlock() }
-func (a *atomicInt) load() int   { a.v.Lock(); defer a.v.Unlock(); return a.n }
 
 // New builds a Manager and starts its worker pool. With a JournalPath
 // configured, jobs that were queued or running when the previous
@@ -256,7 +247,7 @@ func New(cfg Config) (*Manager, error) {
 		queue: make(chan *Job, cfg.QueueDepth),
 		jobs:  make(map[string]*Job),
 	}
-	m.maxParallel.store(cfg.MaxParallel)
+	m.maxParallel.Store(int64(cfg.MaxParallel))
 	m.metrics.queueDepth = func() int64 { return int64(len(m.queue)) }
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -424,7 +415,7 @@ func (m *Manager) Cancel(id string) (State, error) {
 // are fixed at New (the daemon logs them as restart-required).
 func (m *Manager) Reconfigure(maxParallel, cacheEntries int) {
 	if maxParallel >= 0 {
-		m.maxParallel.store(maxParallel)
+		m.maxParallel.Store(int64(maxParallel))
 	}
 	if cacheEntries > 0 {
 		m.cache.setCapacity(cacheEntries)
@@ -510,7 +501,7 @@ func (m *Manager) runJob(job *Job) {
 		res, err = m.runSharded(job)
 	} else {
 		lim := engine.Limits{
-			MaxParallel: m.maxParallel.load(),
+			MaxParallel: int(m.maxParallel.Load()),
 			Metrics:     &m.metrics.Sched,
 		}
 		res, tlog, err = runspec.Run(job.ctx, lim, job.spec, nil)
@@ -568,7 +559,7 @@ func (m *Manager) runJob(job *Job) {
 // pool: a pool of one worker still completes a many-shard job.
 func (m *Manager) runSharded(job *Job) (*engine.Result, error) {
 	shards := job.shards
-	total := m.maxParallel.load()
+	total := int(m.maxParallel.Load())
 	if total <= 0 {
 		total = engine.MaxParallel()
 	}

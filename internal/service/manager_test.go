@@ -345,7 +345,7 @@ func TestReconfigure(t *testing.T) {
 	}
 	defer abortClose(t, m)
 	m.Reconfigure(4, 1)
-	if got := m.maxParallel.load(); got != 4 {
+	if got := m.maxParallel.Load(); got != 4 {
 		t.Fatalf("maxParallel = %d", got)
 	}
 	if got := m.cache.capacity; got != 1 {
@@ -353,7 +353,7 @@ func TestReconfigure(t *testing.T) {
 	}
 	// Negative parallel and zero cache leave the previous values.
 	m.Reconfigure(-1, 0)
-	if got := m.maxParallel.load(); got != 4 {
+	if got := m.maxParallel.Load(); got != 4 {
 		t.Fatalf("maxParallel after no-op reload = %d", got)
 	}
 }

@@ -3,6 +3,8 @@
 #
 # 1. go build ./...          — everything compiles
 # 2. go vet ./...            — stdlib static sanity, hardened flag set
+# 2b. gofmt -l .             — every Go file is gofmt-clean; any file
+#                              listed fails the stage
 # 3. ivnlint ./...           — domain lint suite: determinism, pool
 #                              discipline, float comparisons, goroutine
 #                              hygiene, discarded errors, physical-unit
@@ -80,10 +82,21 @@ stage "go build" go build ./...
 # cannot silently drop them.
 stage "go vet" go vet -copylocks -composites -unusedresult ./...
 
+gofmt_check() {
+  local unformatted
+  unformatted="$(gofmt -l .)" || return 1
+  if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    return 1
+  fi
+}
+stage "gofmt" gofmt_check
+
 ivnlint_stage() {
   # With IVNLINT_REPORT set, emit the JSON report object (findings,
-  # analyzer list, cache hit/miss counts) for artifact upload; the exit
-  # status still gates the stage. Text mode otherwise.
+  # analyzer list, package count) for artifact upload; the exit status
+  # still gates the stage. Text mode otherwise.
   if [ -n "${IVNLINT_REPORT:-}" ]; then
     go run ./cmd/ivnlint -json ./... > "${IVNLINT_REPORT}"
   else
