@@ -14,8 +14,9 @@
 // loop by far. The kernel instead advances each carrier by one complex
 // multiply per step (the rotation e^{j·2π·f·dt} is computed once), with a
 // periodic renormalization that pins the phasor magnitude back to |c_i| so
-// rounding drift cannot accumulate: two multiplies and two adds per
-// carrier-sample, matching the naive evaluation to ~1e-12 relative error.
+// rounding drift cannot accumulate: four multiplies and four adds per
+// carrier-sample (the complex rotation and the two accumulations),
+// matching the naive evaluation to ~1e-12 relative error.
 //
 // All scans use the half-open convention: n samples cover
 // t ∈ [t0, t0 + n·dt), i.e. t_k = t0 + k·dt for k = 0..n−1; the endpoint
@@ -44,14 +45,14 @@ const renormMask = 2047
 // have equal length; SumSeries panics otherwise because a mismatch is
 // always a programming error.
 //
-// Carriers are processed four at a time by an interleaved kernel: the
-// four recurrences are independent, so the CPU overlaps their multiply
-// latencies, and each pass over re/im covers four carriers instead of
-// one. The result is bit-identical to the serial per-carrier loop
-// (sumSeriesSerial, retained as the reference): for every sample k the
-// partial sums accumulate in ascending carrier order with the exact same
-// operations, and each carrier's recurrence and renormalization sequence
-// is unchanged.
+// Carriers are processed in groups of up to four by unrolled interleaved
+// kernels (see groupWidth): a group's recurrences are independent, so the
+// CPU overlaps their multiply latencies, and each pass over re/im covers
+// the whole group instead of one carrier. The result is bit-identical to
+// the serial per-carrier loop (sumSeriesSerial in the tests, the
+// reference): for every sample k the partial sums accumulate in ascending
+// carrier order with the exact same operations, and each carrier's
+// recurrence and renormalization sequence is unchanged.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
@@ -64,20 +65,63 @@ func SumSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, 
 	if n <= 0 {
 		return
 	}
+	scan(freqs, coeffs, t0, dt, n, re, im, false)
+}
+
+// groupWidth returns how many of the left carriers the next pass takes:
+// four, except that five left split 3+2 (so 5→3+2, 9→4+3+2, 10→4+4+2).
+// A one-carrier pass is a single latency-bound multiply chain at about
+// twice the cost per carrier-sample of a wider one, so no pass runs one
+// carrier unless the whole set is one carrier. Groups stop at four
+// because a wider pass runs out of amd64's 15 allocatable XMM registers
+// and spills every sample.
+func groupWidth(left int) int {
+	if left == 5 {
+		return 3
+	}
+	return min(left, 4)
+}
+
+// scan runs the carrier groups over re[:n]/im[:n] in ascending carrier
+// order. With peak unset every group adds its carriers into re/im and
+// scan returns (0, 0). With peak set, the last group does not store its
+// sums: it returns the power maximum max_k re[k]²+im[k]² of the complete
+// series and its first index, leaving re/im holding only the earlier
+// groups' partial sums.
+//
+//ivn:unit freqs Hz
+//ivn:unit t0 s
+//ivn:unit dt s
+func scan(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64, peak bool) (best float64, arg int) {
 	re = re[:n]
 	im = im[:n]
-	i := 0
-	for ; i+4 <= len(freqs); i += 4 {
-		sumSeries4(freqs[i:i+4:i+4], coeffs[i:i+4:i+4], t0, dt, n, re, im)
+	for len(freqs) > 0 {
+		w := groupWidth(len(freqs))
+		last := peak && w == len(freqs)
+		switch w {
+		case 1:
+			best, arg = sumSeries1(freqs[0], coeffs[0], t0, dt, re, im, last)
+		case 2:
+			best, arg = sumSeries2(freqs[:2:2], coeffs[:2:2], t0, dt, re, im, last)
+		case 3:
+			best, arg = sumSeries3(freqs[:3:3], coeffs[:3:3], t0, dt, re, im, last)
+		default:
+			best, arg = sumSeries4(freqs[:4:4], coeffs[:4:4], t0, dt, re, im, last)
+		}
+		freqs, coeffs = freqs[w:], coeffs[w:]
 	}
-	if i < len(freqs) {
-		sumSeriesSerial(freqs[i:], coeffs[i:], t0, dt, n, re, im)
-	}
+	return best, arg
 }
 
 // startPhasor rotates coeff to its value at t0 and returns the per-step
 // rotation for spacing dt plus the starting magnitude — the shared setup
-// of the serial and interleaved kernels.
+// of every kernel.
+//
+// Here and in the kernels, every product that feeds an add or subtract is
+// an explicit float64 conversion: the Go spec lets a compiler fuse x*y+z
+// into one rounding (arm64 does) unless the product is converted, and a
+// fused step would break the bit-identity with the reference on such
+// machines. On amd64 the conversions change no instruction.
 //
 //ivn:unit f Hz
 //ivn:unit t0 s
@@ -88,76 +132,187 @@ func startPhasor(f float64, coeff complex128, t0, dt float64) (curRe, curIm, rot
 	curRe, curIm = real(coeff), imag(coeff)
 	if t0 != 0 {
 		s0, c0 := math.Sincos(2 * math.Pi * f * t0)
-		curRe, curIm = curRe*c0-curIm*s0, curRe*s0+curIm*c0
+		curRe, curIm = float64(curRe*c0)-float64(curIm*s0), float64(curRe*s0)+float64(curIm*c0)
 	}
 	mag = math.Hypot(curRe, curIm)
 	return
 }
 
-// sumSeriesSerial is the reference per-carrier recurrence loop. SumSeries
-// must remain bit-identical to it (TestSumSeriesInterleavedBitExact).
+// The kernels sumSeries1..4 each advance one group of carriers through a
+// single pass over re/im. A group's recurrence chains are independent
+// (w-way instruction-level parallelism on the latency-bound complex
+// multiplies), and re/im are touched once per sample instead of once per
+// carrier. Additions into sample k run in ascending carrier order,
+// reproducing the serial loop's partial-sum sequence exactly. peak is
+// scan's loop-invariant last-group flag: when set, the kernel keeps the
+// power maximum (strictly greater replaces, so the first index wins a
+// tie) and its index instead of storing re[k]/im[k].
 //
-//ivn:unit freqs Hz
+// The 3- and 4-wide kernels keep their loop-invariant rotations in a
+// local array, which stays in memory, so each multiply reads its rotation
+// as a memory operand and the running phasors, sums and peak keep the
+// registers; held in registers too, the 4-wide loop spills every sample.
+
+//ivn:unit f Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeriesSerial(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64) {
-	re = re[:n]
-	im = im[:n]
-	for i, f := range freqs {
-		curRe, curIm, rotRe, rotIm, mag := startPhasor(f, coeffs[i], t0, dt)
-		for k := 0; k < n; k++ {
-			re[k] += curRe
-			im[k] += curIm
-			curRe, curIm = curRe*rotRe-curIm*rotIm, curRe*rotIm+curIm*rotRe
-			if k&renormMask == renormMask {
-				if m := math.Hypot(curRe, curIm); m != 0 {
-					s := mag / m
-					curRe *= s
-					curIm *= s
-				}
+func sumSeries1(f float64, coeff complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+	c0r, c0i, r0r, r0i, m0 := startPhasor(f, coeff, t0, dt)
+	im = im[:len(re)]
+	for k := range re {
+		x := re[k]
+		x += c0r
+		y := im[k]
+		y += c0i
+		if peak {
+			if p := float64(x*x) + float64(y*y); p > best {
+				best, arg = p, k
+			}
+		} else {
+			re[k] = x
+			im[k] = y
+		}
+		c0r, c0i = float64(c0r*r0r)-float64(c0i*r0i), float64(c0r*r0i)+float64(c0i*r0r)
+		if k&renormMask == renormMask {
+			if m := math.Hypot(c0r, c0i); m != 0 {
+				s := m0 / m
+				c0r *= s
+				c0i *= s
 			}
 		}
 	}
+	return best, arg
 }
 
-// sumSeries4 advances four carriers through one pass over re/im. The four
-// recurrence chains are independent (4-way instruction-level parallelism
-// on the latency-bound complex multiplies) and re/im are touched once per
-// sample instead of four times. Additions into re[k]/im[k] run in
-// ascending carrier order, reproducing the serial loop's partial-sum
-// sequence exactly.
-//
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64) {
+func sumSeries2(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+	_ = freqs[1]
+	_ = coeffs[1]
+	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
+	c1r, c1i, r1r, r1i, m1 := startPhasor(freqs[1], coeffs[1], t0, dt)
+	im = im[:len(re)]
+	for k := range re {
+		x := re[k]
+		x += c0r
+		x += c1r
+		y := im[k]
+		y += c0i
+		y += c1i
+		if peak {
+			if p := float64(x*x) + float64(y*y); p > best {
+				best, arg = p, k
+			}
+		} else {
+			re[k] = x
+			im[k] = y
+		}
+		c0r, c0i = float64(c0r*r0r)-float64(c0i*r0i), float64(c0r*r0i)+float64(c0i*r0r)
+		c1r, c1i = float64(c1r*r1r)-float64(c1i*r1i), float64(c1r*r1i)+float64(c1i*r1r)
+		if k&renormMask == renormMask {
+			if m := math.Hypot(c0r, c0i); m != 0 {
+				s := m0 / m
+				c0r *= s
+				c0i *= s
+			}
+			if m := math.Hypot(c1r, c1i); m != 0 {
+				s := m1 / m
+				c1r *= s
+				c1i *= s
+			}
+		}
+	}
+	return best, arg
+}
+
+//ivn:unit freqs Hz
+//ivn:unit t0 s
+//ivn:unit dt s
+func sumSeries3(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+	_ = freqs[2]
+	_ = coeffs[2]
+	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
+	c1r, c1i, r1r, r1i, m1 := startPhasor(freqs[1], coeffs[1], t0, dt)
+	c2r, c2i, r2r, r2i, m2 := startPhasor(freqs[2], coeffs[2], t0, dt)
+	rot := [6]float64{r0r, r0i, r1r, r1i, r2r, r2i}
+	im = im[:len(re)]
+	for k := range re {
+		x := re[k]
+		x += c0r
+		x += c1r
+		x += c2r
+		y := im[k]
+		y += c0i
+		y += c1i
+		y += c2i
+		if peak {
+			if p := float64(x*x) + float64(y*y); p > best {
+				best, arg = p, k
+			}
+		} else {
+			re[k] = x
+			im[k] = y
+		}
+		c0r, c0i = float64(c0r*rot[0])-float64(c0i*rot[1]), float64(c0r*rot[1])+float64(c0i*rot[0])
+		c1r, c1i = float64(c1r*rot[2])-float64(c1i*rot[3]), float64(c1r*rot[3])+float64(c1i*rot[2])
+		c2r, c2i = float64(c2r*rot[4])-float64(c2i*rot[5]), float64(c2r*rot[5])+float64(c2i*rot[4])
+		if k&renormMask == renormMask {
+			if m := math.Hypot(c0r, c0i); m != 0 {
+				s := m0 / m
+				c0r *= s
+				c0i *= s
+			}
+			if m := math.Hypot(c1r, c1i); m != 0 {
+				s := m1 / m
+				c1r *= s
+				c1i *= s
+			}
+			if m := math.Hypot(c2r, c2i); m != 0 {
+				s := m2 / m
+				c2r *= s
+				c2i *= s
+			}
+		}
+	}
+	return best, arg
+}
+
+//ivn:unit freqs Hz
+//ivn:unit t0 s
+//ivn:unit dt s
+func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
 	_ = freqs[3]
 	_ = coeffs[3]
 	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
 	c1r, c1i, r1r, r1i, m1 := startPhasor(freqs[1], coeffs[1], t0, dt)
 	c2r, c2i, r2r, r2i, m2 := startPhasor(freqs[2], coeffs[2], t0, dt)
 	c3r, c3i, r3r, r3i, m3 := startPhasor(freqs[3], coeffs[3], t0, dt)
-	re = re[:n]
-	im = im[:n]
-	for k := 0; k < n; k++ {
-		// Sequential adds, carrier order 0..3 — the serial loop's exact
-		// partial-sum chain for sample k.
+	rot := [8]float64{r0r, r0i, r1r, r1i, r2r, r2i, r3r, r3i}
+	im = im[:len(re)]
+	for k := range re {
 		x := re[k]
 		x += c0r
 		x += c1r
 		x += c2r
 		x += c3r
-		re[k] = x
 		y := im[k]
 		y += c0i
 		y += c1i
 		y += c2i
 		y += c3i
-		im[k] = y
-		c0r, c0i = c0r*r0r-c0i*r0i, c0r*r0i+c0i*r0r
-		c1r, c1i = c1r*r1r-c1i*r1i, c1r*r1i+c1i*r1r
-		c2r, c2i = c2r*r2r-c2i*r2i, c2r*r2i+c2i*r2r
-		c3r, c3i = c3r*r3r-c3i*r3i, c3r*r3i+c3i*r3r
+		if peak {
+			if p := float64(x*x) + float64(y*y); p > best {
+				best, arg = p, k
+			}
+		} else {
+			re[k] = x
+			im[k] = y
+		}
+		c0r, c0i = float64(c0r*rot[0])-float64(c0i*rot[1]), float64(c0r*rot[1])+float64(c0i*rot[0])
+		c1r, c1i = float64(c1r*rot[2])-float64(c1i*rot[3]), float64(c1r*rot[3])+float64(c1i*rot[2])
+		c2r, c2i = float64(c2r*rot[4])-float64(c2i*rot[5]), float64(c2r*rot[5])+float64(c2i*rot[4])
+		c3r, c3i = float64(c3r*rot[6])-float64(c3i*rot[7]), float64(c3r*rot[7])+float64(c3i*rot[6])
 		if k&renormMask == renormMask {
 			if m := math.Hypot(c0r, c0i); m != 0 {
 				s := m0 / m
@@ -181,6 +336,7 @@ func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, n int, re,
 			}
 		}
 	}
+	return best, arg
 }
 
 // MagnitudeSeries writes |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}| into
@@ -215,7 +371,9 @@ func PeakPower(freqs []float64, coeffs []complex128, t0, dt float64, n int) floa
 	return p
 }
 
-// peakPowerArg returns the power peak and its grid index.
+// peakPowerArg returns the power peak and its first grid index. The last
+// carrier group's pass computes the power in place of storing the sum
+// (scan's peak flag), so the full series is never written out.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
@@ -224,15 +382,12 @@ func peakPowerArg(freqs []float64, coeffs []complex128, t0, dt float64, n int) (
 	if n <= 0 || len(freqs) == 0 {
 		return 0, -1
 	}
+	if len(freqs) != len(coeffs) {
+		panic("phasor: freqs/coeffs length mismatch")
+	}
 	re := pool.Float64(n)
 	im := pool.Float64(n)
-	SumSeries(freqs, coeffs, t0, dt, n, re, im)
-	best, arg := 0.0, 0
-	for k := 0; k < n; k++ {
-		if p := re[k]*re[k] + im[k]*im[k]; p > best {
-			best, arg = p, k
-		}
-	}
+	best, arg := scan(freqs, coeffs, t0, dt, n, re, im, true)
 	pool.PutFloat64(re)
 	pool.PutFloat64(im)
 	return best, arg
@@ -282,7 +437,7 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 	SumSeries(freqs, coeffs, 0, dtC, nCoarse, re, im)
 	maxP := 0.0
 	for k := 0; k < nCoarse; k++ {
-		p := re[k]*re[k] + im[k]*im[k]
+		p := float64(re[k]*re[k]) + float64(im[k]*im[k])
 		re[k] = p
 		if p > maxP {
 			maxP = p

@@ -1,6 +1,7 @@
 package phasor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,6 +19,35 @@ func naiveSum(freqs []float64, coeffs []complex128, t float64) (float64, float64
 		im += imag(rot)
 	}
 	return re, im
+}
+
+// sumSeriesSerial is the reference per-carrier recurrence loop: one
+// carrier at a time over the whole series. Every kernel must stay bit
+// identical to it (TestSumSeriesInterleavedBitExact,
+// TestPeakPowerArgMatchesSerial). Its products carry the same float64
+// conversions as the kernels, so it cannot be fused where they are not.
+//
+//ivn:unit freqs Hz
+//ivn:unit t0 s
+//ivn:unit dt s
+func sumSeriesSerial(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64) {
+	re = re[:n]
+	im = im[:n]
+	for i, f := range freqs {
+		curRe, curIm, rotRe, rotIm, mag := startPhasor(f, coeffs[i], t0, dt)
+		for k := 0; k < n; k++ {
+			re[k] += curRe
+			im[k] += curIm
+			curRe, curIm = float64(curRe*rotRe)-float64(curIm*rotIm), float64(curRe*rotIm)+float64(curIm*rotRe)
+			if k&renormMask == renormMask {
+				if m := math.Hypot(curRe, curIm); m != 0 {
+					s := mag / m
+					curRe *= s
+					curIm *= s
+				}
+			}
+		}
+	}
 }
 
 // randomSet draws a carrier set: nonzero random frequencies and random
@@ -190,21 +220,6 @@ func TestDegenerateInputs(t *testing.T) {
 	SumSeries([]float64{1, 2}, []complex128{1}, 0, 1, 4, make([]float64, 4), make([]float64, 4))
 }
 
-func BenchmarkSumSeries10Carriers8192(b *testing.B) {
-	r := rng.New(1)
-	freqs, coeffs := randomSet(r, 10, 150)
-	re := make([]float64, 8192)
-	im := make([]float64, 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range re {
-			re[k], im[k] = 0, 0
-		}
-		SumSeries(freqs, coeffs, 0, 1.0/8192, 8192, re, im)
-	}
-}
-
 func BenchmarkPeakPowerRefined10Carriers(b *testing.B) {
 	r := rng.New(1)
 	freqs, coeffs := randomSet(r, 10, 150)
@@ -215,15 +230,21 @@ func BenchmarkPeakPowerRefined10Carriers(b *testing.B) {
 	}
 }
 
-// TestSumSeriesInterleavedBitExact pins the 4-carrier interleaved kernel
-// to the serial reference loop, bit for bit: same ascending-carrier
-// partial sums per sample, same recurrence and renormalization sequence
-// per carrier. Covers group sizes with and without a remainder, both t0
-// forms, and spans crossing the renorm cadence.
+// bitExactSamples are the series lengths the bit-exactness tests cover:
+// short spans, both sides of the renorm cadence (the renorm after step
+// 2047 first shows at sample 2048) and a span crossing it twice.
+var bitExactSamples = []int{1, 17, 2047, 2048, 2049, 4099}
+
+// TestSumSeriesInterleavedBitExact pins the grouped kernels to the serial
+// reference loop, bit for bit: same ascending-carrier partial sums per
+// sample, same recurrence and renormalization sequence per carrier. It
+// covers every carrier count 1–13, so every group split (4, 3+2, 4+4+2,
+// 4+4+3+2, …), both t0 forms, zeroed and partial-sum inputs, and spans
+// on both sides of the renorm cadence.
 func TestSumSeriesInterleavedBitExact(t *testing.T) {
 	r := rng.New(19)
-	for _, carriers := range []int{1, 2, 3, 4, 5, 7, 8, 9, 10, 13} {
-		for _, samples := range []int{1, 17, 2048, 4099} {
+	for carriers := 1; carriers <= 13; carriers++ {
+		for _, samples := range bitExactSamples {
 			freqs, coeffs := randomSet(r, carriers, 200)
 			t0 := 0.0
 			if samples%2 == 1 {
@@ -232,9 +253,15 @@ func TestSumSeriesInterleavedBitExact(t *testing.T) {
 			dt := 1.0 / float64(samples)
 			re := make([]float64, samples)
 			im := make([]float64, samples)
+			if carriers%2 == 0 {
+				// Extend a partial sum instead of starting from zero.
+				for k := range re {
+					re[k], im[k] = r.Float64(), r.Float64()
+				}
+			}
+			wantRe := append([]float64(nil), re...)
+			wantIm := append([]float64(nil), im...)
 			SumSeries(freqs, coeffs, t0, dt, samples, re, im)
-			wantRe := make([]float64, samples)
-			wantIm := make([]float64, samples)
 			sumSeriesSerial(freqs, coeffs, t0, dt, samples, wantRe, wantIm)
 			for k := 0; k < samples; k++ {
 				if re[k] != wantRe[k] || im[k] != wantIm[k] {
@@ -244,4 +271,107 @@ func TestSumSeriesInterleavedBitExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// serialPeak is the reference peak scan: the serial sum, then a separate
+// power/argmax loop keeping the first index of the maximum.
+func serialPeak(freqs []float64, coeffs []complex128, t0, dt float64, n int) (float64, int) {
+	re := make([]float64, n)
+	im := make([]float64, n)
+	sumSeriesSerial(freqs, coeffs, t0, dt, n, re, im)
+	best, arg := 0.0, 0
+	for k := range re {
+		if p := float64(re[k]*re[k]) + float64(im[k]*im[k]); p > best {
+			best, arg = p, k
+		}
+	}
+	return best, arg
+}
+
+// TestPeakPowerArgMatchesSerial pins the fused peak scan (the last
+// group's pass keeps the power maximum instead of storing the sum) to
+// the serial sum followed by a separate power/argmax pass: the same
+// value bit for bit and the same index, for every carrier count 1–13.
+// The constant-envelope cases pin the first-index tie rule.
+func TestPeakPowerArgMatchesSerial(t *testing.T) {
+	r := rng.New(23)
+	for carriers := 1; carriers <= 13; carriers++ {
+		for _, samples := range bitExactSamples {
+			freqs, coeffs := randomSet(r, carriers, 200)
+			t0 := 0.0
+			if samples%2 == 1 {
+				t0 = r.Float64()
+			}
+			dt := 1.0 / float64(samples)
+			got, gotArg := peakPowerArg(freqs, coeffs, t0, dt, samples)
+			want, wantArg := serialPeak(freqs, coeffs, t0, dt, samples)
+			if got != want || gotArg != wantArg {
+				t.Fatalf("%d carriers, %d samples: peak (%v at %d) != serial (%v at %d)",
+					carriers, samples, got, gotArg, want, wantArg)
+			}
+		}
+		// Every carrier at 0 Hz: a flat envelope, so every sample ties.
+		freqs := make([]float64, carriers)
+		coeffs := make([]complex128, carriers)
+		for i := range coeffs {
+			coeffs[i] = complex(1, 0.5)
+		}
+		got, gotArg := peakPowerArg(freqs, coeffs, 0, 1.0/64, 64)
+		want, wantArg := serialPeak(freqs, coeffs, 0, 1.0/64, 64)
+		if got != want || gotArg != 0 || wantArg != 0 {
+			t.Fatalf("%d flat carriers: peak (%v at %d), serial (%v at %d), want index 0",
+				carriers, got, gotArg, want, wantArg)
+		}
+	}
+}
+
+// benchSamples is the grid every kernel benchmark scans: the fine grid of
+// a 1 s CIB period.
+const benchSamples = 8192
+
+// benchCarriers are the carrier counts the kernel benchmarks run: one,
+// two and three carriers are single-group scans of each width below four,
+// five is the 3+2 split, and ten, the paper's antenna count, is 4+4+2.
+var benchCarriers = []int{1, 2, 3, 5, 10}
+
+// benchScan runs body once per iteration as sub-benchmarks N=<carriers>
+// and reports the cost per carrier-sample.
+func benchScan(b *testing.B, body func(freqs []float64, coeffs []complex128, re, im []float64)) {
+	for _, carriers := range benchCarriers {
+		b.Run(fmt.Sprintf("N=%d", carriers), func(b *testing.B) {
+			freqs, coeffs := randomSet(rng.New(1), carriers, 150)
+			// re/im keep accumulating across iterations: the kernels'
+			// cost does not depend on the values they add to.
+			re := make([]float64, benchSamples)
+			im := make([]float64, benchSamples)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body(freqs, coeffs, re, im)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(carriers*benchSamples)), "ns/carrier-sample")
+		})
+	}
+}
+
+func BenchmarkSumSeries(b *testing.B) {
+	benchScan(b, func(freqs []float64, coeffs []complex128, re, im []float64) {
+		SumSeries(freqs, coeffs, 0, 1.0/benchSamples, benchSamples, re, im)
+	})
+}
+
+// BenchmarkSumSeriesSerial benchmarks the serial reference so the grouped
+// kernels' speed-up stays measurable.
+func BenchmarkSumSeriesSerial(b *testing.B) {
+	benchScan(b, func(freqs []float64, coeffs []complex128, re, im []float64) {
+		sumSeriesSerial(freqs, coeffs, 0, 1.0/benchSamples, benchSamples, re, im)
+	})
+}
+
+var peakSink float64
+
+func BenchmarkPeakPower(b *testing.B) {
+	benchScan(b, func(freqs []float64, coeffs []complex128, _, _ []float64) {
+		peakSink = PeakPower(freqs, coeffs, 0, 1.0/benchSamples, benchSamples)
+	})
 }
