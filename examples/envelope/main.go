@@ -23,7 +23,7 @@ const (
 
 func plot(offsets []float64, betas []float64, threshold float64, title string) {
 	n := float64(len(offsets))
-	env := core.EnvelopeSeries(offsets, betas, 1, cols*16, nil)
+	env := core.EnvelopeSeries(offsets, betas, 0, 1.0/(cols*16), cols*16, nil)
 	// Column-wise maxima so narrow peaks stay visible.
 	colMax := make([]float64, cols)
 	for i, v := range env {

@@ -60,16 +60,18 @@ func phaseCoeffs(betas []float64) []complex128 {
 	return coeffs
 }
 
-// EnvelopeSeries samples Y(t) at n points over the half-open interval
-// [0, period): t_k = period·k/n for k = 0..n−1, excluding t = period
-// (which, for integer-offset plans over one period, duplicates t = 0 —
-// the same convention baseline.PeakReceivedPower scans with). It reuses
-// dst when it has capacity. The evaluation runs on the shared
-// phasor-recurrence kernel with pooled scratch, so steady-state calls
-// with a recycled dst do not allocate.
+// EnvelopeSeries samples Y(t) at the n points t_k = t0 + k·dt for
+// k = 0..n−1. One period on the half-open grid [0, period) is t0 = 0,
+// dt = period/n: it excludes t = period, which for integer-offset plans
+// duplicates t = 0 — the same convention baseline.PeakReceivedPower
+// scans with. It reuses dst when it has capacity. The evaluation runs on
+// the shared phasor-recurrence kernel with pooled scratch, so
+// steady-state calls with a recycled dst do not allocate.
 //
+//ivn:unit t0 s
+//ivn:unit dt s
 //ivn:hotpath
-func EnvelopeSeries(offsets, betas []float64, period float64, n int, dst []float64) []float64 {
+func EnvelopeSeries(offsets, betas []float64, t0, dt float64, n int, dst []float64) []float64 {
 	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
@@ -77,7 +79,7 @@ func EnvelopeSeries(offsets, betas []float64, period float64, n int, dst []float
 		dst = make([]float64, n)
 	}
 	coeffs := phaseCoeffs(betas)
-	phasor.MagnitudeSeries(offsets, coeffs, 0, period/float64(n), n, dst)
+	phasor.MagnitudeSeries(offsets, coeffs, t0, dt, n, dst)
 	pool.PutComplex128(coeffs)
 	return dst
 }
@@ -105,7 +107,7 @@ func FractionAbove(offsets, betas []float64, level, period float64, n int) float
 		return 0
 	}
 	buf := pool.Float64(n)
-	EnvelopeSeries(offsets, betas, period, n, buf)
+	EnvelopeSeries(offsets, betas, 0, period/float64(n), n, buf)
 	count := 0
 	for _, v := range buf {
 		if v > level {
@@ -204,8 +206,8 @@ func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64
 	}
 	buf := pool.Float64(samples)
 	defer pool.PutFloat64(buf)
-	EnvelopeSeries(offsets, betas, 1.0, samples, buf)
 	dt := 1.0 / float64(samples)
+	EnvelopeSeries(offsets, betas, 0, dt, samples, buf)
 	best, run := 0, 0
 	// The envelope is 1-periodic; handle a run wrapping the period edge by
 	// scanning two concatenated periods (capped at one full period).

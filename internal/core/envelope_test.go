@@ -53,20 +53,25 @@ func TestEnvelopeSeriesMatchesPointwise(t *testing.T) {
 	offsets := []float64{0, 13, 54, 121}
 	betas := make([]float64, 4)
 	drawBetas(betas, r)
-	const n = 1000
-	series := EnvelopeSeries(offsets, betas, 1.0, n, nil)
-	for _, k := range []int{0, 1, 137, 500, 999} {
-		tm := float64(k) / n
-		want := Envelope(offsets, betas, tm)
-		if math.Abs(series[k]-want) > 1e-6 {
-			t.Fatalf("series[%d] = %v, pointwise = %v", k, series[k], want)
+	// One period on the half-open grid, then a 1 µs grid starting mid
+	// period (the query-frame grid ablation-flatness samples).
+	for _, g := range []struct {
+		t0, dt float64
+		n      int
+	}{{0, 1.0 / 1000, 1000}, {0.37, 1e-6, 3000}} {
+		series := EnvelopeSeries(offsets, betas, g.t0, g.dt, g.n, nil)
+		for _, k := range []int{0, 1, 137, 500, 999, g.n - 1} {
+			want := Envelope(offsets, betas, g.t0+float64(k)*g.dt)
+			if math.Abs(series[k]-want) > 1e-6 {
+				t.Fatalf("t0=%v dt=%v: series[%d] = %v, pointwise = %v", g.t0, g.dt, k, series[k], want)
+			}
 		}
 	}
 }
 
 func TestEnvelopeSeriesReusesBuffer(t *testing.T) {
 	buf := make([]float64, 256)
-	out := EnvelopeSeries([]float64{0, 5}, []float64{0, 1}, 1, 256, buf)
+	out := EnvelopeSeries([]float64{0, 5}, []float64{0, 1}, 0, 1.0/256, 256, buf)
 	if &out[0] != &buf[0] {
 		t.Fatal("EnvelopeSeries allocated despite sufficient capacity")
 	}
@@ -253,7 +258,7 @@ func BenchmarkEnvelopeSeries10Carriers(b *testing.B) {
 	buf := make([]float64, 8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = EnvelopeSeries(offsets, betas, 1, 8192, buf)
+		buf = EnvelopeSeries(offsets, betas, 0, 1.0/8192, 8192, buf)
 	}
 }
 

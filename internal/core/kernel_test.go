@@ -26,7 +26,7 @@ func TestEnvelopeSeriesMatchesNaiveEnvelope(t *testing.T) {
 			betas[i] = r.Phase()
 		}
 		const samples = 2048
-		series := EnvelopeSeries(offsets, betas, 1.0, samples, nil)
+		series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
 		for k := 0; k < samples; k += 17 {
 			want := Envelope(offsets, betas, float64(k)/samples)
 			if math.Abs(series[k]-want) > 1e-9*(1+want) {
@@ -43,7 +43,7 @@ func TestPeakEnvelopeMatchesSeriesMax(t *testing.T) {
 		betas := make([]float64, len(offsets))
 		drawBetas(betas, r)
 		const samples = 4096
-		series := EnvelopeSeries(offsets, betas, 1.0, samples, nil)
+		series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
 		want := 0.0
 		for _, v := range series {
 			if v > want {
@@ -66,7 +66,7 @@ func TestMaxDwellAboveMatchesSeriesScan(t *testing.T) {
 	drawBetas(betas, r)
 	const samples = 1024
 	level := 2.0
-	series := EnvelopeSeries(offsets, betas, 1.0, samples, nil)
+	series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
 	best, run := 0, 0
 	for pass := 0; pass < 2; pass++ {
 		for _, v := range series {

@@ -262,13 +262,11 @@ func runAblationFlatness(cfg Config) (*engine.Result, error) {
 			}
 			// Align the envelope peak with the command start (the beamformer
 			// times commands near peaks); sample the beat envelope across
-			// the frame.
-			_, peakIdx := peakIndex(offsets, betas)
-			combined := make([]float64, len(env))
+			// the frame, one point per PIE sample.
+			_, peakT := peakIndex(offsets, betas)
+			combined := core.EnvelopeSeries(offsets, betas, peakT, 1/pie.SampleRate, len(env), nil)
 			var lo, hi float64 = math.Inf(1), 0
-			for k := range env {
-				tm := peakIdx + float64(k)/1e6
-				b := core.Envelope(offsets, betas, tm)
+			for k, b := range combined {
 				combined[k] = env[k] * b
 				if env[k] > 0.5 { // measure fluctuation on the high level only
 					lo = math.Min(lo, b)
@@ -321,7 +319,7 @@ func peakIndex(offsets, betas []float64) (float64, float64) {
 	const n = 4096
 	buf := pool.Float64(n)
 	defer pool.PutFloat64(buf)
-	core.EnvelopeSeries(offsets, betas, 1.0, n, buf)
+	core.EnvelopeSeries(offsets, betas, 0, 1.0/n, n, buf)
 	best, bestK := 0.0, 0
 	for k, y := range buf {
 		if y > best {

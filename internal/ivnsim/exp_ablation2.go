@@ -72,7 +72,7 @@ func runAblationSafety(cfg Config) (*engine.Result, error) {
 			betas[i] = r.Phase()
 		}
 	}
-	env := core.EnvelopeSeries(bf.Offsets, betas, 1, 8192, nil)
+	env := core.EnvelopeSeries(bf.Offsets, betas, 0, 1.0/8192, 8192, nil)
 	dc, err := safety.AnalyzeEnvelope(env)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func runAblationFreqError(cfg Config) (*engine.Result, error) {
 			// Peak over the nominal 1 s period.
 			buf := pool.Float64(4096)
 			defer pool.PutFloat64(buf)
-			series := core.EnvelopeSeries(offsets, betas, 1, 4096, buf)
+			series := core.EnvelopeSeries(offsets, betas, 0, 1.0/4096, 4096, buf)
 			peak, idx := 0.0, 0
 			for k, v := range series {
 				if v > peak {

@@ -141,7 +141,7 @@ func TestAnalyzeEnvelopeCIBDutyCycle(t *testing.T) {
 			betas[i] = r.Phase()
 		}
 	}
-	env := core.EnvelopeSeries(offsets, betas, 1, 8192, nil)
+	env := core.EnvelopeSeries(offsets, betas, 0, 1.0/8192, 8192, nil)
 	dc, err := AnalyzeEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestSafetyStoryEndToEnd(t *testing.T) {
 	// situations where duty-cycled CIB stays inside it.
 	offsets := core.PaperOffsets()
 	betas := make([]float64, len(offsets))
-	env := core.EnvelopeSeries(offsets, betas, 1, 8192, nil)
+	env := core.EnvelopeSeries(offsets, betas, 0, 1.0/8192, 8192, nil)
 	dc, err := AnalyzeEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
