@@ -392,11 +392,12 @@ func (m *Manager) Cancel(id string) (State, error) {
 		job.state = StateCancelled
 		job.userCancel = true
 		job.errMsg = context.Canceled.Error()
-		close(job.done)
 		job.mu.Unlock()
 		job.cancel()
+		// As in runJob: the end record lands before done closes.
 		_ = m.journal.end(job.id)
 		m.metrics.JobsCancelled.Add(1)
+		close(job.done)
 		return StateCancelled, nil
 	case StateRunning:
 		job.userCancel = true
@@ -469,7 +470,7 @@ func (m *Manager) worker() {
 func (m *Manager) runJob(job *Job) {
 	job.mu.Lock()
 	if job.state != StateQueued {
-		// Cancelled while queued; Cancel already closed done.
+		// Cancelled while queued; Cancel ends the job.
 		job.mu.Unlock()
 		return
 	}
@@ -478,21 +479,6 @@ func (m *Manager) runJob(job *Job) {
 
 	m.metrics.JobsInFlight.Add(1)
 	defer m.metrics.JobsInFlight.Add(-1)
-	// The end record is terminal-state bookkeeping, not an outcome: it
-	// runs last (after the state is filed below) and best-effort — a lost
-	// record costs one redundant re-run after a restart, never lost work.
-	// A job that ends cancelled WITHOUT a client Cancel was aborted by
-	// shutdown: that is unfinished work the next process owes, so its
-	// submit record deliberately stays un-ended and it resumes.
-	defer func() {
-		job.mu.Lock()
-		st, user := job.state, job.userCancel
-		job.mu.Unlock()
-		if st == StateCancelled && !user {
-			return
-		}
-		_ = m.journal.end(job.id)
-	}()
 
 	var res *engine.Result
 	var tlog *session.TraceLog
@@ -508,8 +494,26 @@ func (m *Manager) runJob(job *Job) {
 	}
 
 	job.mu.Lock()
-	defer job.mu.Unlock()
-	defer close(job.done)
+	m.fileOutcome(job, res, tlog, err)
+	aborted := job.state == StateCancelled && !job.userCancel
+	job.mu.Unlock()
+	// The end record is terminal-state bookkeeping, not an outcome, and
+	// best-effort: a lost record costs one redundant re-run after a
+	// restart, never lost work. It is written before done closes, so
+	// whoever Done wakes finds it in the journal. A job that ends
+	// cancelled WITHOUT a client Cancel was aborted by shutdown: that is
+	// unfinished work the next process owes, so its submit record
+	// deliberately stays un-ended and it resumes.
+	if !aborted {
+		_ = m.journal.end(job.id)
+	}
+	close(job.done)
+}
+
+// fileOutcome files a finished run as the job's terminal state: its
+// result bytes (also cached) or its error, and the matching counter.
+// job.mu must be held.
+func (m *Manager) fileOutcome(job *Job, res *engine.Result, tlog *session.TraceLog, err error) {
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			job.state = StateCancelled

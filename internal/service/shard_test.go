@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -246,6 +247,21 @@ func TestJobJournalEndRecordedForTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ends := journalEnds(t, data)
+	if !ends[job.ID()] {
+		t.Errorf("done job %s has no end record", job.ID())
+	}
+	if !ends[queued.ID()] {
+		t.Errorf("cancelled-while-queued job %s has no end record", queued.ID())
+	}
+	if ends[blocker.ID()] {
+		t.Errorf("aborted job %s has an end record — it should resume on restart", blocker.ID())
+	}
+}
+
+// journalEnds returns the ids that have an end record in journal data.
+func journalEnds(t *testing.T, data []byte) map[string]bool {
+	t.Helper()
 	ends := map[string]bool{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -259,15 +275,88 @@ func TestJobJournalEndRecordedForTerminalJobs(t *testing.T) {
 			ends[rec.ID] = true
 		}
 	}
-	if !ends[job.ID()] {
-		t.Errorf("done job %s has no end record", job.ID())
+	return ends
+}
+
+// journalAtDone reads the journal at path the moment job's Done closes.
+// The reader spins on Done rather than blocking, and reads through a
+// descriptor opened beforehand, so it looks at the file within
+// nanoseconds of the close instead of after a scheduler wake-up and an
+// open: a record written just after the close would be missed.
+func journalAtDone(t *testing.T, job *Job, path string) <-chan []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !ends[queued.ID()] {
-		t.Errorf("cancelled-while-queued job %s has no end record", queued.ID())
+	ch := make(chan []byte, 1)
+	//ivn:allow goroutinehygiene the reader must watch Done while the manager works; it exits once Done closes and its result is joined through ch
+	go func() {
+		defer f.Close()
+		for {
+			select {
+			case <-job.Done():
+				data, _ := io.ReadAll(f) // a read error shows as a missing record
+				ch <- data
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	return ch
+}
+
+// TestJobJournalEndBeforeDone pins the order of a job's last two steps:
+// its end record is in the journal before Done closes, for a run that
+// finishes, a job cancelled while queued and a running job the client
+// cancels. (A process that reopens the journal as soon as Done fires
+// must not resubmit the job.)
+func TestJobJournalEndBeforeDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	m, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ends[blocker.ID()] {
-		t.Errorf("aborted job %s has an end record — it should resume on restart", blocker.ID())
+	defer m.Close(context.Background())
+	awaitEnd := func(job *Job, at <-chan []byte) {
+		t.Helper()
+		select {
+		case data := <-at:
+			if !journalEnds(t, data)[job.ID()] {
+				t.Fatalf("job %s (%s): no end record when Done fired", job.ID(), job.Status().State)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s still %s after a minute", job.ID(), job.Status().State)
+		}
 	}
+
+	done, err := m.Submit(quickSpec("fig2", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitEnd(done, journalAtDone(t, done, path))
+
+	blocker, err := m.Submit(longSpec(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, blocker)
+	queued, err := m.Submit(longSpec(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := journalAtDone(t, queued, path)
+	if _, err := m.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	awaitEnd(queued, at)
+
+	at = journalAtDone(t, blocker, path)
+	if _, err := m.Cancel(blocker.ID()); err != nil {
+		t.Fatal(err)
+	}
+	awaitEnd(blocker, at)
 }
 
 func TestLoadPendingToleratesTornTailRejectsGarbage(t *testing.T) {
