@@ -36,6 +36,19 @@ import (
 // cancelled through their contexts and the daemon exits anyway.
 const drainTimeout = 30 * time.Second
 
+// Connection timeouts, so a client that stalls cannot hold a connection
+// (a goroutine and a descriptor) forever: readHeaderTimeout bounds the
+// time from accept, or from the end of the previous request on a
+// keep-alive connection, until the request header is complete, and
+// idleTimeout closes a keep-alive connection no request arrives on.
+// The handler caps a request body's size; no timeout bounds the time to
+// send one or to read a response, since a large result may stream to a
+// slow reader for as long as it keeps reading.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(run())
 }
@@ -67,7 +80,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ivnsimd: listen: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := newServer(service.NewHandler(mgr))
 
 	// The bound address on stdout is the machine-readable "ready" line
 	// scripts wait for (":0" configs only learn the port here).
@@ -108,6 +121,15 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "ivnsimd: serve: %v\n", err)
 			return 1
 		}
+	}
+}
+
+// newServer wraps h in the daemon's HTTP server settings.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
