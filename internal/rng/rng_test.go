@@ -141,11 +141,16 @@ func TestMul64MatchesSchoolbook(t *testing.T) {
 		}
 	}
 	// Intn's stream is the schoolbook sampler's, draw for draw, on small
-	// and mid-sized bounds and on bounds just above 2⁶², where Lemire's
-	// method rejects about one draw in four.
+	// and mid-sized bounds and on bounds just above MaxInt/2 (2⁶² on 64-bit
+	// builds, where Lemire's method rejects about one draw in four). The
+	// mid-sized bounds reach 2⁴⁰, or 2³⁰ where int has 32 bits.
+	mid := uint64(1) << 40
+	if bits.UintSize == 32 {
+		mid = 1 << 30
+	}
 	a, b := New(7), New(7)
 	for i := 0; i < 10000; i++ {
-		n := []int{1 + i%1000, 1 + int(uint64(i)*2654435761%(1<<40)), math.MaxInt/2 + 1 + i}[i%3]
+		n := []int{1 + i%1000, 1 + int(uint64(i)*2654435761%mid), math.MaxInt/2 + 1 + i}[i%3]
 		var want int
 		for {
 			hi, lo := schoolbookMul64(b.Uint64(), uint64(n))
