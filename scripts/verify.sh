@@ -15,6 +15,15 @@
 # 4. go test ./...           — unit + golden + determinism + lint fixtures
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              shared scratch pools, under the race detector
+# 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
+#                              internal/phasor must list no fused
+#                              multiply-add (FMADDD/FMSUBD/FNMADDD/FNMSUBD:
+#                              a fused x*y+z rounds once and would break
+#                              the kernel's bit-identity; this is a codegen
+#                              check, nothing here runs arm64 code), and
+#                              the rng, phasor, core and baseline tests
+#                              must pass as GOARCH=386 (runs natively on
+#                              amd64 Linux)
 # 6. faultmatrix smoke       — the fault-injection experiment end to end:
 #                              injector, recovery stack, paired ablation
 # 6b. population smoke       — the N=1000 event-channel inventory end to
@@ -111,6 +120,21 @@ stage "go test -race (parallel trial paths)" \
   go test -race . ./internal/engine/ ./internal/ivnsim/ ./internal/pool/ ./internal/phasor/ \
   ./internal/dsp/ ./internal/fault/ ./internal/gen2/ ./internal/session/ ./internal/link/ \
   ./internal/service/
+
+cross_arch_kernel() {
+  local asm fused
+  asm="$(GOARCH=arm64 go build -gcflags=-S ./internal/phasor 2>&1)" || { echo "$asm" >&2; return 1; }
+  # An empty listing would pass the grep below vacuously.
+  grep -q 'phasor\.SumSeries' <<<"$asm" || { echo "no arm64 listing for internal/phasor" >&2; return 1; }
+  fused="$(grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$asm")"
+  if [ -n "$fused" ]; then
+    echo "fused multiply-add in the arm64 build of internal/phasor:" >&2
+    echo "$fused" >&2
+    return 1
+  fi
+  GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/
+}
+stage "cross-arch kernel (arm64 codegen, 386 tests)" cross_arch_kernel
 
 stage "faultmatrix smoke" \
   go run ./cmd/ivnsim -run faultmatrix -quick -seed 2
