@@ -90,10 +90,11 @@ func TestFig13BytesBudget(t *testing.T) {
 }
 
 // TestPopulationBytesBudget pins the clean inventory path by bytes: the
-// round-member broadcast (gen2.Population) and the round's reused reply
-// and responder buffers leave a quick population run at ≈6 MB, where
-// growing fresh reply slices on every command cost ≈16 MB. The budget
-// fails loudly if per-command allocation returns.
+// round-member broadcast (gen2.Population), the round's reused reply and
+// responder buffers and reply encoders that grow their bits once leave a
+// quick population run at ≈4 MB, where growing fresh reply slices on
+// every command cost ≈16 MB. The budget fails loudly if per-command
+// allocation returns.
 func TestPopulationBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation; budget holds without -race")
@@ -107,8 +108,8 @@ func TestPopulationBytesBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if perRun > 9e6 {
-		t.Fatalf("quick population allocates %.1f MB per run, budget 9 MB", perRun/1e6)
+	if perRun > 6e6 {
+		t.Fatalf("quick population allocates %.1f MB per run, budget 6 MB", perRun/1e6)
 	}
 }
 

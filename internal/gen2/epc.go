@@ -2,6 +2,7 @@ package gen2
 
 import (
 	"fmt"
+	"slices"
 )
 
 // RN16Reply is the tag's slot reply: a bare 16-bit random number, no CRC.
@@ -13,9 +14,9 @@ type RN16Reply struct {
 }
 
 // AppendBits serializes the reply payload (preamble is added by the
-// line-coding layer).
+// line-coding layer). It grows dst once, to the frame's 16 bits.
 func (r *RN16Reply) AppendBits(dst Bits) Bits {
-	return dst.AppendUint(uint64(r.RN16), 16)
+	return slices.Grow(dst, 16).AppendUint(uint64(r.RN16), 16)
 }
 
 // DecodeFromBits parses the 16 payload bits.
@@ -60,11 +61,14 @@ func NewEPCReply(epc []byte) (*EPCReply, error) {
 	}, nil
 }
 
-// AppendBits serializes {PC, EPC, CRC16}.
+// AppendBits serializes {PC, EPC, CRC16}. It grows dst once, to the
+// frame's 32 + 8·len(EPC) bits.
 func (e *EPCReply) AppendBits(dst Bits) Bits {
 	start := len(dst)
-	dst = dst.AppendUint(uint64(e.PC), 16)
-	dst = dst.AppendBits(BitsFromBytes(e.EPC))
+	dst = slices.Grow(dst, 32+8*len(e.EPC)).AppendUint(uint64(e.PC), 16)
+	for _, b := range e.EPC {
+		dst = dst.AppendUint(uint64(b), 8)
+	}
 	crc := CRC16(dst[start:])
 	return dst.AppendUint(uint64(crc), 16)
 }

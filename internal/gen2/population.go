@@ -1,5 +1,7 @@
 package gen2
 
+import "slices"
+
 // Population broadcasts reader commands to a tag population one round at
 // a time. Its result is exactly that of calling HandleCommand on every
 // tag in index order, but it visits only the tags that can react.
@@ -9,10 +11,25 @@ package gen2
 // Acknowledged, and the access commands need an issued handle. So
 // Population keeps the ascending indices of the tags not in Ready (the
 // round's members). Query, Select and any command it does not
-// special-case go to every tag and rebuild the member list. QueryRep,
-// QueryAdjust and ACK go to the members only, which can leave a round
-// but never join one; in a dense inventory most tags sit in Ready most
-// of the time, so those commands skip most of the population.
+// special-case go to every tag and rebuild the member list; QueryAdjust
+// goes to the members. Members can leave a round between those passes
+// but never join one, so the list may hold tags that have since dropped
+// to Ready; the next pass removes them.
+//
+// Most members sit in Arbitrate counting down a slot counter, and only
+// the tag whose counter reaches zero answers a QueryRep. So a member
+// that draws a nonzero counter in a Query or QueryAdjust is parked on a
+// slot calendar: one bucket per counter value, each in ascending index,
+// fired by the QueryRep that takes those counters to zero. The other
+// members (Reply, Acknowledged, Open and Secured tags, zero counters,
+// tags of another session) stay on a short live list and get their
+// per-tag handler on every QueryRep; ACK goes to the live list only. A
+// zero counter that a QueryRep rolls over to 0x7FFF joins a FIFO that
+// is due after every bucket. A parked tag's own counter is stale: the
+// calendar writes due − clock back into it before any command can reach
+// the tag by another route (a pass over all tags, a QueryAdjust of
+// another session) and in Reset, so between rounds every TagLogic is
+// exact.
 //
 // Replies and responder indices come out in ascending tag order, as the
 // per-tag loop produces them, so callers that fold over responders (a
@@ -20,22 +37,71 @@ package gen2
 //
 // Only Broadcast may move a tag out of Ready between Resets. A tag
 // dropped to Ready from outside (PowerReset) is harmless: it ignores the
-// member-only commands and leaves the list at the next one. Anything else
-// that changes tag state outside Broadcast needs a Reset.
+// member-only commands, the calendar skips it when its bucket fires, and
+// it leaves the lists at the next pass. Anything else that changes tag
+// state outside Broadcast needs a Reset.
 type Population struct {
 	tags    []*TagLogic
 	members []int
+	live    []int
+	spare   []int // the live list's second buffer, swapped in by QueryRep
+
+	// The calendar holds the parked tags of session, whose counters
+	// were drawn when clock was 0. clock counts that session's QueryReps
+	// since; due[i] is the clock value at which tag i's counter reaches
+	// zero, 0 when tag i is not parked. Bucket c, the tags that drew
+	// counter c, is chained from head[c] through next in descending
+	// index (entries are index+1, 0 ends a chain). rolled[first:] is the
+	// rollover FIFO in due order; fire collects one QueryRep's tags.
+	calendar bool
+	session  Session
+	clock    int
+	due      []int
+	head     []int
+	next     []int
+	rolled   []int
+	first    int
+	fire     []int
 }
 
-// Reset points the population at tags and rebuilds the member list from
-// their current states.
+// Reset writes the calendar's counters back into the current tags, then
+// points the population at tags and rebuilds the member list from their
+// current states. Reset(nil) hands every tag back exact and holds none.
 func (p *Population) Reset(tags []*TagLogic) {
+	if p.calendar {
+		for _, i := range p.members {
+			p.writeBack(i)
+		}
+		p.calendar = false
+	}
 	p.tags = tags
-	p.members = p.members[:0]
+	if cap(p.due) < len(tags) {
+		p.due = make([]int, len(tags))
+	}
+	p.due = p.due[:len(tags)]
+	if cap(p.next) < len(tags) {
+		p.next = make([]int, len(tags))
+	}
+	p.next = p.next[:len(tags)]
+	p.members, p.live = p.members[:0], p.live[:0]
 	for i, t := range tags {
 		if t.state != StateReady {
 			p.members = append(p.members, i)
+			p.live = append(p.live, i)
 		}
+	}
+}
+
+// writeBack hands tag i its counter if the calendar holds it. A tag that
+// left Arbitrate behind the population's back keeps the counter it has.
+func (p *Population) writeBack(i int) {
+	d := p.due[i]
+	if d == 0 {
+		return
+	}
+	p.due[i] = 0
+	if t := p.tags[i]; t.state == StateArbitrate {
+		t.slot = uint32(d - p.clock)
 	}
 }
 
@@ -44,38 +110,146 @@ func (p *Population) Reset(tags []*TagLogic) {
 // order. It returns the extended slices; passing them back resliced to
 // zero length reuses their storage.
 func (p *Population) Broadcast(c Command, replies []Reply, who []int) ([]Reply, []int) {
-	var handle func(*TagLogic) Reply
 	switch cmd := c.(type) {
 	case *QueryRep:
-		handle = func(t *TagLogic) Reply { return t.handleQueryRep(cmd) }
-	case *QueryAdjust:
-		handle = func(t *TagLogic) Reply { return t.handleQueryAdjust(cmd) }
+		return p.queryRep(cmd, replies, who)
 	case *ACK:
-		handle = func(t *TagLogic) Reply { return t.handleACK(cmd) }
-	default:
-		p.members = p.members[:0]
-		for i, t := range p.tags {
-			if r := t.HandleCommand(c); r.Kind != ReplyNone {
+		kept := p.live[:0]
+		for _, i := range p.live {
+			t := p.tags[i]
+			if r := t.handleACK(cmd); r.Kind != ReplyNone {
 				replies = append(replies, r)
 				who = append(who, i)
 			}
 			if t.state != StateReady {
-				p.members = append(p.members, i)
+				kept = append(kept, i)
 			}
 		}
+		p.live = kept
 		return replies, who
+	case *QueryAdjust:
+		return p.pass(func(t *TagLogic) Reply { return t.handleQueryAdjust(cmd) }, true, cmd.Session, replies, who)
 	}
-	kept := p.members[:0]
+	// Any other command may reach a Ready tag: one pass over them all.
+	p.members = p.members[:0]
+	for i := range p.tags {
+		p.members = append(p.members, i)
+	}
+	q, draws := c.(*Query)
+	var s Session
+	if draws {
+		s = q.Session
+	}
+	return p.pass(func(t *TagLogic) Reply { return t.HandleCommand(c) }, draws, s, replies, who)
+}
+
+// pass runs handle on every member, writing each parked counter back
+// first, and rebuilds the member and live lists. When the command draws
+// counters in session s (draws), the tags that drew a nonzero one are
+// filed on a fresh calendar; otherwise the calendar ends empty.
+func (p *Population) pass(handle func(*TagLogic) Reply, draws bool, s Session, replies []Reply, who []int) ([]Reply, []int) {
+	members := p.members[:0]
 	for _, i := range p.members {
 		t := p.tags[i]
+		p.writeBack(i)
 		if r := handle(t); r.Kind != ReplyNone {
 			replies = append(replies, r)
 			who = append(who, i)
 		}
 		if t.state != StateReady {
-			kept = append(kept, i)
+			members = append(members, i)
 		}
 	}
-	p.members = kept
+	// Filing is a loop of its own: without a call in its body it keeps
+	// its slices in registers.
+	live, head := p.live[:0], p.head[:0]
+	for _, i := range members {
+		t := p.tags[i]
+		if !draws || t.state != StateArbitrate || t.session != s || t.slot == 0 {
+			live = append(live, i)
+			continue
+		}
+		c := int(t.slot)
+		if c >= len(head) {
+			n := len(head)
+			head = slices.Grow(head, c+1-n)[:c+1]
+			clear(head[n:])
+		}
+		p.due[i] = c
+		p.next[i], head[c] = head[c], i+1
+	}
+	p.members, p.live, p.head = members, live, head
+	p.calendar, p.session, p.clock = draws, s, 0
+	p.rolled, p.first = p.rolled[:0], 0
 	return replies, who
+}
+
+// queryRep delivers a QueryRep. If it ticks the calendar's session, the
+// tags whose counters it takes to zero fire; they and the live list are
+// visited as one ascending merge, so replies need no sorting and the
+// fired tags, now in Reply, join the live list in place.
+func (p *Population) queryRep(q *QueryRep, replies []Reply, who []int) ([]Reply, []int) {
+	var fired []int
+	tick := p.calendar && q.Session == p.session
+	if tick {
+		p.clock++
+		fired = p.fired()
+	}
+	live, next := p.live, p.spare[:0]
+	for len(live) > 0 || len(fired) > 0 {
+		var i int
+		parked := len(live) == 0 || len(fired) > 0 && fired[0] < live[0]
+		if parked {
+			i, fired = fired[0], fired[1:]
+		} else {
+			i, live = live[0], live[1:]
+		}
+		t := p.tags[i]
+		if parked {
+			p.due[i] = 0
+			if t.state != StateArbitrate {
+				continue // lost power behind the population's back
+			}
+			t.slot = 1 // the counter this QueryRep takes to zero
+		}
+		if r := t.handleQueryRep(q); r.Kind != ReplyNone {
+			replies = append(replies, r)
+			who = append(who, i)
+		}
+		switch {
+		case t.state == StateReady:
+		case tick && t.state == StateArbitrate && t.session == q.Session && t.slot == rolloverSlot:
+			// Rolled over: silent for 0x7FFF more QueryReps, which is
+			// after every bucket, and the FIFO stays in due order.
+			p.due[i] = p.clock + rolloverSlot
+			p.rolled = append(p.rolled, i)
+		default:
+			next = append(next, i)
+		}
+	}
+	p.live, p.spare = next, p.live
+	return replies, who
+}
+
+// fired returns the parked tags whose counters reach zero at the current
+// clock, in ascending index: a bucket while the clock is within them,
+// then the rollover FIFO's due head.
+func (p *Population) fired() []int {
+	if p.clock < len(p.head) {
+		fire := p.fire[:0]
+		for e := p.head[p.clock]; e != 0; e = p.next[e-1] {
+			fire = append(fire, e-1)
+		}
+		slices.Reverse(fire)
+		p.fire = fire
+		return fire
+	}
+	if p.first == len(p.rolled) {
+		p.rolled, p.first = p.rolled[:0], 0
+	}
+	from := p.first
+	for p.first < len(p.rolled) && p.due[p.rolled[p.first]] == p.clock {
+		p.first++
+	}
+	return p.rolled[from:p.first]
 }

@@ -170,7 +170,8 @@ func (cg *commandGen) observe(replies []Reply) {
 // through each path, and after every command the replies, the responder
 // order and every tag's protocol state must agree. Between segments
 // random tags lose power on both twins, and the broadcaster is only
-// sometimes Reset, so tags dropping to Ready behind its back are covered.
+// sometimes Reset, so tags dropping to Ready behind its back are covered;
+// every Reset hands the slot counters back, and they must agree too.
 func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 	for _, n := range []int{1, 7, 300} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -197,6 +198,7 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 						}
 						if g.Intn(2) == 0 {
 							pop.Reset(a)
+							compareSlots(t, fmt.Sprintf("seq %d seg %d hand-back", seq, seg), a, b)
 						}
 					}
 					for c := 0; c < 150; c++ {
@@ -224,6 +226,158 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCalendarMatchesPerTagLoop drives the slot calendar through the
+// paths random command mixes rarely reach, against the per-tag loop on a
+// twin population: a Q=15 draw, a QueryRep run long enough for rolled-over
+// counters to come due, QueryReps and QueryAdjusts of a session other than
+// the parked one, parked tags losing power with and without a Reset, and
+// a second Reset mid-round. Every command compares replies and tag state;
+// every Reset hands the counters back and compares every tag's counter.
+// Like the random test, it fails if a path was never reached.
+func TestCalendarMatchesPerTagLoop(t *testing.T) {
+	seen := map[string]int{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		const n = 40
+		a, b := twinTags(t, n, 5000*seed), twinTags(t, n, 5000*seed)
+		g := rng.New(seed)
+		var pop Population
+		pop.Reset(a)
+		var replies []Reply
+		var who []int
+		var cmds int
+		send := func(cmd Command) {
+			cmds++
+			switch c := cmd.(type) {
+			case *QueryRep:
+				if pop.calendar && c.Session != pop.session {
+					seen["QueryRep of another session"]++
+				}
+				if pop.calendar && c.Session == pop.session && pop.clock+1 >= len(pop.head) &&
+					pop.first < len(pop.rolled) && pop.due[pop.rolled[pop.first]] == pop.clock+1 {
+					seen["rolled-over counter fires"]++
+				}
+				if pop.calendar && c.Session == pop.session && pop.clock+1 < len(pop.head) {
+					for e := pop.head[pop.clock+1]; e != 0; e = pop.next[e-1] {
+						if a[e-1].state != StateArbitrate {
+							seen["bucket skips a tag that lost power"]++
+						}
+					}
+				}
+			case *QueryAdjust:
+				if pop.calendar && c.Session != pop.session {
+					seen["QueryAdjust of another session"]++
+				}
+			}
+			replies, who = pop.Broadcast(cmd, replies[:0], who[:0])
+			wantReplies, wantWho := loopBroadcast(b, cmd)
+			where := fmt.Sprintf("seed %d cmd %d %v", seed, cmds, cmd)
+			compareReplies(t, where, replies, who, wantReplies, wantWho)
+			compareTags(t, where, a, b)
+		}
+		handBack := func(what string) {
+			pop.Reset(a)
+			compareSlots(t, fmt.Sprintf("seed %d after %d cmds, %s", seed, cmds, what), a, b)
+		}
+		// loseParked drops power on about a quarter of the parked tags.
+		loseParked := func(what string) {
+			for i := range a {
+				if pop.due[i] != 0 && g.Intn(4) == 0 {
+					a[i].PowerReset()
+					b[i].PowerReset()
+					seen[what]++
+				}
+			}
+		}
+		// sweep issues k QueryReps of session s, of which on average one
+		// in every goes to session other instead. It ACKs a third of the
+		// slots that singulate; the rest fall back to arbitration and
+		// roll over.
+		sweep := func(s, other Session, every, k int) {
+			for j := 0; j < k; j++ {
+				if g.Intn(every) == 0 {
+					send(&QueryRep{Session: other})
+					continue
+				}
+				send(&QueryRep{Session: s})
+				if len(replies) == 1 && replies[0].Kind == ReplyRN16 && g.Intn(3) == 0 {
+					rn, _ := replies[0].Bits.Uint(0, 16)
+					send(&ACK{RN16: uint16(rn)})
+				}
+			}
+		}
+
+		send(&Query{Session: S2, Q: 15})
+		if len(pop.head) > 1<<14 {
+			seen["Q=15 draw"]++
+		}
+		sweep(S2, S1, 64, 2*rolloverSlot+4096)
+		handBack("long sweep")
+
+		// A QueryAdjust of S1 hands the parked S2 counters back; the S1
+		// QueryReps that follow tick a calendar while S2 tags roll over
+		// on the live list.
+		send(&Query{Session: S2, Q: 5})
+		sweep(S2, S1, 4, 8)
+		send(&QueryAdjust{Session: S1, UpDn: QSame})
+		sweep(S2, S1, 2, 300)
+		handBack("QueryAdjust of another session")
+
+		// Fresh rounds with every S2 flag set back to A, so most tags
+		// wait in buckets when they lose power.
+		freshRound := func() {
+			send(&Select{Target: byte(S2), Action: 0, MemBank: 1})
+			send(&Query{Session: S2, Q: 6})
+			sweep(S2, S1, 64, 10)
+		}
+		freshRound()
+		loseParked("parked tag loses power, no Reset")
+		sweep(S2, S1, 64, 2000)
+		handBack("power loss without Reset")
+
+		freshRound()
+		loseParked("parked tag loses power, then Reset")
+		handBack("power loss then Reset")
+		send(&QueryAdjust{Session: S2, UpDn: QUp})
+		sweep(S2, S1, 64, 200)
+
+		send(&Query{Session: S2, Q: 8, Target: true})
+		sweep(S2, S1, 64, 50)
+		handBack("first Reset")
+		for _, tg := range a {
+			if tg.state == StateArbitrate {
+				seen["second Reset mid-round"]++
+				break
+			}
+		}
+		handBack("second Reset")
+		sweep(S2, S1, 64, 200)
+		send(&QueryAdjust{Session: S2, UpDn: QSame})
+		sweep(S2, S1, 64, 600)
+		handBack("round end")
+	}
+	for _, k := range []string{
+		"Q=15 draw", "rolled-over counter fires", "QueryRep of another session",
+		"QueryAdjust of another session", "parked tag loses power, no Reset",
+		"parked tag loses power, then Reset", "bucket skips a tag that lost power",
+		"second Reset mid-round",
+	} {
+		if seen[k] == 0 {
+			t.Errorf("path never reached: %s (%v)", k, seen)
+		}
+	}
+}
+
+// compareSlots checks every tag's slot counter against the reference
+// once the calendar has handed the counters back.
+func compareSlots(t *testing.T, where string, a, b []*TagLogic) {
+	t.Helper()
+	for i := range a {
+		if a[i].state != b[i].state || a[i].slot != b[i].slot {
+			t.Fatalf("%s: tag %d %s slot %d, want %s slot %d", where, i, a[i].state, a[i].slot, b[i].state, b[i].slot)
+		}
 	}
 }
 

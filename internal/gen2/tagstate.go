@@ -323,6 +323,10 @@ func (t *TagLogic) participates(q *Query) bool {
 	return t.inventoried[q.Session&3] == q.Target
 }
 
+// rolloverSlot is the value a zero slot counter rolls over to at a
+// QueryRep (6.3.2.12.2).
+const rolloverSlot = 0x7FFF
+
 func (t *TagLogic) drawSlot() {
 	if t.q == 0 {
 		t.slot = 0
@@ -391,7 +395,7 @@ func (t *TagLogic) handleQueryRep(q *QueryRep) Reply {
 			// the next Query re-randomizes it or a QueryAdjust redraws it
 			// — without the rollover it re-replies every other slot and
 			// collides the rest of the round.
-			t.slot = 0x7FFF
+			t.slot = rolloverSlot
 		} else {
 			t.slot--
 		}

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,20 +53,13 @@ type Metrics struct {
 	// jobs; installed by the manager.
 	queueDepth func() int64
 
-	// rate state: trials/sec is computed over the window since the
-	// previous WriteText call (since startup for the first), under mu.
-	mu sync.Mutex
-	// start anchors the first rate window and the uptime gauge.
+	// start anchors the uptime gauge.
 	start time.Time
-	// lastSample/lastTrials are the previous scrape's clock and trial
-	// counter.
-	lastSample time.Time
-	lastTrials int64
 }
 
 // newMetrics builds a registry anchored at now.
 func newMetrics(now time.Time) *Metrics {
-	return &Metrics{start: now, lastSample: now}
+	return &Metrics{start: now}
 }
 
 // CacheHitRate returns hits/(hits+misses), 0 before any submission.
@@ -90,26 +82,11 @@ func (m *Metrics) Occupancy() float64 {
 	return float64(m.Sched.Busy.Load()) / float64(cap)
 }
 
-// WriteText renders the registry as sorted "name value" lines.
-// trials_per_sec is the rate over the window since the previous call.
+// WriteText renders the registry as sorted "name value" lines. It only
+// reads: concurrent scrapes never disturb one another, and a scraper
+// derives rates from trials_total and uptime_sec itself.
 func (m *Metrics) WriteText(w io.Writer) error {
-	//ivn:allow determinism metrics are wall-clock telemetry by definition and never feed a result table
-	now := time.Now()
-	trials := m.Sched.Trials.Load()
-
-	m.mu.Lock()
-	window := now.Sub(m.lastSample).Seconds()
-	dTrials := trials - m.lastTrials
-	m.lastSample = now
-	m.lastTrials = trials
-	uptime := now.Sub(m.start).Seconds()
-	m.mu.Unlock()
-
-	rate := 0.0
-	if window > 0 {
-		rate = float64(dTrials) / window
-	}
-
+	uptime := time.Since(m.start).Seconds()
 	var depth int64
 	if m.queueDepth != nil {
 		depth = m.queueDepth()
@@ -136,8 +113,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		{"sched_cap", fmt.Sprintf("%d", m.Sched.Cap.Load())},
 		{"sched_occupancy", fmt.Sprintf("%.4f", m.Occupancy())},
 		{"shard_subjobs", fmt.Sprintf("%d", m.ShardSubjobs.Load())},
-		{"trials_per_sec", fmt.Sprintf("%.1f", rate)},
-		{"trials_total", fmt.Sprintf("%d", trials)},
+		{"trials_total", fmt.Sprintf("%d", m.Sched.Trials.Load())},
 		{"uptime_sec", fmt.Sprintf("%.1f", uptime)},
 	}
 	for _, ln := range lines {

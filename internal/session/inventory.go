@@ -168,6 +168,10 @@ type InventoryController struct {
 	cmdClock int
 	// pie times traced commands; defaulted lazily, never used untraced.
 	pie gen2.PIEParams
+	// pop is the clean path's broadcaster. It lives as long as the
+	// controller so its buffers serve every round; RunRound resets it
+	// onto the round's tags and hands them back exact when it returns.
+	pop gen2.Population
 }
 
 // NewInventoryController returns a controller with spec-typical defaults.
@@ -267,7 +271,7 @@ func (s RoundStats) Efficiency() float64 {
 // realized budget.
 type medium struct {
 	tags    []*gen2.TagLogic
-	pop     gen2.Population // the clean path's broadcaster (fault == nil only)
+	pop     *gen2.Population // the clean path's broadcaster (fault == nil only)
 	channel Channel
 	rand    *rng.Rand
 	fault   ChannelFault
@@ -394,7 +398,9 @@ func (ic *InventoryController) runRound(tags []*gen2.TagLogic, q byte, r *rng.Ra
 			m.lit[i] = true
 		}
 	} else {
+		m.pop = &ic.pop
 		m.pop.Reset(tags)
+		defer m.pop.Reset(nil)
 	}
 	if ic.Recovery != nil {
 		return ic.runAdaptive(m, stats, q, maxCmds, r)

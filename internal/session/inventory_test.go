@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ivn/internal/gen2"
@@ -172,5 +173,72 @@ func TestRunRoundDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("rounds differ across identical seeds: %d vs %d", a, b)
+	}
+}
+
+// TestCleanPathMatchesFaultLoop holds the clean inventory path (the
+// controller's gen2.Population and its slot calendar, kept across rounds)
+// to the faulted path's per-tag loop under a fault that never fires: a
+// dense shadowed population on an EventChannel, three rounds on one
+// controller with floating Q and with Schoute sizing, must give the same
+// RoundStats, the same trace event stream and the same final tag state.
+func TestCleanPathMatchesFaultLoop(t *testing.T) {
+	const n = 400
+	run := func(fault ChannelFault, rec *RecoveryPolicy) ([]*RoundStats, []Event, []*gen2.TagLogic) {
+		tags := benchTags(t, n)
+		obs := &Recorder{}
+		ic := NewInventoryController(gen2.S0)
+		ic.MaxCommands = 12*n + 256
+		ic.Channel = shadowedChannel(n)
+		ic.Fault = fault
+		ic.Recovery = rec
+		ic.Trace = NewTrace(obs)
+		r := rng.New(5)
+		var stats []*RoundStats
+		for round := 0; round < 3; round++ {
+			st, err := ic.RunRound(tags, r.Split(fmt.Sprintf("round-%d", round)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats = append(stats, st)
+		}
+		return stats, obs.Events, tags
+	}
+	for _, tc := range []struct {
+		name string
+		rec  *RecoveryPolicy
+	}{{"floating", DefaultRecovery()}, {"schoute", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gotStats, gotEvents, gotTags := run(nil, tc.rec)
+			wantStats, wantEvents, wantTags := run(cleanChannel{}, tc.rec)
+			if !reflect.DeepEqual(gotStats, wantStats) {
+				for i := range wantStats {
+					t.Logf("round %d: clean %+v\n faulted %+v", i, *gotStats[i], *wantStats[i])
+				}
+				t.Fatal("RoundStats differ")
+			}
+			if len(gotEvents) != len(wantEvents) {
+				t.Fatalf("%d trace events, want %d", len(gotEvents), len(wantEvents))
+			}
+			for i := range wantEvents {
+				if gotEvents[i] != wantEvents[i] {
+					t.Fatalf("trace event %d = %+v, want %+v", i, gotEvents[i], wantEvents[i])
+				}
+			}
+			for i, x := range gotTags {
+				y := wantTags[i]
+				if x.State() != y.State() || x.SL() != y.SL() || x.LastRN16() != y.LastRN16() {
+					t.Fatalf("tag %d state %s sl %v rn16 %#04x, want %s %v %#04x", i, x.State(), x.SL(), x.LastRN16(), y.State(), y.SL(), y.LastRN16())
+				}
+				for s := gen2.S0; s <= gen2.S3; s++ {
+					if x.Inventoried(s) != y.Inventoried(s) {
+						t.Fatalf("tag %d Inventoried(S%d) = %v, want %v", i, s, x.Inventoried(s), y.Inventoried(s))
+					}
+				}
+			}
+			if len(wantEvents) < 10*n {
+				t.Fatalf("only %d trace events: the rounds did not run", len(wantEvents))
+			}
+		})
 	}
 }
