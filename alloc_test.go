@@ -89,6 +89,29 @@ func TestFig13BytesBudget(t *testing.T) {
 	}
 }
 
+// TestMillerBytesBudget pins ablation-miller's trials by bytes: per-worker
+// scratch holds each trial's payload, waveform and noise, the encoders
+// append into it and one NormFloat64s call fills the noise, so a quick run
+// allocates ≈0.3 MB where a fresh waveform, capture and symbol list per
+// trial cost ≈9.6 MB.
+func TestMillerBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation; budget holds without -race")
+	}
+	runExperimentQuick(t, "ablation-miller") // warm pools and lazy state
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runExperimentQuick(t, "ablation-miller")
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perRun > 1e6 {
+		t.Fatalf("quick ablation-miller allocates %.2f MB per run, budget 1 MB", perRun/1e6)
+	}
+}
+
 // TestPopulationBytesBudget pins the clean inventory path by bytes: the
 // round-member broadcast (gen2.Population), the round's reused reply and
 // responder buffers and reply encoders that grow their bits once leave a

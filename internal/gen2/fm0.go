@@ -2,6 +2,7 @@ package gen2
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ivn/internal/dsp"
@@ -33,21 +34,23 @@ type FM0Encoder struct {
 // pilotSymbols is the TRext pilot length in FM0 symbols.
 const pilotSymbols = 12
 
-// Encode serializes preamble + payload + terminating dummy data-1 into ±1
-// levels. It errors on invalid bits or a non-positive sample count.
-func (e FM0Encoder) Encode(payload Bits) ([]float64, error) {
+// AppendEncode appends the ±1 levels of preamble + payload + terminating
+// dummy data-1 to dst and returns the extended slice; pass nil for a
+// fresh one. It errors on invalid bits or a non-positive sample count,
+// returning dst unchanged.
+func (e FM0Encoder) AppendEncode(dst []float64, payload Bits) ([]float64, error) {
 	if e.SamplesPerHalfBit < 1 {
-		return nil, fmt.Errorf("gen2: SamplesPerHalfBit %d < 1", e.SamplesPerHalfBit)
+		return dst, fmt.Errorf("gen2: SamplesPerHalfBit %d < 1", e.SamplesPerHalfBit)
 	}
 	if err := payload.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	sp := e.SamplesPerHalfBit
 	nHalf := len(FM0PreambleHalfBits) + (len(payload)+1)*2
 	if e.TRext {
 		nHalf += pilotSymbols * 2
 	}
-	out := make([]float64, 0, nHalf*sp)
+	out := slices.Grow(dst, nHalf*sp)
 	writeHalf := func(level float64) {
 		for i := 0; i < sp; i++ {
 			out = append(out, level)

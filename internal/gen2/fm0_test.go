@@ -1,7 +1,9 @@
 package gen2
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,7 +60,7 @@ func TestFM0PreambleEncodesSymbols(t *testing.T) {
 func TestFM0EncodeDecodeRoundTrip(t *testing.T) {
 	payload, _ := ParseBits("1011001110001111")
 	enc := FM0Encoder{SamplesPerHalfBit: 8}
-	wave, err := enc.Encode(payload)
+	wave, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestFM0DecodeWithLeadingNoiseAndOffset(t *testing.T) {
 	r := rng.New(3)
 	payload, _ := ParseBits("1100101001010011")
 	enc := FM0Encoder{SamplesPerHalfBit: 10}
-	wave, err := enc.Encode(payload)
+	wave, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestFM0BoundaryInversionProperty(t *testing.T) {
 	// (except inside the preamble violation). Verify across the payload.
 	payload, _ := ParseBits("0110100111000101")
 	enc := FM0Encoder{SamplesPerHalfBit: 1}
-	wave, err := enc.Encode(payload)
+	wave, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +144,11 @@ func TestFM0TRextPilot(t *testing.T) {
 	payload, _ := ParseBits("1010")
 	plain := FM0Encoder{SamplesPerHalfBit: 4}
 	ext := FM0Encoder{SamplesPerHalfBit: 4, TRext: true}
-	w1, err := plain.Encode(payload)
+	w1, err := plain.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := ext.Encode(payload)
+	w2, err := ext.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +168,10 @@ func TestFM0TRextPilot(t *testing.T) {
 }
 
 func TestFM0EncoderValidation(t *testing.T) {
-	if _, err := (FM0Encoder{}).Encode(Bits{1}); err == nil {
+	if _, err := (FM0Encoder{}).AppendEncode(nil, Bits{1}); err == nil {
 		t.Fatal("zero samples-per-half-bit accepted")
 	}
-	if _, err := (FM0Encoder{SamplesPerHalfBit: 4}).Encode(Bits{3}); err == nil {
+	if _, err := (FM0Encoder{SamplesPerHalfBit: 4}).AppendEncode(nil, Bits{3}); err == nil {
 		t.Fatal("invalid payload bit accepted")
 	}
 }
@@ -198,7 +200,7 @@ func TestQuickFM0RoundTrip(t *testing.T) {
 		sp := int(spRaw%6) + 2
 		payload := BitsFromBytes(data)
 		enc := FM0Encoder{SamplesPerHalfBit: sp}
-		wave, err := enc.Encode(payload)
+		wave, err := enc.AppendEncode(nil, payload)
 		if err != nil {
 			return false
 		}
@@ -218,7 +220,7 @@ func TestMillerRoundTrip(t *testing.T) {
 	payload, _ := ParseBits("1011001110001111")
 	for _, m := range []int{2, 4, 8} {
 		enc := MillerEncoder{M: m, SamplesPerCycle: 4}
-		wave, err := enc.Encode(payload)
+		wave, err := enc.AppendEncode(nil, payload)
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
@@ -235,10 +237,10 @@ func TestMillerRoundTrip(t *testing.T) {
 }
 
 func TestMillerValidation(t *testing.T) {
-	if _, err := (MillerEncoder{M: 3, SamplesPerCycle: 4}).Encode(Bits{1}); err == nil {
+	if _, err := (MillerEncoder{M: 3, SamplesPerCycle: 4}).AppendEncode(nil, Bits{1}); err == nil {
 		t.Fatal("M=3 accepted")
 	}
-	if _, err := (MillerEncoder{M: 2, SamplesPerCycle: 1}).Encode(Bits{1}); err == nil {
+	if _, err := (MillerEncoder{M: 2, SamplesPerCycle: 1}).AppendEncode(nil, Bits{1}); err == nil {
 		t.Fatal("1 sample/cycle accepted")
 	}
 	if _, err := (MillerDecoder{M: 5, SamplesPerCycle: 4}).DecodePayload(nil, 1); err == nil {
@@ -254,7 +256,7 @@ func TestMillerSubcarrierPresent(t *testing.T) {
 	// spectral content sits at the subcarrier rate, not at the bit rate.
 	enc := MillerEncoder{M: 4, SamplesPerCycle: 8}
 	payload, _ := ParseBits("00000000")
-	wave, err := enc.Encode(payload)
+	wave, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestFM0NoiseToleranceSweep(t *testing.T) {
 	r := rng.New(9)
 	payload, _ := ParseBits("110010100101")
 	enc := FM0Encoder{SamplesPerHalfBit: 16}
-	clean, err := enc.Encode(payload)
+	clean, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func TestFM0NoiseToleranceSweep(t *testing.T) {
 
 func TestFM0LevelsAreBinary(t *testing.T) {
 	payload, _ := ParseBits("0101")
-	wave, err := FM0Encoder{SamplesPerHalfBit: 3}.Encode(payload)
+	wave, err := FM0Encoder{SamplesPerHalfBit: 3}.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestFM0DecodePolarityInvariant(t *testing.T) {
 	// decoder must accept either polarity.
 	payload, _ := ParseBits("1100101001010011")
 	enc := FM0Encoder{SamplesPerHalfBit: 8}
-	wave, err := enc.Encode(payload)
+	wave, err := enc.AppendEncode(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +337,133 @@ func TestFM0DecodePolarityInvariant(t *testing.T) {
 	}
 	if res.Correlation < 0.999 {
 		t.Fatalf("inverted correlation %v", res.Correlation)
+	}
+}
+
+// fm0EncodeRef is the reference FM0 encoder: the fresh-slice loop
+// AppendEncode replaced, kept to pin the append form sample for sample.
+func fm0EncodeRef(e FM0Encoder, payload Bits) []float64 {
+	sp := e.SamplesPerHalfBit
+	var out []float64
+	writeHalf := func(level float64) {
+		for i := 0; i < sp; i++ {
+			out = append(out, level)
+		}
+	}
+	level := 1.0
+	if e.TRext {
+		for s := 0; s < pilotSymbols; s++ {
+			level = -level
+			writeHalf(level)
+			level = -level
+			writeHalf(level)
+		}
+	}
+	for _, hb := range FM0PreambleHalfBits {
+		if hb == 1 {
+			writeHalf(1)
+			level = 1
+		} else {
+			writeHalf(-1)
+			level = -1
+		}
+	}
+	emit := func(bit byte) {
+		level = -level
+		writeHalf(level)
+		if bit == 0 {
+			level = -level
+		}
+		writeHalf(level)
+	}
+	for _, b := range payload {
+		emit(b)
+	}
+	emit(1)
+	return out
+}
+
+// millerEncodeRef is the reference Miller encoder: the symbol-list loop
+// AppendEncode replaced.
+func millerEncodeRef(e MillerEncoder, payload Bits) []float64 {
+	symbols := append(Bits{0, 0, 0, 0}, millerPreambleSymbols...)
+	symbols = append(symbols, payload...)
+	symbols = append(symbols, 1)
+	spc := e.SamplesPerCycle
+	perSym := e.M * spc
+	var out []float64
+	phase := 1.0
+	prev := byte(1)
+	for _, sym := range symbols {
+		if sym == 0 && prev == 0 {
+			phase = -phase
+		}
+		half := perSym / 2
+		for i := 0; i < perSym; i++ {
+			if sym == 1 && i == half {
+				phase = -phase
+			}
+			sub := 1.0
+			if i%spc >= spc/2 {
+				sub = -1
+			}
+			out = append(out, phase*sub)
+		}
+		prev = sym
+	}
+	return out
+}
+
+// TestAppendEncodeKeepsPrefixAndMatchesReference appends each encoding
+// onto a non-empty dst: the prefix must survive and the appended samples
+// must equal the reference loop's, for FM0 with and without the pilot and
+// for every Miller M.
+func TestAppendEncodeKeepsPrefixAndMatchesReference(t *testing.T) {
+	r := rng.New(12)
+	prefix := []float64{0.25, -3, 7}
+	for trial := 0; trial < 20; trial++ {
+		payload := make(Bits, trial)
+		for i := range payload {
+			payload[i] = byte(r.Intn(2))
+		}
+		type encoding struct {
+			name   string
+			encode func([]float64) ([]float64, error)
+			want   []float64
+		}
+		var encs []encoding
+		for _, sp := range []int{1, 3, 8} {
+			for _, trext := range []bool{false, true} {
+				e := FM0Encoder{SamplesPerHalfBit: sp, TRext: trext}
+				encs = append(encs, encoding{fmt.Sprintf("fm0 sp=%d trext=%v", sp, trext),
+					func(dst []float64) ([]float64, error) { return e.AppendEncode(dst, payload) },
+					fm0EncodeRef(e, payload)})
+			}
+		}
+		for _, m := range []int{2, 4, 8} {
+			for _, spc := range []int{2, 5, 16} {
+				e := MillerEncoder{M: m, SamplesPerCycle: spc}
+				encs = append(encs, encoding{fmt.Sprintf("miller M=%d spc=%d", m, spc),
+					func(dst []float64) ([]float64, error) { return e.AppendEncode(dst, payload) },
+					millerEncodeRef(e, payload)})
+			}
+		}
+		for _, enc := range encs {
+			dst := append(make([]float64, 0, len(prefix)+1), prefix...)
+			got, err := enc.encode(dst)
+			if err != nil {
+				t.Fatalf("%s, %d bits: %v", enc.name, trial, err)
+			}
+			if !slices.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("%s, %d bits: prefix became %v", enc.name, trial, got[:len(prefix)])
+			}
+			if !slices.Equal(got[len(prefix):], enc.want) {
+				t.Fatalf("%s, %d bits: appended samples differ from the reference loop", enc.name, trial)
+			}
+			fresh, err := enc.encode(nil)
+			if err != nil || !slices.Equal(fresh, enc.want) {
+				t.Fatalf("%s, %d bits: nil dst gives %d samples (err %v), reference %d", enc.name, trial, len(fresh), err, len(enc.want))
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package gen2
 
 import (
 	"fmt"
+	"slices"
 
 	"ivn/internal/dsp"
 )
@@ -29,32 +30,29 @@ type MillerEncoder struct {
 // that follows four zero symbols, per the Gen2 spec.
 var millerPreambleSymbols = Bits{0, 1, 0, 1, 1, 1}
 
-// Encode serializes (4 zero symbols + preamble "010111" + payload + dummy
-// data-1) and returns the ±1 waveform.
-func (e MillerEncoder) Encode(payload Bits) ([]float64, error) {
+// AppendEncode appends the ±1 waveform of (4 zero symbols + preamble
+// "010111" + payload + dummy data-1) to dst and returns the extended
+// slice; pass nil for a fresh one. It errors on an invalid M, sample count
+// or bit, returning dst unchanged.
+func (e MillerEncoder) AppendEncode(dst []float64, payload Bits) ([]float64, error) {
 	switch e.M {
 	case 2, 4, 8:
 	default:
-		return nil, fmt.Errorf("gen2: Miller M=%d not in {2,4,8}", e.M)
+		return dst, fmt.Errorf("gen2: Miller M=%d not in {2,4,8}", e.M)
 	}
 	if e.SamplesPerCycle < 2 {
-		return nil, fmt.Errorf("gen2: SamplesPerCycle %d < 2", e.SamplesPerCycle)
+		return dst, fmt.Errorf("gen2: SamplesPerCycle %d < 2", e.SamplesPerCycle)
 	}
 	if err := payload.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	symbols := make(Bits, 0, 4+len(millerPreambleSymbols)+len(payload)+1)
-	symbols = append(symbols, 0, 0, 0, 0)
-	symbols = append(symbols, millerPreambleSymbols...)
-	symbols = append(symbols, payload...)
-	symbols = append(symbols, 1)
-
 	spc := e.SamplesPerCycle
 	perSym := e.M * spc
-	out := make([]float64, 0, len(symbols)*perSym)
+	nSym := 4 + len(millerPreambleSymbols) + len(payload) + 1
+	out := slices.Grow(dst, nSym*perSym)
 	phase := 1.0
 	prev := byte(1) // so a leading 0 does not invert
-	for _, sym := range symbols {
+	emit := func(sym byte) {
 		if sym == 0 && prev == 0 {
 			phase = -phase // boundary inversion between consecutive zeros
 		}
@@ -73,6 +71,16 @@ func (e MillerEncoder) Encode(payload Bits) ([]float64, error) {
 		}
 		prev = sym
 	}
+	for range 4 {
+		emit(0)
+	}
+	for _, sym := range millerPreambleSymbols {
+		emit(sym)
+	}
+	for _, sym := range payload {
+		emit(sym)
+	}
+	emit(1)
 	return out, nil
 }
 
@@ -140,7 +148,7 @@ func MillerPayloadOffset(m, samplesPerCycle int) int {
 // correlation-based frame alignment.
 func MillerPrefixTemplate(m, samplesPerCycle int) ([]float64, error) {
 	enc := MillerEncoder{M: m, SamplesPerCycle: samplesPerCycle}
-	full, err := enc.Encode(nil)
+	full, err := enc.AppendEncode(nil, nil)
 	if err != nil {
 		return nil, err
 	}

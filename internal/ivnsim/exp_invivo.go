@@ -155,12 +155,13 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 		sp := rd.SamplesPerHalfBit
 		noise := rd.RX.NoiseFloor + rd.RX.EffectiveInterference(jam)
 		sigma := mathSqrt(noise / 2 / float64(rd.AveragingPeriods))
-		dispR := r2.Split("display-noise")
 		halfBits := len(bs) / sp
+		dispNoise := make([]float64, halfBits*sp)
+		r2.Split("display-noise").NormFloat64s(dispNoise)
 		for hb := 0; hb < halfBits; hb++ {
 			var mean float64
 			for k := 0; k < sp; k++ {
-				mean += bs[hb*sp+k]*absC(gain) + sigma*dispR.NormFloat64()
+				mean += bs[hb*sp+k]*absC(gain) + sigma*dispNoise[hb*sp+k]
 			}
 			mean /= float64(sp)
 			res.AddRow(engine.Int(hb), engine.Number("%.4f", mean*1e6))

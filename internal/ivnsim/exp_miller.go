@@ -3,6 +3,7 @@ package ivnsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
@@ -36,54 +37,57 @@ func runAblationMiller(cfg Config) (*engine.Result, error) {
 	}
 	encodings := []enc{{"fm0", 0}, {"m2", 2}, {"m4", 4}, {"m8", 8}}
 
+	// One scratch per trial worker, shared by every (encoding, SNR) point:
+	// the payload, the clean waveform and its noise, which becomes the
+	// noisy capture in place.
+	scratches := engine.NewScratches(func() any { return new(millerScratch) })
 	measureBER := func(e enc, snrDB float64) (float64, error) {
 		// Per-sample noise sigma for unit-amplitude levels.
 		sigma := powNeg20(snrDB)
+		var encode func(dst []float64, payload gen2.Bits) ([]float64, error)
+		var decode func([]float64) (gen2.Bits, error)
+		if e.miller == 0 {
+			encode = gen2.FM0Encoder{SamplesPerHalfBit: sp}.AppendEncode
+			pre := len(gen2.FM0PreambleHalfBits) * sp
+			dec := gen2.FM0Decoder{SamplesPerHalfBit: sp}
+			decode = func(w []float64) (gen2.Bits, error) {
+				return dec.DecodePayload(w[pre:], nbits)
+			}
+		} else {
+			encode = gen2.MillerEncoder{M: e.miller, SamplesPerCycle: 2 * sp}.AppendEncode
+			off := gen2.MillerPayloadOffset(e.miller, 2*sp)
+			dec := gen2.MillerDecoder{M: e.miller, SamplesPerCycle: 2 * sp}
+			decode = func(w []float64) (gen2.Bits, error) {
+				return dec.DecodePayload(w[off:], nbits)
+			}
+		}
 		// Trials are independent; per-trial error counts summed in index
 		// order keep the BER table identical at any GOMAXPROCS.
 		label := fmt.Sprintf("ber-%s-%v", e.name, snrDB)
-		trialErrs, err := engine.TrialsCtx(cfg.Context(), cfg.Limits, cfg.Seed, label, trials, func(_ int, r *rng.Rand) (int, error) {
-			payload := make(gen2.Bits, nbits)
-			for i := range payload {
-				payload[i] = byte(r.Intn(2))
+		trialErrs, err := engine.TrialsScratchCtx(cfg.Context(), cfg.Limits, cfg.Seed, label, trials, scratches, func(_ int, scratch any, r *rng.Rand) (int, error) {
+			sc := scratch.(*millerScratch)
+			sc.payload = sc.payload[:0]
+			for range nbits {
+				sc.payload = append(sc.payload, byte(r.Intn(2)))
 			}
-			var wave []float64
-			var err error
-			var decode func([]float64) (gen2.Bits, error)
-			if e.miller == 0 {
-				fe := gen2.FM0Encoder{SamplesPerHalfBit: sp}
-				wave, err = fe.Encode(payload)
-				if err != nil {
-					return 0, err
-				}
-				pre := len(gen2.FM0PreambleHalfBits) * sp
-				dec := gen2.FM0Decoder{SamplesPerHalfBit: sp}
-				decode = func(w []float64) (gen2.Bits, error) {
-					return dec.DecodePayload(w[pre:], nbits)
-				}
-			} else {
-				me := gen2.MillerEncoder{M: e.miller, SamplesPerCycle: 2 * sp}
-				wave, err = me.Encode(payload)
-				if err != nil {
-					return 0, err
-				}
-				off := gen2.MillerPayloadOffset(e.miller, 2*sp)
-				dec := gen2.MillerDecoder{M: e.miller, SamplesPerCycle: 2 * sp}
-				decode = func(w []float64) (gen2.Bits, error) {
-					return dec.DecodePayload(w[off:], nbits)
-				}
+			wave, err := encode(sc.wave[:0], sc.payload)
+			if err != nil {
+				return 0, err
 			}
-			noisy := make([]float64, len(wave))
+			sc.wave = wave
+			sc.noise = slices.Grow(sc.noise[:0], len(wave))[:len(wave)]
+			noisy := sc.noise
+			r.NormFloat64s(noisy)
 			for i, v := range wave {
-				noisy[i] = v + sigma*r.NormFloat64()
+				noisy[i] = v + sigma*noisy[i]
 			}
 			got, err := decode(noisy)
 			if err != nil {
 				return 0, err
 			}
 			bitErrs := 0
-			for i := range payload {
-				if got[i] != payload[i] {
+			for i, b := range sc.payload {
+				if got[i] != b {
 					bitErrs++
 				}
 			}
@@ -113,6 +117,12 @@ func runAblationMiller(cfg Config) (*engine.Result, error) {
 	res.AddNote("per-sample SNR = 20·log10(1/σ) on ±1 levels; a Miller-M demodulator integrates M× more samples per bit")
 	res.AddNote("the crossover SNR improves ≈3 dB per doubling of M, at M× the on-air time per bit")
 	return res, nil
+}
+
+// millerScratch is one ablation-miller trial worker's reusable storage.
+type millerScratch struct {
+	payload     gen2.Bits
+	wave, noise []float64
 }
 
 // powNeg20 converts an SNR in dB on unit-amplitude levels to a noise σ:

@@ -19,6 +19,7 @@ import (
 
 	"ivn/internal/dsp"
 	"ivn/internal/gen2"
+	"ivn/internal/pool"
 	"ivn/internal/radio"
 	"ivn/internal/rng"
 )
@@ -225,18 +226,21 @@ func (r *Reader) DecodeUplink(bs []float64, linkGain complex128, jamPowers []rad
 	drift := math.Sqrt(CoherentAveragingGain(periods, r.PhaseDriftPerPeriod))
 	effLink := linkGain * complex(drift, 0)
 	sigma := math.Sqrt(noise / 2 / k)
-	avg := make([]complex128, len(bs))
-	for i, v := range bs {
-		avg[i] = complex(v, 0)*effLink + rnd.ComplexCircular(sigma)
-	}
-	// Derotate by the (estimated) link phase and take the real part. A
-	// real reader estimates this from the carrier; we use the true value,
-	// which the DC of the capture would supply.
+	// The averaged capture's complex noise, drawn in one call: sample i
+	// takes normals 2i (real) and 2i+1 (imaginary), the order in which
+	// ComplexCircular draws them.
+	normals := pool.Float64(2 * len(bs))
+	defer pool.PutFloat64(normals)
+	rnd.NormFloat64s(normals)
+	// Derotate each averaged sample by the (estimated) link phase and take
+	// the real part. A real reader estimates this from the carrier; we use
+	// the true value, which the DC of the capture would supply.
 	ph := cmplx.Phase(effLink)
 	rot := cmplx.Exp(complex(0, -ph))
-	levels := make([]float64, len(avg))
-	for i, v := range avg {
-		levels[i] = real(v * rot)
+	levels := make([]float64, len(bs))
+	for i, v := range bs {
+		avg := complex(v, 0)*effLink + complex(sigma*normals[2*i], sigma*normals[2*i+1])
+		levels[i] = real(avg * rot)
 	}
 	// AC-couple: backscatter rides on a DC reflection level.
 	mean := dsp.Mean(levels)

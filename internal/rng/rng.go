@@ -62,6 +62,23 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// xoshiro is Uint64's step on a state held in locals: it returns the
+// output and the advanced state, so bulk draws keep the state in registers
+// instead of loading and storing r.s on every draw. Uint64 keeps its own
+// copy so that its machine code, on the population inventories' hot path
+// through Intn, stays as it was.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // fnv1a hashes label bytes with FNV-1a. It is the one label hash shared
 // by every split variant, so a string label and its byte rendering always
 // derive the same child stream.
@@ -131,10 +148,13 @@ func (r *Rand) SplitIndexedInto(dst *Rand, label string, i int) {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 {
-	// 53 high bits → [0,1) with full double precision.
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to [0, 1): the 53 high bits with full double
+// precision. The compiler turns the division into a product and 2*unit
+// into a sum, so the explicit conversion keeps that product from fusing
+// into the sum.
+func unit(x uint64) float64 { return float64(float64(x>>11) / (1 << 53)) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
@@ -154,7 +174,7 @@ func (r *Rand) Intn(n int) int {
 
 // UniformRange returns a uniform value in [lo, hi).
 func (r *Rand) UniformRange(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Phase returns a uniform phase in [0, 2π). This is the distribution of the
@@ -168,10 +188,101 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			var ln [1]float64
+			logs(ln[:], []float64{s})
+			return u * math.Sqrt(-2*ln[0]/s)
 		}
+	}
+}
+
+// normBlock is how many normals NormFloat64s accepts per pass; the pass's
+// radii and their logs live in stack blocks of this size.
+const normBlock = 256
+
+// NormFloat64s fills dst with standard normal variates: exactly the values
+// len(dst) successive NormFloat64 calls return, leaving r in the state
+// those calls leave. It keeps the generator state in registers and splits
+// each block into a draw pass, which stops at the block's last acceptance,
+// and a branch-free scale pass, so a noise vector costs well under the
+// scalar loop.
+func (r *Rand) NormFloat64s(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var radii, lns [normBlock]float64
+	for len(dst) > 0 {
+		blk := dst[:min(len(dst), normBlock)]
+		// Draw pass: candidate j is written at index j and kept only when
+		// 0 < s < 1, so a rejected candidate is overwritten by the next one
+		// and the pass draws nothing past the block's last acceptance.
+		for j := 0; j < len(blk); {
+			var x, y uint64
+			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			y, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			u := 2*unit(x) - 1
+			v := 2*unit(y) - 1
+			s := float64(u*u) + float64(v*v)
+			blk[j], radii[j] = u, s
+			// 0 < s < 1 as one unsigned compare of s's bits (s is never
+			// negative), so the advance compiles without a branch.
+			if math.Float64bits(s)-1 < math.Float64bits(1)-1 {
+				j++
+			}
+		}
+		// Scale pass: u·√(−2·ln s / s), NormFloat64's polar step.
+		rs, ls := radii[:len(blk)], lns[:len(blk)]
+		logs(ls, rs)
+		for i, s := range rs {
+			blk[i] *= math.Sqrt(-2 * ls[i] / s)
+		}
+		dst = dst[len(blk):]
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// logs sets dst[i] = math.Log(xs[i]) for positive normal xs[i], which
+// every polar radius s ≥ 2⁻¹⁰⁴ is. The loop body ports GOROOT's pure-Go
+// log (math/log.go) with its operations in their order, which is also the
+// order of log_amd64.s, so the bits equal math.Log on amd64 and on every
+// architecture that runs the pure-Go log. Frexp becomes a branch-free
+// split of x's bits, and each product that feeds an add or a subtract is
+// converted explicitly so that no compiler fuses it into one rounding.
+func logs(dst, xs []float64) {
+	const (
+		Ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
+		Ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
+		L1    = 6.666666666666735130e-01   /* 3FE55555 55555593 */
+		L2    = 3.999999999940941908e-01   /* 3FD99999 9997FA04 */
+		L3    = 2.857142874366239149e-01   /* 3FD24924 94229359 */
+		L4    = 2.222219843214978396e-01   /* 3FCC71C5 1D8E78AF */
+		L5    = 1.818357216161805012e-01   /* 3FC74664 96CB03DE */
+		L6    = 1.531383769920937332e-01   /* 3FC39A09 D078C69F */
+		L7    = 1.479819860511658591e-01   /* 3FC2F112 DF3E5244 */
+
+		mantMask  = 1<<52 - 1
+		halfExp   = 0x3fe           // biased exponent of [½, 1)
+		sqrt2Half = 0x6a09e667f3bcd // mantissa of Sqrt2/2 (0x3fe6a09e667f3bcd)
+	)
+	xs = xs[:len(dst)]
+	for i, x := range xs {
+		// reduce: x = f1·2^k with f1 in [½, 1); f1 < √2/2 doubles it and
+		// lowers k. Both mantissas are below 2⁵², so the difference wraps
+		// (its top bit is set) exactly when m < sqrt2Half.
+		b := math.Float64bits(x)
+		m := b & mantMask
+		lt := (m - sqrt2Half) >> 63
+		f := math.Float64frombits(m|(halfExp+lt)<<52) - 1
+		k := float64(int(b>>52) - halfExp - int(lt))
+
+		// compute
+		s := f / (2 + f)
+		s2 := s * s
+		s4 := s2 * s2
+		t1 := float64(s2 * (L1 + float64(s4*(L3+float64(s4*(L5+float64(s4*L7)))))))
+		t2 := float64(s4 * (L2 + float64(s4*(L4+float64(s4*L6)))))
+		R := t1 + t2
+		hfsq := float64(0.5 * f * f)
+		dst[i] = float64(k*Ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*Ln2Lo))) - f)
 	}
 }
 

@@ -368,6 +368,7 @@ func BenchmarkNormFloat64(b *testing.B) {
 		sink = r.NormFloat64()
 	}
 	_ = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/value")
 }
 
 // TestSplitIntoMatchesSplit pins the scratch variants to the allocating
@@ -442,4 +443,88 @@ func TestSplitVariantsAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("split scratch variants allocate %.0f times per round, want 0", allocs)
 	}
+}
+
+// TestNormFloat64sMatchesScalar pins the bulk fill to its definition: the
+// values of len(dst) successive NormFloat64 calls, with the generator left
+// where those calls leave it (checked on the next Uint64). The lengths
+// cross the block boundary on both sides.
+func TestNormFloat64sMatchesScalar(t *testing.T) {
+	lengths := []int{0, 1, 2, normBlock - 1, normBlock, normBlock + 1, 2*normBlock + 1, 4097}
+	for seed := uint64(0); seed < 40; seed++ {
+		for _, n := range lengths {
+			want, got := New(seed), New(seed)
+			dst := make([]float64, n)
+			got.NormFloat64s(dst)
+			for i, g := range dst {
+				if w := want.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("seed %d, n %d: value %d = %v, scalar %v", seed, n, i, g, w)
+				}
+			}
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %d, n %d: next Uint64 %x, scalar %x", seed, n, g, w)
+			}
+		}
+	}
+}
+
+// TestLogsMatchMathLog pins the log port to math.Log bit for bit over
+// the inputs the polar method produces: ≥10M radii drawn as NormFloat64
+// draws them, every exponent a radius can have with the mantissas around
+// the √2/2 reduction boundary, the powers of two, and the largest radius
+// below 1.
+func TestLogsMatchMathLog(t *testing.T) {
+	var xs, got [1024]float64
+	n := 0
+	flush := func() {
+		t.Helper()
+		logs(got[:n], xs[:n])
+		for i, x := range xs[:n] {
+			if want := math.Log(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("logs(%v [%#x]) = %v, math.Log %v", x, math.Float64bits(x), got[i], want)
+			}
+		}
+		n = 0
+	}
+	check := func(x float64) {
+		t.Helper()
+		xs[n] = x
+		if n++; n == len(xs) {
+			flush()
+		}
+	}
+	r := New(77)
+	radii := 0
+	for radii < 10_000_000 {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s > 0 && s < 1 {
+			check(s)
+			radii++
+		}
+	}
+	for e := -104; e <= -1; e++ {
+		check(math.Ldexp(1, e))
+		mid := math.Ldexp(math.Sqrt2/2, e+1) // √2/2 scaled into [2^e, 2^(e+1))
+		lo, hi := mid, mid
+		for k := 0; k <= 3; k++ {
+			check(lo)
+			check(hi)
+			lo = math.Nextafter(lo, 0)
+			hi = math.Nextafter(hi, 1)
+		}
+	}
+	check(math.Nextafter(1, 0))
+	flush()
+}
+
+// BenchmarkNormFloat64s reports ns per normal for a 2048-value fill
+// (eight blocks), comparable with BenchmarkNormFloat64's ns/value.
+func BenchmarkNormFloat64s(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 2048)
+	for i := 0; i < b.N; i++ {
+		r.NormFloat64s(dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/value")
 }

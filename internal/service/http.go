@@ -142,7 +142,12 @@ func NewHandler(m *Manager) http.Handler {
 			httpError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		job, _ := m.Get(id)
+		// A burst of newer terminal jobs may have evicted it meanwhile.
+		job, ok := m.Get(id)
+		if !ok {
+			httpError(w, http.StatusNotFound, ErrNotFound.Error())
+			return
+		}
 		writeStatus(w, http.StatusAccepted, job.Status())
 	})
 

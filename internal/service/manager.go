@@ -213,10 +213,31 @@ type Manager struct {
 	queue      chan *Job
 	wg         sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	seq    uint64
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// finished holds the ids of the terminal jobs still in jobs, in the
+	// order they ended; retire evicts from its front.
+	finished []string
+	seq      uint64
+	closed   bool
+}
+
+// maxFinishedJobs bounds how many terminal jobs (cache hits included)
+// stay addressable by id. Past it the oldest terminal job is forgotten
+// and its id answers like an unknown one; queued and running jobs are
+// never evicted, so the job table holds at most this many jobs plus the
+// queue and the workers' jobs.
+const maxFinishedJobs = 1024
+
+// retire records that job id reached a terminal state and evicts the
+// oldest terminal job once more than maxFinishedJobs are kept. m.mu must
+// be held.
+func (m *Manager) retire(id string) {
+	m.finished = append(m.finished, id)
+	if len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
+	}
 }
 
 // New builds a Manager and starts its worker pool. With a JournalPath
@@ -333,6 +354,7 @@ func (m *Manager) submit(spec runspec.Spec, shards int) (*Job, error) {
 		}
 		close(job.done)
 		m.jobs[id] = job
+		m.retire(id)
 		m.mu.Unlock()
 		m.metrics.JobsSubmitted.Add(1)
 		m.metrics.CacheHits.Add(1)
@@ -365,7 +387,8 @@ func (m *Manager) submit(spec runspec.Spec, shards int) (*Job, error) {
 	}
 }
 
-// Get looks a job up by id.
+// Get looks a job up by id. Only the newest maxFinishedJobs terminal
+// jobs stay addressable; an older id is not found.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -398,6 +421,9 @@ func (m *Manager) Cancel(id string) (State, error) {
 		_ = m.journal.end(job.id)
 		m.metrics.JobsCancelled.Add(1)
 		close(job.done)
+		m.mu.Lock()
+		m.retire(job.id)
+		m.mu.Unlock()
 		return StateCancelled, nil
 	case StateRunning:
 		job.userCancel = true
@@ -508,6 +534,12 @@ func (m *Manager) runJob(job *Job) {
 		_ = m.journal.end(job.id)
 	}
 	close(job.done)
+	// A terminal job's context only holds memory under baseCtx: release
+	// it, and let the job table forget the job in its turn.
+	job.cancel()
+	m.mu.Lock()
+	m.retire(job.id)
+	m.mu.Unlock()
 }
 
 // fileOutcome files a finished run as the job's terminal state: its

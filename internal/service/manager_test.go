@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -375,5 +376,96 @@ func TestResultCacheLRU(t *testing.T) {
 	c.setCapacity(1)
 	if c.len() != 1 {
 		t.Fatalf("len = %d after shrink", c.len())
+	}
+}
+
+// TestJobContextReleasedWhenDone: a finished job's context must not stay
+// a live child of the manager's base context until Close, or every job
+// the daemon ever ran would pin its context.
+func TestJobContextReleasedWhenDone(t *testing.T) {
+	m, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer abortClose(t, m)
+
+	job, err := m.Submit(quickSpec("fig3", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job, 60*time.Second)
+	if st := job.Status().State; st != StateDone {
+		t.Fatalf("job ended %s", st)
+	}
+	select {
+	case <-job.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job context still live after the job finished")
+	}
+}
+
+// TestJobTableKeepsNewestFinishedJobs: past maxFinishedJobs terminal
+// jobs the oldest are forgotten (an unknown id to the manager, 404 over
+// HTTP), the newest stay addressable, and a running job is never evicted.
+func TestJobTableKeepsNewestFinishedJobs(t *testing.T) {
+	m, srv := testServer(t, Config{Workers: 2})
+
+	spec := quickSpec("fig3", 11)
+	first, err := m.Submit(spec) // fills the cache; the first terminal job
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, first, 60*time.Second)
+	running, err := m.Submit(longSpec(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, running)
+
+	const extra = 5
+	hits := make([]string, maxFinishedJobs+extra)
+	for i := range hits {
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !job.Status().Cached {
+			t.Fatalf("submission %d missed the cache", i)
+		}
+		hits[i] = job.ID()
+	}
+
+	status := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// The first job and the oldest extra cache hits ended first.
+	evicted := append([]string{first.ID()}, hits[:extra]...)
+	for _, id := range evicted {
+		if _, ok := m.Get(id); ok {
+			t.Fatalf("job %s still addressable after %d newer terminal jobs", id, maxFinishedJobs)
+		}
+		if code := status(id); code != http.StatusNotFound {
+			t.Fatalf("GET evicted job %s: %d, want 404", id, code)
+		}
+	}
+	for _, id := range []string{hits[extra], hits[len(hits)-1]} {
+		if code := status(id); code != http.StatusOK {
+			t.Fatalf("GET kept job %s: %d, want 200", id, code)
+		}
+	}
+	if _, ok := m.Get(running.ID()); !ok || running.Status().State != StateRunning {
+		t.Fatalf("running job %s evicted or ended (%s)", running.ID(), running.Status().State)
+	}
+	m.mu.Lock()
+	kept, tracked := len(m.jobs), len(m.finished)
+	m.mu.Unlock()
+	if tracked != maxFinishedJobs || kept != maxFinishedJobs+1 {
+		t.Fatalf("job table holds %d jobs, %d terminal; want %d + the running job", kept, tracked, maxFinishedJobs)
 	}
 }

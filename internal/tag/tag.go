@@ -251,22 +251,21 @@ func (t *Tag) BackscatterWaveform(reply gen2.Reply, samplesPerHalfBit int) ([]fl
 		// spans one FM0 bit time (2 half-bits), so a Miller-M bit lasts M×
 		// longer on air — the rate-for-robustness trade of the M field.
 		enc := gen2.MillerEncoder{M: m, SamplesPerCycle: 2 * samplesPerHalfBit}
-		levels, err = enc.Encode(reply.Bits)
+		levels, err = enc.AppendEncode(nil, reply.Bits)
 	} else {
 		enc := gen2.FM0Encoder{SamplesPerHalfBit: samplesPerHalfBit}
-		levels, err = enc.Encode(reply.Bits)
+		levels, err = enc.AppendEncode(nil, reply.Bits)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(levels))
 	depth := t.Model.BackscatterDepth
 	g := t.Model.BackscatterGain
 	for i, l := range levels {
 		// l ∈ {−1, +1} → reflection amplitude ∈ {1−depth, 1}·g.
-		out[i] = g * (1 - depth*(1-l)/2)
+		levels[i] = g * (1 - depth*(1-l)/2)
 	}
-	return out, nil
+	return levels, nil
 }
 
 // DemodulateDownlink runs the tag-side envelope detector over a received

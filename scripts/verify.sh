@@ -16,12 +16,14 @@
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              shared scratch pools, under the race detector
 # 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
-#                              internal/phasor must list no fused
-#                              multiply-add (FMADDD/FMSUBD/FNMADDD/FNMSUBD:
-#                              a fused x*y+z rounds once and would break
-#                              the kernel's bit-identity; this is a codegen
+#                              internal/phasor and internal/rng must list
+#                              no fused multiply-add (FMADDD/FMSUBD/
+#                              FNMADDD/FNMSUBD: a fused x*y+z rounds once
+#                              and would break the kernels' and the
+#                              normals' bit-identity; this is a codegen
 #                              check, nothing here runs arm64 code), and
-#                              the rng, phasor, core and baseline tests
+#                              the rng (its log port against the pure-Go
+#                              math.Log), phasor, core and baseline tests
 #                              must pass as GOARCH=386 (runs natively on
 #                              amd64 Linux)
 # 6. faultmatrix smoke       — the fault-injection experiment end to end:
@@ -121,18 +123,25 @@ stage "go test -race (parallel trial paths)" \
   ./internal/dsp/ ./internal/fault/ ./internal/gen2/ ./internal/session/ ./internal/link/ \
   ./internal/service/
 
-cross_arch_kernel() {
-  local asm fused
-  asm="$(GOARCH=arm64 go build -gcflags=-S ./internal/phasor 2>&1)" || { echo "$asm" >&2; return 1; }
-  # An empty listing would pass the grep below vacuously.
-  grep -q 'phasor\.SumSeries' <<<"$asm" || { echo "no arm64 listing for internal/phasor" >&2; return 1; }
+# no_fused_arm64 PKG SYMBOL: the arm64 listing of PKG must name SYMBOL (an
+# empty listing would pass the grep below vacuously) and hold no fused
+# multiply-add.
+no_fused_arm64() {
+  local pkg="$1" symbol="$2" asm fused
+  asm="$(GOARCH=arm64 go build -gcflags=-S "./internal/$pkg" 2>&1)" || { echo "$asm" >&2; return 1; }
+  grep -q "$symbol" <<<"$asm" || { echo "no arm64 listing for internal/$pkg" >&2; return 1; }
   fused="$(grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$asm")"
   if [ -n "$fused" ]; then
-    echo "fused multiply-add in the arm64 build of internal/phasor:" >&2
+    echo "fused multiply-add in the arm64 build of internal/$pkg:" >&2
     echo "$fused" >&2
     return 1
   fi
-  GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/
+}
+
+cross_arch_kernel() {
+  no_fused_arm64 phasor 'phasor\.SumSeries' &&
+    no_fused_arm64 rng 'rng\.(\*Rand)\.NormFloat64s' &&
+    GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/
 }
 stage "cross-arch kernel (arm64 codegen, 386 tests)" cross_arch_kernel
 
