@@ -50,23 +50,14 @@ func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
-// xoshiro is Uint64's step on a state held in locals: it returns the
-// output and the advanced state, so bulk draws keep the state in registers
-// instead of loading and storing r.s on every draw. Uint64 keeps its own
-// copy so that its machine code, on the population inventories' hot path
-// through Intn, stays as it was.
+// xoshiro is the xoshiro256** step on a state passed by value: it returns
+// the output and the advanced state, so bulk draws keep the state in
+// registers instead of loading and storing r.s on every draw.
 func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
 	out = rotl(s1*5, 7) * 9
 	t := s1 << 17
@@ -190,15 +181,13 @@ func (r *Rand) NormFloat64() float64 {
 		v := 2*r.Float64() - 1
 		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			var ln [1]float64
-			logs(ln[:], []float64{s})
-			return u * math.Sqrt(-2*ln[0]/s)
+			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }
 
 // normBlock is how many normals NormFloat64s accepts per pass; the pass's
-// radii and their logs live in stack blocks of this size.
+// radii live in a stack block of this size.
 const normBlock = 256
 
 // NormFloat64s fills dst with standard normal variates: exactly the values
@@ -209,7 +198,7 @@ const normBlock = 256
 // scalar loop.
 func (r *Rand) NormFloat64s(dst []float64) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	var radii, lns [normBlock]float64
+	var radii [normBlock]float64
 	for len(dst) > 0 {
 		blk := dst[:min(len(dst), normBlock)]
 		// Draw pass: candidate j is written at index j and kept only when
@@ -230,60 +219,12 @@ func (r *Rand) NormFloat64s(dst []float64) {
 			}
 		}
 		// Scale pass: u·√(−2·ln s / s), NormFloat64's polar step.
-		rs, ls := radii[:len(blk)], lns[:len(blk)]
-		logs(ls, rs)
-		for i, s := range rs {
-			blk[i] *= math.Sqrt(-2 * ls[i] / s)
+		for i, s := range radii[:len(blk)] {
+			blk[i] *= math.Sqrt(-2 * math.Log(s) / s)
 		}
 		dst = dst[len(blk):]
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
-}
-
-// logs sets dst[i] = math.Log(xs[i]) for positive normal xs[i], which
-// every polar radius s ≥ 2⁻¹⁰⁴ is. The loop body ports GOROOT's pure-Go
-// log (math/log.go) with its operations in their order, which is also the
-// order of log_amd64.s, so the bits equal math.Log on amd64 and on every
-// architecture that runs the pure-Go log. Frexp becomes a branch-free
-// split of x's bits, and each product that feeds an add or a subtract is
-// converted explicitly so that no compiler fuses it into one rounding.
-func logs(dst, xs []float64) {
-	const (
-		Ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
-		Ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
-		L1    = 6.666666666666735130e-01   /* 3FE55555 55555593 */
-		L2    = 3.999999999940941908e-01   /* 3FD99999 9997FA04 */
-		L3    = 2.857142874366239149e-01   /* 3FD24924 94229359 */
-		L4    = 2.222219843214978396e-01   /* 3FCC71C5 1D8E78AF */
-		L5    = 1.818357216161805012e-01   /* 3FC74664 96CB03DE */
-		L6    = 1.531383769920937332e-01   /* 3FC39A09 D078C69F */
-		L7    = 1.479819860511658591e-01   /* 3FC2F112 DF3E5244 */
-
-		mantMask  = 1<<52 - 1
-		halfExp   = 0x3fe           // biased exponent of [½, 1)
-		sqrt2Half = 0x6a09e667f3bcd // mantissa of Sqrt2/2 (0x3fe6a09e667f3bcd)
-	)
-	xs = xs[:len(dst)]
-	for i, x := range xs {
-		// reduce: x = f1·2^k with f1 in [½, 1); f1 < √2/2 doubles it and
-		// lowers k. Both mantissas are below 2⁵², so the difference wraps
-		// (its top bit is set) exactly when m < sqrt2Half.
-		b := math.Float64bits(x)
-		m := b & mantMask
-		lt := (m - sqrt2Half) >> 63
-		f := math.Float64frombits(m|(halfExp+lt)<<52) - 1
-		k := float64(int(b>>52) - halfExp - int(lt))
-
-		// compute
-		s := f / (2 + f)
-		s2 := s * s
-		s4 := s2 * s2
-		t1 := float64(s2 * (L1 + float64(s4*(L3+float64(s4*(L5+float64(s4*L7)))))))
-		t2 := float64(s4 * (L2 + float64(s4*(L4+float64(s4*L6)))))
-		R := t1 + t2
-		hfsq := float64(0.5 * f * f)
-		dst[i] = float64(k*Ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*Ln2Lo))) - f)
-	}
 }
 
 // Rayleigh returns a Rayleigh-distributed variate with scale sigma. Rayleigh

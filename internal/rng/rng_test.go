@@ -468,56 +468,6 @@ func TestNormFloat64sMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLogsMatchMathLog pins the log port to math.Log bit for bit over
-// the inputs the polar method produces: ≥10M radii drawn as NormFloat64
-// draws them, every exponent a radius can have with the mantissas around
-// the √2/2 reduction boundary, the powers of two, and the largest radius
-// below 1.
-func TestLogsMatchMathLog(t *testing.T) {
-	var xs, got [1024]float64
-	n := 0
-	flush := func() {
-		t.Helper()
-		logs(got[:n], xs[:n])
-		for i, x := range xs[:n] {
-			if want := math.Log(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("logs(%v [%#x]) = %v, math.Log %v", x, math.Float64bits(x), got[i], want)
-			}
-		}
-		n = 0
-	}
-	check := func(x float64) {
-		t.Helper()
-		xs[n] = x
-		if n++; n == len(xs) {
-			flush()
-		}
-	}
-	r := New(77)
-	radii := 0
-	for radii < 10_000_000 {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		if s := u*u + v*v; s > 0 && s < 1 {
-			check(s)
-			radii++
-		}
-	}
-	for e := -104; e <= -1; e++ {
-		check(math.Ldexp(1, e))
-		mid := math.Ldexp(math.Sqrt2/2, e+1) // √2/2 scaled into [2^e, 2^(e+1))
-		lo, hi := mid, mid
-		for k := 0; k <= 3; k++ {
-			check(lo)
-			check(hi)
-			lo = math.Nextafter(lo, 0)
-			hi = math.Nextafter(hi, 1)
-		}
-	}
-	check(math.Nextafter(1, 0))
-	flush()
-}
-
 // BenchmarkNormFloat64s reports ns per normal for a 2048-value fill
 // (eight blocks), comparable with BenchmarkNormFloat64's ns/value.
 func BenchmarkNormFloat64s(b *testing.B) {

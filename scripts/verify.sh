@@ -22,8 +22,7 @@
 #                              and would break the kernels' and the
 #                              normals' bit-identity; this is a codegen
 #                              check, nothing here runs arm64 code), and
-#                              the rng (its log port against the pure-Go
-#                              math.Log), phasor, core and baseline tests
+#                              the rng, phasor, core and baseline tests
 #                              must pass as GOARCH=386 (runs natively on
 #                              amd64 Linux)
 # 6. faultmatrix smoke       — the fault-injection experiment end to end:
