@@ -39,13 +39,17 @@ const drainTimeout = 30 * time.Second
 // Connection timeouts, so a client that stalls cannot hold a connection
 // (a goroutine and a descriptor) forever: readHeaderTimeout bounds the
 // time from accept, or from the end of the previous request on a
-// keep-alive connection, until the request header is complete, and
-// idleTimeout closes a keep-alive connection no request arrives on.
-// The handler caps a request body's size; no timeout bounds the time to
-// send one or to read a response, since a large result may stream to a
-// slow reader for as long as it keeps reading.
+// keep-alive connection, until the request header is complete;
+// readTimeout bounds the same span until the body is complete (the
+// handler caps a spec body at 64 KiB, so 10 s is generous, and net/http
+// lifts the deadline once the body is read, so it never cuts a running
+// handler); and idleTimeout closes a keep-alive connection no request
+// arrives on. No timeout bounds the time to read a response, since a
+// large result may stream to a slow reader for as long as it keeps
+// reading.
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -129,6 +133,7 @@ func newServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -123,9 +123,9 @@ func (d MillerDecoder) DecodePayload(samples []float64, nbits int) (Bits, error)
 				sub = -1
 			}
 			if k < half {
-				h1 += v * sub
+				h1 += float64(v * sub)
 			} else {
-				h2 += v * sub
+				h2 += float64(v * sub)
 			}
 		}
 		if h1*h2 < 0 {

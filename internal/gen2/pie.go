@@ -190,7 +190,7 @@ func (p PIEParams) DecodeFrame(env []float64) (Bits, PIEInfo, error) {
 	}
 	// "The sensor's energy detector uses half the amplitude difference as
 	// the decoding threshold" (paper §3.6).
-	th := lo + (hi-lo)/2
+	th := lo + float64((hi-lo)/2)
 
 	// Run-length encode the binarized envelope.
 	type run struct {
@@ -226,8 +226,8 @@ func (p PIEParams) DecodeFrame(env []float64) (Bits, PIEInfo, error) {
 		if !runs[i].high {
 			return nil, PIEInfo{}, fmt.Errorf("gen2: malformed symbol sequence at run %d", i)
 		}
-		highDur := float64(runs[i].n) * dt
-		lowDur := float64(runs[i+1].n) * dt
+		highDur := float64(float64(runs[i].n) * dt)
+		lowDur := float64(float64(runs[i+1].n) * dt)
 		symbols = append(symbols, highDur+lowDur)
 		i += 2
 	}

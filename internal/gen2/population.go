@@ -29,7 +29,8 @@ import "slices"
 // calendar writes due − clock back into it before any command can reach
 // the tag by another route (a pass over all tags, a QueryAdjust of
 // another session) and in Reset, so between rounds every TagLogic is
-// exact.
+// exact. A QueryAdjust of the calendar's session redraws its parked tags
+// without one: the redraw overwrites the counter.
 //
 // Replies and responder indices come out in ascending tag order, as the
 // per-tag loop produces them, so callers that fold over responders (a
@@ -128,31 +129,26 @@ func (p *Population) Broadcast(c Command, replies []Reply, who []int) ([]Reply, 
 		p.live = kept
 		return replies, who
 	case *QueryAdjust:
-		return p.pass(func(t *TagLogic) Reply { return t.handleQueryAdjust(cmd) }, true, cmd.Session, replies, who)
+		return p.queryAdjust(cmd, replies, who)
 	}
 	// Any other command may reach a Ready tag: one pass over them all.
-	p.members = p.members[:0]
-	for i := range p.tags {
-		p.members = append(p.members, i)
-	}
-	q, draws := c.(*Query)
+	return p.pass(c, replies, who)
+}
+
+// pass delivers cmd to every tag, writing each parked counter back
+// first, and rebuilds the member and live lists. When cmd is a Query, the
+// tags that drew a nonzero counter in its session are filed on a fresh
+// calendar; otherwise the calendar ends empty.
+func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []int) {
+	q, draws := cmd.(*Query)
 	var s Session
 	if draws {
 		s = q.Session
 	}
-	return p.pass(func(t *TagLogic) Reply { return t.HandleCommand(c) }, draws, s, replies, who)
-}
-
-// pass runs handle on every member, writing each parked counter back
-// first, and rebuilds the member and live lists. When the command draws
-// counters in session s (draws), the tags that drew a nonzero one are
-// filed on a fresh calendar; otherwise the calendar ends empty.
-func (p *Population) pass(handle func(*TagLogic) Reply, draws bool, s Session, replies []Reply, who []int) ([]Reply, []int) {
 	members := p.members[:0]
-	for _, i := range p.members {
-		t := p.tags[i]
+	for i, t := range p.tags {
 		p.writeBack(i)
-		if r := handle(t); r.Kind != ReplyNone {
+		if r := t.HandleCommand(cmd); r.Kind != ReplyNone {
 			replies = append(replies, r)
 			who = append(who, i)
 		}
@@ -180,6 +176,59 @@ func (p *Population) pass(handle func(*TagLogic) Reply, draws bool, s Session, r
 	}
 	p.members, p.live, p.head = members, live, head
 	p.calendar, p.session, p.clock = draws, s, 0
+	p.rolled, p.first = p.rolled[:0], 0
+	return replies, who
+}
+
+// queryAdjust delivers a QueryAdjust to the members and files the
+// counters it draws on a fresh calendar of its session. Most members
+// arbitrate in that session; for them the handler is the Q step, the
+// draw and, on a zero counter, entering the slot, and the parked counter
+// it overwrites is dead, so due[i] is only cleared. That common path runs
+// inline, with no call but the generator's step, and the tag is filed in
+// the same iteration while its line is hot. Every other member gets
+// writeBack and the handler.
+func (p *Population) queryAdjust(q *QueryAdjust, replies []Reply, who []int) ([]Reply, []int) {
+	s := q.Session
+	members, live, head := p.members[:0], p.live[:0], p.head[:0]
+	for _, i := range p.members {
+		t := p.tags[i]
+		if t.state == StateArbitrate && t.session == s {
+			p.due[i] = 0
+			t.stepQ(q.UpDn)
+			t.drawSlot()
+			if t.slot == 0 {
+				replies = append(replies, t.enterSlot())
+				who = append(who, i)
+			}
+		} else {
+			p.writeBack(i)
+			if r := t.handleQueryAdjust(q); r.Kind != ReplyNone {
+				replies = append(replies, r)
+				who = append(who, i)
+			}
+			if t.state == StateReady {
+				continue
+			}
+		}
+		members = append(members, i)
+		// A tag left arbitrating in session s drew a nonzero counter: a
+		// zero one entered its slot.
+		if t.state != StateArbitrate || t.session != s {
+			live = append(live, i)
+			continue
+		}
+		c := int(t.slot)
+		if c >= len(head) {
+			n := len(head)
+			head = slices.Grow(head, c+1-n)[:c+1]
+			clear(head[n:])
+		}
+		p.due[i] = c
+		p.next[i], head[c] = head[c], i+1
+	}
+	p.members, p.live, p.head = members, live, head
+	p.calendar, p.session, p.clock = true, s, 0
 	p.rolled, p.first = p.rolled[:0], 0
 	return replies, who
 }

@@ -207,7 +207,7 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 						wantReplies, wantWho := loopBroadcast(b, cmd)
 						where := fmt.Sprintf("seq %d seg %d cmd %d %v", seq, seg, c, cmd)
 						compareReplies(t, where, replies, who, wantReplies, wantWho)
-						compareTags(t, where, a, b)
+						compareTags(t, where, &pop, a, b)
 						cg.observe(replies)
 						for _, r := range replies {
 							seen[r.Kind]++
@@ -233,8 +233,9 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 // paths random command mixes rarely reach, against the per-tag loop on a
 // twin population: a Q=15 draw, a QueryRep run long enough for rolled-over
 // counters to come due, QueryReps and QueryAdjusts of a session other than
-// the parked one, parked tags losing power with and without a Reset, and
-// a second Reset mid-round. Every command compares replies and tag state;
+// the parked one, a QueryAdjust of the parked session redrawing parked
+// tags in place and meeting parked tags that lost power, parked tags
+// losing power with and without a Reset, and a second Reset mid-round. Every command compares replies and tag state;
 // every Reset hands the counters back and compares every tag's counter.
 // Like the random test, it fails if a path was never reached.
 func TestCalendarMatchesPerTagLoop(t *testing.T) {
@@ -270,12 +271,22 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 				if pop.calendar && c.Session != pop.session {
 					seen["QueryAdjust of another session"]++
 				}
+				if pop.calendar && c.Session == pop.session {
+					for i, d := range pop.due {
+						switch {
+						case d != 0 && a[i].state == StateArbitrate:
+							seen["QueryAdjust of the calendar's session redraws parked tags"]++
+						case d != 0:
+							seen["QueryAdjust of the calendar's session meets a parked tag that lost power"]++
+						}
+					}
+				}
 			}
 			replies, who = pop.Broadcast(cmd, replies[:0], who[:0])
 			wantReplies, wantWho := loopBroadcast(b, cmd)
 			where := fmt.Sprintf("seed %d cmd %d %v", seed, cmds, cmd)
 			compareReplies(t, where, replies, who, wantReplies, wantWho)
-			compareTags(t, where, a, b)
+			compareTags(t, where, &pop, a, b)
 		}
 		handBack := func(what string) {
 			pop.Reset(a)
@@ -337,6 +348,14 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 		sweep(S2, S1, 64, 2000)
 		handBack("power loss without Reset")
 
+		// A QueryAdjust of the parked session redraws the parked tags in
+		// place and drops the ones that lost power.
+		freshRound()
+		loseParked("parked tag loses power before a QueryAdjust")
+		send(&QueryAdjust{Session: S2, UpDn: QDown})
+		sweep(S2, S1, 64, 300)
+		handBack("QueryAdjust after power loss")
+
 		freshRound()
 		loseParked("parked tag loses power, then Reset")
 		handBack("power loss then Reset")
@@ -362,7 +381,8 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 		"Q=15 draw", "rolled-over counter fires", "QueryRep of another session",
 		"QueryAdjust of another session", "parked tag loses power, no Reset",
 		"parked tag loses power, then Reset", "bucket skips a tag that lost power",
-		"second Reset mid-round",
+		"second Reset mid-round", "QueryAdjust of the calendar's session redraws parked tags",
+		"QueryAdjust of the calendar's session meets a parked tag that lost power",
 	} {
 		if seen[k] == 0 {
 			t.Errorf("path never reached: %s (%v)", k, seen)
@@ -396,13 +416,29 @@ func compareReplies(t *testing.T, where string, got []Reply, gotWho []int, want 
 	}
 }
 
-func compareTags(t *testing.T, where string, a, b []*TagLogic) {
+// compareTags checks every tag's protocol state against the reference:
+// state, flags, last RN16, Q and the generator, so a skipped or extra
+// draw fails at the command that caused it, and an arbitrating tag's slot
+// counter, read from the calendar while the tag is parked there.
+func compareTags(t *testing.T, where string, pop *Population, a, b []*TagLogic) {
 	t.Helper()
 	for i := range a {
 		x, y := a[i], b[i]
 		if x.State() != y.State() || x.SL() != y.SL() || x.LastRN16() != y.LastRN16() {
 			t.Fatalf("%s: tag %d state %s sl %v rn16 %#04x, want %s %v %#04x",
 				where, i, x.State(), x.SL(), x.LastRN16(), y.State(), y.SL(), y.LastRN16())
+		}
+		if x.q != y.q || x.random != y.random {
+			t.Fatalf("%s: tag %d Q %d generator %x, want Q %d generator %x", where, i, x.q, x.random, y.q, y.random)
+		}
+		if x.state == StateArbitrate {
+			slot := x.slot
+			if d := pop.due[i]; d != 0 {
+				slot = uint32(d - pop.clock)
+			}
+			if slot != y.slot {
+				t.Fatalf("%s: tag %d counter %d (due %d, clock %d), want %d", where, i, slot, pop.due[i], pop.clock, y.slot)
+			}
 		}
 		for s := S0; s <= S3; s++ {
 			if x.Inventoried(s) != y.Inventoried(s) {

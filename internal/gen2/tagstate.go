@@ -90,7 +90,7 @@ func (k ReplyKind) String() string {
 // this type assumes it is energized for the duration of each command.
 type TagLogic struct {
 	epc    []byte
-	random *rng.Rand
+	random rng.Rand
 
 	state   TagState
 	session Session
@@ -123,7 +123,9 @@ type TagLogic struct {
 const userWords = 16
 
 // NewTagLogic builds a powered-up tag in Ready with the given EPC (an even
-// byte count, 2–62 bytes) and entropy source.
+// byte count, 2–62 bytes) and entropy source. The tag draws from its own
+// copy of *random: drawing from random afterwards does not move the tag's
+// draws, and the tag's draws do not advance random.
 func NewTagLogic(epc []byte, random *rng.Rand) (*TagLogic, error) {
 	if len(epc) == 0 || len(epc)%2 != 0 || len(epc) > 62 {
 		return nil, fmt.Errorf("gen2: EPC must be 2..62 bytes word-aligned, got %d", len(epc))
@@ -131,7 +133,7 @@ func NewTagLogic(epc []byte, random *rng.Rand) (*TagLogic, error) {
 	if random == nil {
 		return nil, fmt.Errorf("gen2: nil RNG")
 	}
-	t := &TagLogic{epc: append([]byte(nil), epc...), random: random}
+	t := &TagLogic{epc: append([]byte(nil), epc...), random: *random}
 	// TID: a fixed class identifier plus a serial derived from the EPC.
 	t.tid[0] = 0xE280
 	t.tid[1] = uint16(epc[0])<<8 | uint16(epc[len(epc)-1])
@@ -327,12 +329,15 @@ func (t *TagLogic) participates(q *Query) bool {
 // QueryRep (6.3.2.12.2).
 const rolloverSlot = 0x7FFF
 
+// drawSlot draws the slot counter uniformly from [0, 2^Q): the top Q bits
+// of one draw, which is exactly Intn(1<<Q) (Lemire's method never rejects
+// a power-of-two bound). Q = 0 draws nothing.
 func (t *TagLogic) drawSlot() {
 	if t.q == 0 {
 		t.slot = 0
 		return
 	}
-	t.slot = uint32(t.random.Intn(1 << uint(t.q)))
+	t.slot = uint32(t.random.Uint64() >> (64 - t.q))
 }
 
 func (t *TagLogic) enterSlot() Reply {
@@ -424,7 +429,15 @@ func (t *TagLogic) handleQueryAdjust(q *QueryAdjust) Reply {
 		t.state = StateReady
 		return Reply{Kind: ReplyNone}
 	}
-	switch q.UpDn {
+	t.stepQ(q.UpDn)
+	t.drawSlot()
+	return t.enterSlot()
+}
+
+// stepQ applies a QueryAdjust's UpDn to the tag's Q, which stays within
+// 0..15.
+func (t *TagLogic) stepQ(upDn byte) {
+	switch upDn {
 	case QUp:
 		if t.q < 15 {
 			t.q++
@@ -434,8 +447,6 @@ func (t *TagLogic) handleQueryAdjust(q *QueryAdjust) Reply {
 			t.q--
 		}
 	}
-	t.drawSlot()
-	return t.enterSlot()
 }
 
 func (t *TagLogic) handleACK(a *ACK) Reply {

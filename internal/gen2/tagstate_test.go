@@ -31,6 +31,48 @@ func TestNewTagLogicValidation(t *testing.T) {
 	}
 }
 
+// TestNewTagLogicOwnsItsStream: a tag draws from its own copy of the
+// generator it was built with. Draws from the caller's generator between
+// commands must not move the tag's slot, RN16 and handle draws away from
+// a twin built on an untouched generator, and the tag's draws must not
+// advance the caller's.
+func TestNewTagLogicOwnsItsStream(t *testing.T) {
+	caller := rng.New(41)
+	tag, err := NewTagLogic([]byte{0xE2, 0x00, 0x12, 0x34}, caller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := newTag(t, 41)
+	ref := rng.New(41)
+	cmds := []Command{
+		&Query{Q: 4}, &QueryAdjust{UpDn: QUp}, &QueryAdjust{UpDn: QUp}, &QueryAdjust{UpDn: QDown},
+		&Query{Q: 0}, &ACK{}, &ReqRN{},
+	}
+	for i, c := range cmds {
+		// The handshake answers with the RN16 the tag drew.
+		switch c := c.(type) {
+		case *ACK:
+			c.RN16 = twin.rn16
+		case *ReqRN:
+			c.RN16 = twin.rn16
+		}
+		caller.Uint64()
+		ref.Uint64()
+		got, want := tag.HandleCommand(c), twin.HandleCommand(c)
+		if got.Kind != want.Kind || !got.Bits.Equal(want.Bits) || tag.slot != twin.slot ||
+			tag.rn16 != twin.rn16 || tag.handle != twin.handle {
+			t.Fatalf("command %d %T: reply %s slot %d rn16 %#04x handle %#04x, twin %s %d %#04x %#04x",
+				i, c, got.Kind, tag.slot, tag.rn16, tag.handle, want.Kind, twin.slot, twin.rn16, twin.handle)
+		}
+	}
+	if tag.State() != StateOpen {
+		t.Fatalf("state %s after the handshake, want Open", tag.State())
+	}
+	if *caller != *ref {
+		t.Fatal("the tag's draws advanced the caller's generator")
+	}
+}
+
 func TestQueryQ0ImmediateReply(t *testing.T) {
 	tag := newTag(t, 2)
 	reply := tag.HandleCommand(&Query{Q: 0})

@@ -250,7 +250,9 @@ func runAblationPhaseNoise(cfg Config) (*engine.Result, error) {
 			if err != nil {
 				return false, err
 			}
-			tg, err := tag.New(model, []byte{0xE2, 0x00, 0x12, 0x34}, r.Split("tag"))
+			var tagRand rng.Rand
+			r.SplitInto(&tagRand, "tag")
+			tg, err := tag.New(model, []byte{0xE2, 0x00, 0x12, 0x34}, &tagRand)
 			if err != nil {
 				return false, err
 			}

@@ -132,9 +132,11 @@ func runFaultTrial(scale float64, recovery bool, r *rng.Rand) (faultTrialResult,
 	model := tag.StandardTag()
 	tags := make([]*tag.Tag, faultTags)
 	logics := make([]*gen2.TagLogic, faultTags)
+	var tagRand rng.Rand
 	for i := range tags {
 		epc := []byte{0xE2, 0x00, byte(i), 0x10}
-		tg, err := tag.New(model, epc, r.Split(fmt.Sprintf("tag-%d", i)))
+		r.SplitInto(&tagRand, fmt.Sprintf("tag-%d", i))
+		tg, err := tag.New(model, epc, &tagRand)
 		if err != nil {
 			return res, err
 		}
@@ -184,7 +186,9 @@ func runFaultTrial(scale float64, recovery bool, r *rng.Rand) (faultTrialResult,
 	// Reader-side capture retry sub-measurement: one RN16 uplink decode
 	// through the out-of-band reader with the injector corrupting captures
 	// and the retry budget (recovery only) re-capturing.
-	probe, err := tag.New(model, []byte{0xE2, 0x00, 0xFF, 0x10}, r.Split("probe"))
+	var probeRand rng.Rand
+	r.SplitInto(&probeRand, "probe")
+	probe, err := tag.New(model, []byte{0xE2, 0x00, 0xFF, 0x10}, &probeRand)
 	if err != nil {
 		return res, err
 	}

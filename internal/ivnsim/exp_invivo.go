@@ -129,7 +129,9 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 			return nil, err
 		}
 		p := &k.placement
-		tg, err := tag.New(model, defaultEPC, r2.Split("tag"))
+		var tagRand rng.Rand
+		r2.SplitInto(&tagRand, "tag")
+		tg, err := tag.New(model, defaultEPC, &tagRand)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package ivnsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
@@ -99,12 +100,17 @@ func populationChannel(n int, r *rng.Rand) (*session.EventChannel, []*gen2.TagLo
 	ec.Budgets = make([]session.TagBudget, n)
 	shadow := r.Split("shadow")
 	logics := make([]*gen2.TagLogic, n)
+	// Each tag's stream is Split("tag-<i>"), split into a stack value over
+	// a stack label: NewTagLogic copies the generator.
+	var tagRand rng.Rand
+	var label [24]byte
 	for i := range logics {
 		// Lognormal shadowing scales signal power, so SNR and RSSI move
 		// together per tag.
 		f := norm * math.Pow(10, shadow.NormFloat64()*popShadowDB/10)
 		ec.Budgets[i] = session.TagBudget{SNR: base.SNR * f, RSSI: base.RSSI * f}
-		tl, err := gen2.NewTagLogic([]byte{0xE2, byte(i >> 8), byte(i), 0x20}, r.Split(fmt.Sprintf("tag-%d", i)))
+		r.SplitBytesInto(&tagRand, strconv.AppendInt(append(label[:0], "tag-"...), int64(i), 10))
+		tl, err := gen2.NewTagLogic([]byte{0xE2, byte(i >> 8), byte(i), 0x20}, &tagRand)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -110,12 +110,10 @@ func (k *gainKit) measure(sc scenario.Scenario, n int, tr *session.Trace, r *rng
 }
 
 // commKit is one worker's reusable state for communication trials
-// (Fig13): the realized placement plus the link layer's trial kit, and a
-// persistent child generator for the tag's RN16 draws.
+// (Fig13): the realized placement plus the link layer's trial kit.
 type commKit struct {
 	placement scenario.Placement
 	lk        link.TrialKit
-	tagRand   rng.Rand
 }
 
 func newCommKit() any { return new(commKit) }
@@ -132,6 +130,7 @@ func (k *commKit) trial(sc scenario.Scenario, n int, model tag.Model, opts CommO
 	if err != nil {
 		return CommTrial{}, err
 	}
-	r.SplitInto(&k.tagRand, "tag")
-	return commExchangeAt(lk, &k.tagRand, model, opts, r)
+	var tagRand rng.Rand
+	r.SplitInto(&tagRand, "tag")
+	return commExchangeAt(lk, &tagRand, model, opts, r)
 }

@@ -103,9 +103,8 @@ func RunCommTrial(sc scenario.Scenario, n int, model tag.Model, opts CommOptions
 }
 
 // commExchangeAt runs the power-up + inventory exchange over an already
-// realized link. tagRand seeds the tag's RN16 stream; it must stay valid
-// for the whole exchange (gen2.TagLogic keeps the pointer and draws
-// later), which is why the kit hands in a persistent field.
+// realized link. tagRand seeds the tag's RN16 stream; the tag draws from
+// its own copy.
 func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
 	var res CommTrial
 	res.PeakPower = lk.PeakPower()

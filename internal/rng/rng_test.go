@@ -165,6 +165,31 @@ func TestMul64MatchesSchoolbook(t *testing.T) {
 	}
 }
 
+// TestIntnPowerOfTwoIsTopBits pins the identity gen2's slot draw rests
+// on: for a bound of 2^k, Lemire's rejection threshold is 0, so Intn never
+// rejects and returns the top k bits of one draw. The bounds reach 2⁶², or
+// 2³⁰ where int has 32 bits.
+func TestIntnPowerOfTwoIsTopBits(t *testing.T) {
+	maxK := 62
+	if bits.UintSize == 32 {
+		maxK = 30
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		a, b := New(seed), New(seed)
+		for k := 0; k <= maxK; k++ {
+			for i := 0; i < 16; i++ {
+				got, want := a.Intn(1<<k), int(b.Uint64()>>(64-k))
+				if got != want {
+					t.Fatalf("seed %d draw %d: Intn(1<<%d) = %d, top bits %d", seed, i, k, got, want)
+				}
+			}
+			if *a != *b {
+				t.Fatalf("seed %d: Intn(1<<%d) left the generator in another state than one Uint64 a draw", seed, k)
+			}
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

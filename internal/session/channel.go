@@ -205,9 +205,9 @@ func DecodeProbability(snr float64, nbits, samplesPerHalfBit int, threshold floa
 	}
 	s := math.Sqrt(2 * snr) // per-sample amplitude ratio s/σ
 	q := gaussQ(s * math.Sqrt(float64(samplesPerHalfBit)))
-	pPayload := math.Pow(1-2*q*(1-q), float64(nbits))
-	rho := s / math.Sqrt(1+s*s)
-	spread := 1 - rho*rho
+	pPayload := math.Pow(1-float64(2*q*(1-q)), float64(nbits))
+	rho := s / math.Sqrt(1+float64(s*s))
+	spread := 1 - float64(rho*rho)
 	if spread <= 0 {
 		return pPayload
 	}
@@ -242,4 +242,4 @@ func expectedCorrelation(snr float64) float64 {
 func gaussPhi(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
 // gaussQ is the standard normal tail probability.
-func gaussQ(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
+func gaussQ(x float64) float64 { return float64(0.5 * math.Erfc(x/math.Sqrt2)) }

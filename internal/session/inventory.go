@@ -511,7 +511,7 @@ func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, ma
 			break // drained
 		}
 		// Schoute backlog estimate: ≈2.39 tags per colliding slot.
-		backlog := int(2.39*float64(sweepCollisions) + 0.5)
+		backlog := int(float64(2.39*float64(sweepCollisions)) + 0.5)
 		if backlog == 0 {
 			// Singles only: one more tight sweep catches stragglers that
 			// were mid-handshake.

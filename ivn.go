@@ -183,7 +183,9 @@ func (s *System) inventoryEPC(sc scenario.Scenario, model tag.Model, epc []byte,
 	}
 	out := &Session{PeakPowerDBm: lk.PeakPowerDBm()}
 
-	tg, err := tag.New(model, epc, r.Split("tag"))
+	var tagRand rng.Rand
+	r.SplitInto(&tagRand, "tag")
+	tg, err := tag.New(model, epc, &tagRand)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +241,10 @@ func (s *System) InventorySelect(sc scenario.Scenario, sensors map[string]tag.Mo
 	// iteration order would otherwise change every tag's randomness (and
 	// the tags slice order) from run to run.
 	var tags []*tag.Tag
+	var tagRand rng.Rand
 	for _, epcStr := range sortedEPCs(sensors) {
-		tg, err := tag.New(sensors[epcStr], []byte(epcStr), r.Split("tag-"+epcStr))
+		r.SplitInto(&tagRand, "tag-"+epcStr)
+		tg, err := tag.New(sensors[epcStr], []byte(epcStr), &tagRand)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +315,9 @@ func (s *System) accessWith(sc scenario.Scenario, model tag.Model, provision fun
 	}
 	out := &AccessResult{Session: Session{PeakPowerDBm: lk.PeakPowerDBm()}}
 
-	tg, err := tag.New(model, []byte{0xE2, 0x00, 0x68, 0x10, 0x00, 0x01}, r.Split("tag"))
+	var tagRand rng.Rand
+	r.SplitInto(&tagRand, "tag")
+	tg, err := tag.New(model, []byte{0xE2, 0x00, 0x68, 0x10, 0x00, 0x01}, &tagRand)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,9 +469,11 @@ func (s *System) InventoryPopulation(sc scenario.Scenario, sensors map[string]ta
 	// `reachable` feeds the singulation order the caller sees, so map
 	// iteration order must not leak into either.
 	var reachable []*gen2.TagLogic
+	var tagRand rng.Rand
 	for _, epcStr := range sortedEPCs(sensors) {
 		model := sensors[epcStr]
-		tg, err := tag.New(model, []byte(epcStr), r.Split("tag-"+epcStr))
+		r.SplitInto(&tagRand, "tag-"+epcStr)
+		tg, err := tag.New(model, []byte(epcStr), &tagRand)
 		if err != nil {
 			return nil, err
 		}

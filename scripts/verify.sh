@@ -16,15 +16,16 @@
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              shared scratch pools, under the race detector
 # 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
-#                              internal/phasor and internal/rng must list
-#                              no fused multiply-add (FMADDD/FMSUBD/
-#                              FNMADDD/FNMSUBD: a fused x*y+z rounds once
-#                              and would break the kernels' and the
-#                              normals' bit-identity; this is a codegen
-#                              check, nothing here runs arm64 code), and
-#                              the rng, phasor, core and baseline tests
-#                              must pass as GOARCH=386 (runs natively on
-#                              amd64 Linux)
+#                              internal/phasor, internal/rng, internal/gen2
+#                              and internal/session must list no fused
+#                              multiply-add (FMADDD/FMSUBD/FNMADDD/FNMSUBD:
+#                              a fused x*y+z rounds once and would break
+#                              the kernels', the normals', the decoders'
+#                              and the event channel's bit-identity; this
+#                              is a codegen check, nothing here runs arm64
+#                              code), and the rng, phasor, core, baseline,
+#                              gen2 and session tests must pass as
+#                              GOARCH=386 (runs natively on amd64 Linux)
 # 6. faultmatrix smoke       — the fault-injection experiment end to end:
 #                              injector, recovery stack, paired ablation
 # 6b. population smoke       — the N=1000 event-channel inventory end to
@@ -140,7 +141,10 @@ no_fused_arm64() {
 cross_arch_kernel() {
   no_fused_arm64 phasor 'phasor\.SumSeries' &&
     no_fused_arm64 rng 'rng\.(\*Rand)\.NormFloat64s' &&
-    GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/
+    no_fused_arm64 gen2 'gen2\.MillerDecoder\.DecodePayload' &&
+    no_fused_arm64 session 'session\.DecodeProbability' &&
+    GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/ \
+      ./internal/gen2/ ./internal/session/
 }
 stage "cross-arch kernel (arm64 codegen, 386 tests)" cross_arch_kernel
 
