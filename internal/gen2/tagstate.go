@@ -104,15 +104,15 @@ type TagLogic struct {
 
 	// miller is the uplink encoding of the current round: 0 = FM0,
 	// otherwise the Miller subcarrier factor (2/4/8), from Query.M.
-	miller int
+	miller byte
 
 	// accessPwd protects memory writes when nonzero (see secure.go).
 	accessPwd uint32
 
 	// user is the tag's user memory bank (sensor registers / actuation
-	// words); tid is the tag-identification bank.
+	// words). The tag-identification bank is derived from the EPC on read
+	// (see readBank), which keeps TagLogic in a 128-byte allocation.
 	user [userWords]uint16
-	tid  [2]uint16
 
 	// OnWrite, when set, observes every accepted memory write — the hook
 	// an actuator (e.g. a drug-release mechanism) hangs off.
@@ -133,11 +133,7 @@ func NewTagLogic(epc []byte, random *rng.Rand) (*TagLogic, error) {
 	if random == nil {
 		return nil, fmt.Errorf("gen2: nil RNG")
 	}
-	t := &TagLogic{epc: append([]byte(nil), epc...), random: *random}
-	// TID: a fixed class identifier plus a serial derived from the EPC.
-	t.tid[0] = 0xE280
-	t.tid[1] = uint16(epc[0])<<8 | uint16(epc[len(epc)-1])
-	return t, nil
+	return &TagLogic{epc: append([]byte(nil), epc...), random: *random}, nil
 }
 
 // UserMemory returns a copy of the user bank.
@@ -154,11 +150,15 @@ func (t *TagLogic) readBank(bank MemoryBank, ptr byte, count byte) ([]uint16, bo
 		return nil, false
 	}
 	var src []uint16
+	var tid [2]uint16
 	switch bank {
 	case BankUser:
 		src = t.user[:]
 	case BankTID:
-		src = t.tid[:]
+		// A fixed class identifier plus a serial derived from the EPC.
+		tid[0] = 0xE280
+		tid[1] = uint16(t.epc[0])<<8 | uint16(t.epc[len(t.epc)-1])
+		src = tid[:]
 	case BankEPC:
 		// PC word then EPC words, as stored.
 		src = make([]uint16, 1+len(t.epc)/2)
@@ -385,7 +385,7 @@ func (t *TagLogic) handleQuery(q *Query) Reply {
 
 // Miller returns the uplink encoding of the current round: 0 for FM0,
 // otherwise the Miller subcarrier factor.
-func (t *TagLogic) Miller() int { return t.miller }
+func (t *TagLogic) Miller() int { return int(t.miller) }
 
 func (t *TagLogic) handleQueryRep(q *QueryRep) Reply {
 	if q.Session != t.session {
