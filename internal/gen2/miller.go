@@ -122,6 +122,8 @@ func (d MillerDecoder) DecodePayload(samples []float64, nbits int) (Bits, error)
 			if k%spc >= spc/2 {
 				sub = -1
 			}
+			// A converted product cannot fuse into the sum (arm64 may
+			// round x*y+z once), so every architecture decodes alike.
 			if k < half {
 				h1 += float64(v * sub)
 			} else {

@@ -189,7 +189,9 @@ func (p PIEParams) DecodeFrame(env []float64) (Bits, PIEInfo, error) {
 		return nil, PIEInfo{}, fmt.Errorf("gen2: no modulation in envelope")
 	}
 	// "The sensor's energy detector uses half the amplitude difference as
-	// the decoding threshold" (paper §3.6).
+	// the decoding threshold" (paper §3.6). The division by 2 compiles to
+	// a product; the conversion keeps it, and the symbol durations below,
+	// from fusing into a sum on arm64.
 	th := lo + float64((hi-lo)/2)
 
 	// Run-length encode the binarized envelope.

@@ -235,9 +235,10 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 // counters to come due, QueryReps and QueryAdjusts of a session other than
 // the parked one, a QueryAdjust of the parked session redrawing parked
 // tags in place and meeting parked tags that lost power, parked tags
-// losing power with and without a Reset, and a second Reset mid-round. Every command compares replies and tag state;
-// every Reset hands the counters back and compares every tag's counter.
-// Like the random test, it fails if a path was never reached.
+// losing power with and without a Reset, and a second Reset mid-round.
+// Every command compares replies and tag state; every Reset hands the
+// counters back and compares every tag's counter. Like the random test,
+// it fails if a path was never reached.
 func TestCalendarMatchesPerTagLoop(t *testing.T) {
 	seen := map[string]int{}
 	for seed := uint64(1); seed <= 3; seed++ {

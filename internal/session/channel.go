@@ -205,6 +205,7 @@ func DecodeProbability(snr float64, nbits, samplesPerHalfBit int, threshold floa
 	}
 	s := math.Sqrt(2 * snr) // per-sample amplitude ratio s/σ
 	q := gaussQ(s * math.Sqrt(float64(samplesPerHalfBit)))
+	// Converted products cannot fuse into the sums on arm64 (see gaussQ).
 	pPayload := math.Pow(1-float64(2*q*(1-q)), float64(nbits))
 	rho := s / math.Sqrt(1+float64(s*s))
 	spread := 1 - float64(rho*rho)
@@ -241,5 +242,7 @@ func expectedCorrelation(snr float64) float64 {
 // gaussPhi is the standard normal CDF.
 func gaussPhi(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
-// gaussQ is the standard normal tail probability.
+// gaussQ is the standard normal tail probability. Inlined, its product
+// would fuse into a caller's 1-q on arm64 (one rounding instead of two);
+// the conversion prevents that.
 func gaussQ(x float64) float64 { return float64(0.5 * math.Erfc(x/math.Sqrt2)) }

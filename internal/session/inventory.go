@@ -510,7 +510,8 @@ func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, ma
 		if sweepSingles == 0 && sweepCollisions == 0 {
 			break // drained
 		}
-		// Schoute backlog estimate: ≈2.39 tags per colliding slot.
+		// Schoute backlog estimate: ≈2.39 tags per colliding slot (the
+		// conversion keeps the product from fusing into the sum on arm64).
 		backlog := int(float64(2.39*float64(sweepCollisions)) + 0.5)
 		if backlog == 0 {
 			// Singles only: one more tight sweep catches stragglers that
