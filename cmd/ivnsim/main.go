@@ -282,7 +282,8 @@ func closeProfile(w *bufio.Writer, f *os.File) error {
 
 // runFragment executes one shard of a run, leaving its journal as the
 // product. The stderr summary is the fragment's machine-checkable
-// receipt: scripts/shardsmoke parses the recorded/replayed counts.
+// receipt: its recorded/replayed counts show how much of a resumed
+// fragment came from the journal.
 func runFragment(spec runspec.Spec, lim engine.Limits) error {
 	//ivn:allow determinism wall-clock only feeds the stderr elapsed-time diagnostic, never a table
 	start := time.Now()

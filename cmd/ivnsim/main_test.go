@@ -1,16 +1,61 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"ivn/internal/engine"
 	"ivn/internal/ivnsim/runspec"
 )
+
+// asCommandEnv, set in a test binary's environment, makes TestMain run
+// the command on the binary's arguments instead of the tests. The
+// process tests re-execute the test binary this way, so a signal they
+// send lands on the command itself and no separate build is needed.
+const asCommandEnv = "IVNSIM_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommandEnv) != "" {
+		os.Exit(run(os.Args[1:]))
+	}
+	os.Exit(m.Run())
+}
+
+// childCommand returns the test binary set up to run as ivnsim args.
+func childCommand(t *testing.T, args ...string) *exec.Cmd {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), asCommandEnv+"=1")
+	return cmd
+}
+
+// runChild runs ivnsim args as a child process, failing the test unless
+// it exits 0, and returns its standard output and standard error.
+func runChild(t *testing.T, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	cmd := childCommand(t, args...)
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("ivnsim %s: %v\n%s", strings.Join(args, " "), err, errb.Bytes())
+	}
+	return out.Bytes(), errb.Bytes()
+}
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed.
@@ -252,5 +297,89 @@ func TestNegativeParallelRejected(t *testing.T) {
 	}
 	if want := "ivnsim: -parallel -3: worker cap must be >= 0 (0 = GOMAXPROCS)\n"; stderr != want {
 		t.Fatalf("stderr %q, want %q", stderr, want)
+	}
+}
+
+// fragmentReceipt matches the counts of a fragment's stderr receipt.
+var fragmentReceipt = regexp.MustCompile(`recorded (\d+), replayed (\d+)`)
+
+// journalEntries counts the complete trial lines of a journal: every
+// newline-terminated line after the header.
+func journalEntries(path string) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0
+	}
+	return max(bytes.Count(data, []byte("\n"))-1, 0)
+}
+
+// TestKilledFragmentResumesAndMerges drives a sharded run through the
+// command as real processes. Fragment 0/2 is SIGKILLed once its journal
+// holds a trial, which can leave a torn final line; -resume must replay
+// the journaled trials and execute the rest; and -merge of both
+// fragments must print, and write under -out, the exact bytes of a
+// single-process run.
+func TestKilledFragmentResumesAndMerges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the command as child processes")
+	}
+	dir := t.TempDir()
+	frags := filepath.Join(dir, "frags")
+	if err := os.Mkdir(frags, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := []string{"-run", "population", "-quick", "-seed", "2", "-trials", "8"}
+	j0 := filepath.Join(frags, "f0.jsonl")
+	frag0 := slices.Concat(spec, []string{"-shard", "0/2", "-journal", j0})
+
+	// On one worker the fragment journals its first 16-tag trial within
+	// milliseconds and then spends hundreds of milliseconds on its
+	// 256- and 1000-tag trials, so the kill lands mid-run.
+	cmd := childCommand(t, slices.Concat(frag0, []string{"-parallel", "1"})...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for journalEntries(j0) == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	if ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("fragment 0/2 ended before the kill landed (%v, %d journal entries)", err, journalEntries(j0))
+	}
+
+	_, receipt := runChild(t, slices.Concat(frag0, []string{"-resume"})...)
+	m := fragmentReceipt.FindSubmatch(receipt)
+	if m == nil {
+		t.Fatalf("no fragment receipt on the resume's stderr: %s", receipt)
+	}
+	recorded, _ := strconv.Atoi(string(m[1]))
+	replayed, _ := strconv.Atoi(string(m[2]))
+	if recorded == 0 || replayed == 0 {
+		t.Fatalf("resume recorded %d and replayed %d trials, want both > 0: %s", recorded, replayed, receipt)
+	}
+	runChild(t, slices.Concat(spec, []string{"-shard", "1/2", "-journal", filepath.Join(frags, "f1.jsonl")})...)
+
+	mergedDir, refDir := filepath.Join(dir, "merged"), filepath.Join(dir, "ref")
+	merged, _ := runChild(t, "-merge", frags, "-json", "-out", mergedDir)
+	ref, _ := runChild(t, slices.Concat(spec, []string{"-json", "-out", refDir})...)
+	if !bytes.Equal(merged, ref) {
+		t.Errorf("merged -json stdout differs from the single-process run:\n%s\nwant:\n%s", merged, ref)
+	}
+	for _, ext := range []string{"txt", "csv", "json"} {
+		want, err := os.ReadFile(filepath.Join(refDir, "population."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(mergedDir, "population."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("merged population.%s differs from the single-process run's", ext)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // Every field is optional; zero values select the defaults below.
 type daemonConfig struct {
 	// Addr is the listen address. ":0" picks an ephemeral port (the
-	// daemon prints the bound address, which is how the smoke test finds
-	// it).
+	// daemon prints the bound address on stdout, which is how a client
+	// that started it finds the port).
 	Addr string `json:"addr,omitempty"`
 	service.Config
 }

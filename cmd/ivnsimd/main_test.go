@@ -1,19 +1,44 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"ivn/internal/engine"
+	"ivn/internal/ivnsim/runspec"
+	"ivn/internal/service"
 )
+
+// asCommandEnv, set in a test binary's environment, makes TestMain run
+// the daemon on the binary's arguments instead of the tests, so a test
+// can start the real daemon as a child process and signal it directly.
+const asCommandEnv = "IVNSIMD_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommandEnv) != "" {
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
 
 // TestStalledHeaderClientDisconnected shows the daemon's server cuts off
 // a client that opens a connection and never finishes its request
 // header, once readHeaderTimeout passes, instead of holding the
 // connection open forever.
 func TestStalledHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +92,7 @@ func TestStalledBodyClientDisconnected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the read timeout")
 	}
+	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -119,5 +145,114 @@ func TestStalledBodyClientDisconnected(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < readTimeout/2 {
 		t.Fatalf("connection cut after %v, before the %v read timeout", elapsed, readTimeout)
+	}
+}
+
+// getBody fetches url and returns its body, failing the test unless the
+// answer is 200.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %v %s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// TestDaemonServesAndDrainsOnSIGTERM runs the daemon as a child process
+// on an ephemeral port: its stdout ready line names the bound address, a
+// submitted run's /result is byte-identical to what the shared pipeline
+// renders for `ivnsim -json`, and SIGTERM drains it to exit status 0.
+func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the daemon as a child process")
+	}
+	t.Parallel()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), asCommandEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// A daemon the test leaves behind, or one that hangs, is killed; the
+	// kill also ends a read blocked on its stdout.
+	watchdog := time.AfterFunc(time.Minute, func() { _ = cmd.Process.Kill() })
+	t.Cleanup(func() {
+		watchdog.Stop()
+		if cmd.ProcessState == nil {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		}
+		if t.Failed() {
+			t.Logf("daemon stderr:\n%s", stderr.Bytes())
+		}
+	})
+
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	addr, ok := strings.CutPrefix(strings.TrimSpace(line), "ivnsimd: listening on ")
+	if !ok {
+		t.Fatalf("ready line %q (%v)", line, err)
+	}
+	base := "http://" + addr
+
+	spec := runspec.Spec{Experiment: "fig9", Seed: 2, Quick: true}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/runs: %d %v", resp.StatusCode, err)
+	}
+	for st.State != service.StateDone {
+		if st.State == service.StateFailed || st.State == service.StateCancelled {
+			t.Fatalf("run %s ended %s: %s", st.ID, st.State, st.Error)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if err := json.Unmarshal(getBody(t, base+"/v1/runs/"+st.ID), &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, _, err := runspec.Run(context.Background(), engine.Limits{}, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := engine.RenderJSON(res, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got := getBody(t, base+"/v1/runs/"+st.ID+"/result"); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("served result differs from the CLI's -json bytes:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("daemon exit after SIGTERM: %v", err)
+	}
+	if !strings.Contains(stderr.String(), "drained cleanly") {
+		t.Fatal("no clean drain on stderr")
 	}
 }

@@ -111,8 +111,9 @@ func (rc *roundChannel) CorruptUplink(cmd int, bits gen2.Bits) (gen2.Bits, bool)
 // The rng stream and injector seed derive identically for both recovery
 // variants (the caller excludes `recovery` from the stream label), so the
 // ablation is paired: both variants face the same placement, the same PLL
-// phases, and the same fault schedule.
-func runFaultTrial(scale float64, recovery bool, r *rng.Rand) (faultTrialResult, error) {
+// phases, and the same fault schedule. A non-nil tr observes the
+// inventory rounds.
+func runFaultTrial(scale float64, recovery bool, tr *session.Trace, r *rng.Rand) (faultTrialResult, error) {
 	res := faultTrialResult{Total: faultTags}
 	p, err := scenario.NewSwine(scenario.Subcutaneous).Realize(faultAntennas, r.Split("placement"))
 	if err != nil {
@@ -148,6 +149,7 @@ func runFaultTrial(scale float64, recovery bool, r *rng.Rand) (faultTrialResult,
 	ic := session.NewInventoryController(gen2.S0)
 	rc := &roundChannel{inj: inj, dark: make([]bool, faultTags)}
 	ic.Fault = rc
+	ic.Trace = tr
 	if recovery {
 		ic.Recovery = session.DefaultRecovery()
 	}
@@ -232,10 +234,22 @@ func FaultMatrixSummary(cfg Config) ([]FaultMatrixRow, error) {
 			row := FaultMatrixRow{Scale: scale, Recovery: recovery, Trials: trials}
 			// The stream label excludes `recovery`, pairing the variants:
 			// same placements, same fault schedules, different protocol.
+			// The span key includes it: each variant's trial is its own
+			// exchange.
 			label := fmt.Sprintf("fault-%g", scale)
 			rec := recovery
-			results, err := engine.TrialsCtx(cfg.Context(), cfg.Limits, cfg.Seed, label, trials, func(_ int, r *rng.Rand) (faultTrialResult, error) {
-				return runFaultTrial(scale, rec, r)
+			variant := "off"
+			if rec {
+				variant = "on"
+			}
+			results, err := engine.TrialsCtx(cfg.Context(), cfg.Limits, cfg.Seed, label, trials, func(trial int, r *rng.Rand) (faultTrialResult, error) {
+				var tr *session.Trace
+				if cfg.Trace != nil {
+					span, commit := cfg.Trace.Span(fmt.Sprintf("faultmatrix-%g-%s/%04d", scale, variant, trial))
+					defer commit()
+					tr = span
+				}
+				return runFaultTrial(scale, rec, tr, r)
 			})
 			if err != nil {
 				return nil, err

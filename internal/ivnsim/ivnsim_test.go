@@ -177,10 +177,7 @@ func TestQuickExperimentsAllRun(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(Config{Seed: 11, Quick: true})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			tab := sweepResult(t, e)
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}

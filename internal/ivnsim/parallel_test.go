@@ -11,9 +11,10 @@ import (
 // The scheduler's own unit tests live with it in internal/engine; this
 // file keeps the end-to-end determinism check at the experiment level.
 
-// renderedCSV runs an experiment and flattens its result — rows and
-// notes — to one comparable CSV string.
-func renderedCSV(t *testing.T, id string, cfg Config) (string, error) {
+// renderedJSON runs an experiment and renders its result as the -json
+// document: every value at full precision, with its format, plus the
+// notes, as one comparable string.
+func renderedJSON(t *testing.T, id string, cfg Config) (string, error) {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
@@ -24,7 +25,7 @@ func renderedCSV(t *testing.T, id string, cfg Config) (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
-	if err := engine.RenderCSV(res, &sb); err != nil {
+	if err := engine.RenderJSON(res, &sb); err != nil {
 		return "", err
 	}
 	return sb.String(), nil
@@ -45,12 +46,12 @@ func TestTablesIdenticalAcrossWorkerCap(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true}
 	for _, id := range ids {
 		cfg.Limits = engine.Limits{MaxParallel: 1}
-		one, err := renderedCSV(t, id, cfg)
+		one, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 1: %v", id, err)
 		}
 		cfg.Limits = engine.Limits{MaxParallel: 4}
-		four, err := renderedCSV(t, id, cfg)
+		four, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 4: %v", id, err)
 		}
@@ -75,12 +76,12 @@ func TestTablesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	serial := make(map[string]string)
 	for _, id := range ids {
-		csv, err := renderedCSV(t, id, cfg)
+		doc, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			runtime.GOMAXPROCS(prev)
 			t.Fatalf("%s serial: %v", id, err)
 		}
-		serial[id] = csv
+		serial[id] = doc
 	}
 	runtime.GOMAXPROCS(prev)
 	if prev == 1 {
@@ -88,7 +89,7 @@ func TestTablesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(prev)
 	for _, id := range ids {
-		got, err := renderedCSV(t, id, cfg)
+		got, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}

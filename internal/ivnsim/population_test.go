@@ -21,12 +21,12 @@ func TestPopulationTablesIdenticalAcrossWorkerCap(t *testing.T) {
 	cfg := Config{Seed: 7, Quick: true}
 	for _, id := range []string{"population", "adaptiveq"} {
 		cfg.Limits = engine.Limits{MaxParallel: 1}
-		one, err := renderedCSV(t, id, cfg)
+		one, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 1: %v", id, err)
 		}
 		cfg.Limits = engine.Limits{MaxParallel: 4}
-		four, err := renderedCSV(t, id, cfg)
+		four, err := renderedJSON(t, id, cfg)
 		if err != nil {
 			t.Fatalf("%s at -parallel 4: %v", id, err)
 		}
@@ -74,6 +74,7 @@ func TestPopulationTracedMatchesUntraced(t *testing.T) {
 		if len(tlog.Events(k)) == 0 {
 			t.Fatalf("span %q recorded no events", k)
 		}
+		checkSpanClock(t, k, tlog.Events(k))
 	}
 }
 

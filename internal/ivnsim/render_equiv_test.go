@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ivn/internal/engine"
@@ -20,6 +21,39 @@ import (
 // goldenConfig matches the configuration the goldens were captured with.
 func goldenConfig() Config { return Config{Seed: 11, Quick: true} }
 
+// sweep holds one golden-config run of each registered experiment.
+// TestQuickExperimentsAllRun, TestRenderersMatchCommittedGoldens and
+// TestResultsRoundTripThroughJSON check different properties of the same
+// results, so the package runs the registry once, not three times.
+var sweep struct {
+	sync.Mutex
+	runs map[string]sweepRun
+}
+
+type sweepRun struct {
+	res *engine.Result
+	err error
+}
+
+// sweepResult returns e's golden-config result, running e on first use.
+func sweepResult(t *testing.T, e Experiment) *engine.Result {
+	t.Helper()
+	sweep.Lock()
+	run, ok := sweep.runs[e.ID]
+	if !ok {
+		run.res, run.err = e.Run(goldenConfig())
+		if sweep.runs == nil {
+			sweep.runs = map[string]sweepRun{}
+		}
+		sweep.runs[e.ID] = run
+	}
+	sweep.Unlock()
+	if run.err != nil {
+		t.Fatalf("%s: %v", e.ID, run.err)
+	}
+	return run.res
+}
+
 func TestRenderersMatchCommittedGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short")
@@ -27,10 +61,7 @@ func TestRenderersMatchCommittedGoldens(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(goldenConfig())
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			res := sweepResult(t, e)
 			for ext, render := range map[string]engine.Renderer{
 				"txt": engine.RenderText,
 				"csv": engine.RenderCSV,
@@ -52,6 +83,11 @@ func TestRenderersMatchCommittedGoldens(t *testing.T) {
 	}
 }
 
+// TestResultsRoundTripThroughJSON decodes every experiment's -json
+// document, requires it to equal the typed result, and checks that it
+// is a complete table: id and title, a header, rows of the header's
+// width, only known cell kinds, and numeric payloads, not just
+// formatted strings.
 func TestResultsRoundTripThroughJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short")
@@ -59,10 +95,7 @@ func TestResultsRoundTripThroughJSON(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(goldenConfig())
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			res := sweepResult(t, e)
 			var buf bytes.Buffer
 			if err := engine.RenderJSON(res, &buf); err != nil {
 				t.Fatal(err)
@@ -73,6 +106,34 @@ func TestResultsRoundTripThroughJSON(t *testing.T) {
 			}
 			if !reflect.DeepEqual(*res, back) {
 				t.Fatalf("%s changed across the JSON round trip", e.ID)
+			}
+
+			if back.ID == "" || back.Title == "" {
+				t.Fatalf("document has id %q, title %q", back.ID, back.Title)
+			}
+			if len(back.Columns) == 0 || len(back.Rows) == 0 {
+				t.Fatalf("document has %d columns, %d rows", len(back.Columns), len(back.Rows))
+			}
+			numeric := 0
+			for i, row := range back.Rows {
+				if len(row) != len(back.Columns) {
+					t.Fatalf("row %d has %d cells, header has %d", i, len(row), len(back.Columns))
+				}
+				for j, c := range row {
+					switch c.Kind {
+					case engine.KindNumber, engine.KindTuple:
+						if len(c.Values) == 0 {
+							t.Fatalf("row %d cell %d: %s cell without values", i, j, c.Kind)
+						}
+					case engine.KindList, engine.KindString, engine.KindBool:
+					default:
+						t.Fatalf("row %d cell %d: unknown kind %q", i, j, c.Kind)
+					}
+					numeric += len(c.Values)
+				}
+			}
+			if numeric == 0 {
+				t.Fatal("no numeric cell value anywhere in the table")
 			}
 		})
 	}

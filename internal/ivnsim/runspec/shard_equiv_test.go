@@ -135,9 +135,15 @@ func TestFragmentKillAndResume(t *testing.T) {
 		t.Fatalf("resume executed %d trials, want %d (journaled trials must never re-execute)", got, total-kept)
 	}
 
-	merged, _, err := Merge(context.Background(), engine.Limits{}, []string{frag0.Journal, frag1.Journal})
+	// The merge replays both fragments: a trial it executed live would
+	// mean it dropped a fragment's entries, which the bytes cannot show.
+	var mm engine.SchedMetrics
+	merged, _, err := Merge(context.Background(), engine.Limits{Metrics: &mm}, []string{frag0.Journal, frag1.Journal})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := mm.Trials.Load(); got != 0 {
+		t.Fatalf("merge executed %d trials, want 0 (every trial is journaled)", got)
 	}
 	got := renderAll(t, merged)
 	for ext, wantBytes := range want {

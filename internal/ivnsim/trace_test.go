@@ -2,6 +2,7 @@ package ivnsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -19,11 +20,24 @@ func renderText(t *testing.T, res *engine.Result) []byte {
 	return buf.Bytes()
 }
 
+// checkSpanClock fails unless a span's sim clock starts at or after zero
+// and never runs backwards.
+func checkSpanClock(t *testing.T, span string, events []session.Event) {
+	t.Helper()
+	prev := 0.0
+	for i, ev := range events {
+		if ev.T < prev {
+			t.Fatalf("span %q event %d: clock at %v after %v", span, i, ev.T, prev)
+		}
+		prev = ev.T
+	}
+}
+
 // TestTracedRunMatchesUntraced extends the renderer-equivalence suite
 // across the observability seam: attaching a trace log to an experiment
 // must not change one byte of its table, and the log must actually fill.
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	for _, id := range []string{"fig12", "invivo"} {
+	for _, id := range []string{"fig12", "invivo", "faultmatrix"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -51,13 +65,15 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 			if len(tlog.Events(k)) == 0 {
 				t.Fatalf("%s: span %q committed empty", id, k)
 			}
+			checkSpanClock(t, k, tlog.Events(k))
 		}
 	}
 }
 
 // TestTraceLogByteIdenticalAcrossParallel serializes the fig12 trace at
 // two worker-pool widths and requires identical bytes — the acceptance
-// bar for -trace determinism at any GOMAXPROCS.
+// bar for -trace determinism at any GOMAXPROCS — and a stream that
+// parses back into well-formed events.
 func TestTraceLogByteIdenticalAcrossParallel(t *testing.T) {
 	run := func(workers int) []byte {
 		e, err := ByID("fig12")
@@ -81,5 +97,26 @@ func TestTraceLogByteIdenticalAcrossParallel(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("trace JSONL differs between -parallel 1 and 4")
+	}
+
+	// Every line decodes through session.Event (whose kind decoder
+	// rejects an unknown name) under a non-empty span; a span's lines
+	// come in observation order.
+	spans := map[string][]session.Event{}
+	for n, raw := range bytes.Split(bytes.TrimSuffix(a, []byte("\n")), []byte("\n")) {
+		var line struct {
+			Span string `json:"span"`
+			session.Event
+		}
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatalf("line %d: %v", n+1, err)
+		}
+		if line.Span == "" {
+			t.Fatalf("line %d: empty span", n+1)
+		}
+		spans[line.Span] = append(spans[line.Span], line.Event)
+	}
+	for span, events := range spans {
+		checkSpanClock(t, span, events)
 	}
 }

@@ -366,7 +366,7 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
-// TestHTTPHealthz is the liveness contract the daemon smoke test polls.
+// TestHTTPHealthz is the liveness contract a supervisor polls.
 func TestHTTPHealthz(t *testing.T) {
 	_, srv := testServer(t, Config{Workers: 1})
 	resp, err := http.Get(srv.URL + "/healthz")
