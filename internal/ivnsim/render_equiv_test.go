@@ -12,11 +12,13 @@ import (
 	"ivn/internal/engine"
 )
 
-// Renderer equivalence suite: the committed goldens under testdata/golden
-// were captured from the pre-engine string pipeline (Seed 11, Quick).
-// Every experiment's typed result must render to those exact bytes — the
-// engine migration is only allowed to change how tables are built, never
-// a single output byte — and must survive a JSON round trip unchanged.
+// Renderer equivalence suite: the committed text and CSV goldens under
+// testdata/golden were captured from the pre-engine string pipeline
+// (Seed 11, Quick); the JSON goldens carry every cell at full precision,
+// so a change below the text and CSV rounding shows too. Every
+// experiment's typed result must render to those exact bytes — a
+// refactor is only allowed to change how tables are built, never a
+// single output byte — and must survive a JSON round trip unchanged.
 
 // goldenConfig matches the configuration the goldens were captured with.
 func goldenConfig() Config { return Config{Seed: 11, Quick: true} }
@@ -63,8 +65,9 @@ func TestRenderersMatchCommittedGoldens(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			res := sweepResult(t, e)
 			for ext, render := range map[string]engine.Renderer{
-				"txt": engine.RenderText,
-				"csv": engine.RenderCSV,
+				"txt":  engine.RenderText,
+				"csv":  engine.RenderCSV,
+				"json": engine.RenderJSON,
 			} {
 				want, err := os.ReadFile(filepath.Join("testdata", "golden", e.ID+"."+ext))
 				if err != nil {
