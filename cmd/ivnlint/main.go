@@ -2,7 +2,9 @@
 // over package patterns and reports violations of the simulator's
 // correctness invariants: determinism of published tables, scratch-pool
 // discipline, float-comparison hygiene, sanctioned concurrency, handled
-// errors, physical-unit consistency, and statically alloc-free hot paths.
+// errors, physical-unit consistency, statically alloc-free hot paths, and
+// no function that no program path reaches (checked only when the
+// patterns cover the whole module).
 //
 // Usage:
 //

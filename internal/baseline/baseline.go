@@ -2,16 +2,13 @@
 //
 //   - SingleAntenna: one transmit chain (the denominator of every "power
 //     gain" number in the paper).
-//   - BlindArray: the paper's "10-antenna transmitter" — N chains on the
+//   - BlindArrayInto: the paper's "10-antenna transmitter" — N chains on the
 //     SAME carrier frequency with unknown random phases. Its gain over a
 //     single antenna comes entirely from radiating N× total power; at any
 //     given point the phasors may also cancel.
-//   - OracleMRT: coherent maximum-ratio beamforming with perfect channel
+//   - OracleMRTInto: coherent maximum-ratio beamforming with perfect channel
 //     knowledge — the upper bound that is unobtainable for battery-free
 //     sensors (it needs channel feedback) but shows what CIB is giving up.
-//   - PhasedArray: angle-steered precoding assuming free-space geometry;
-//     correct in line-of-sight air, wrong through inhomogeneous tissue
-//     (footnote 5 of the paper).
 package baseline
 
 import (
@@ -31,20 +28,11 @@ func SingleAntenna(freq, amplitude float64) []radio.Carrier {
 	return []radio.Carrier{{Freq: freq, Phase: 0, Amplitude: amplitude}}
 }
 
-// BlindArray returns n same-frequency carriers with independent random
-// phases, each emitting perAntennaAmplitude. This is the optimized
-// multi-antenna baseline of §6.1.1(c): it cannot focus because it has no
-// channel knowledge and — unlike CIB — no frequency diversity to scan
-// alignments over time.
-func BlindArray(n int, freq, perAntennaAmplitude float64, r *rng.Rand) ([]radio.Carrier, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("baseline: n=%d", n)
-	}
-	return BlindArrayInto(make([]radio.Carrier, 0, n), n, freq, perAntennaAmplitude, r)
-}
-
-// BlindArrayInto appends the blind-array carrier set to dst and returns
-// it, drawing the same phase sequence as BlindArray.
+// BlindArrayInto appends n same-frequency carriers with independent
+// random phases, each emitting perAntennaAmplitude, to dst and returns
+// it. This is the optimized multi-antenna baseline of §6.1.1(c): it
+// cannot focus because it has no channel knowledge and — unlike CIB — no
+// frequency diversity to scan alignments over time.
 func BlindArrayInto(dst []radio.Carrier, n int, freq, perAntennaAmplitude float64, r *rng.Rand) ([]radio.Carrier, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("baseline: n=%d", n)
@@ -55,16 +43,11 @@ func BlindArrayInto(dst []radio.Carrier, n int, freq, perAntennaAmplitude float6
 	return dst, nil
 }
 
-// OracleMRT returns n same-frequency carriers whose phases pre-rotate
+// OracleMRTInto appends n same-frequency carriers whose phases pre-rotate
 // each channel's phase away (maximum-ratio transmission), given perfect
-// knowledge of the channel coefficients. All phasors then add coherently
-// at the sensor: the unreachable ideal for battery-free devices.
-func OracleMRT(freq, perAntennaAmplitude float64, chans []complex128) ([]radio.Carrier, error) {
-	return OracleMRTInto(make([]radio.Carrier, 0, len(chans)), freq, perAntennaAmplitude, chans)
-}
-
-// OracleMRTInto appends the maximum-ratio carrier set to dst and returns
-// it.
+// knowledge of the channel coefficients, to dst and returns it. All
+// phasors then add coherently at the sensor: the unreachable ideal for
+// battery-free devices.
 func OracleMRTInto(dst []radio.Carrier, freq, perAntennaAmplitude float64, chans []complex128) ([]radio.Carrier, error) {
 	if len(chans) == 0 {
 		return nil, fmt.Errorf("baseline: no channels")
@@ -77,29 +60,6 @@ func OracleMRTInto(dst []radio.Carrier, freq, perAntennaAmplitude float64, chans
 		})
 	}
 	return dst, nil
-}
-
-// PhasedArray returns carriers precoded to steer a free-space beam toward
-// a target at the given angle, for antennas spaced `spacing` meters apart
-// along a line. The precoding assumes air propagation: through layered
-// tissue the true phases differ and the beam degrades — exactly why
-// angle-steering fails for in-vivo sensors (§7, "Antenna-array
-// beamforming... becomes intractable with multi-layer tissues").
-func PhasedArray(n int, freq, perAntennaAmplitude, spacing, steerAngle float64) ([]radio.Carrier, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("baseline: n=%d", n)
-	}
-	if spacing <= 0 {
-		return nil, fmt.Errorf("baseline: spacing %v <= 0", spacing)
-	}
-	lambda := 299792458.0 / freq
-	out := make([]radio.Carrier, n)
-	for i := range out {
-		// Progressive phase to align path lengths toward steerAngle.
-		ph := 2 * math.Pi * float64(i) * spacing * math.Sin(steerAngle) / lambda
-		out[i] = radio.Carrier{Freq: freq, Phase: ph, Amplitude: perAntennaAmplitude}
-	}
-	return out, nil
 }
 
 // scanSpec validates a (carriers, chans, duration, samples) scan request.
@@ -190,6 +150,8 @@ func PeakReceivedPowerRefined(carriers []radio.Carrier, chans []complex128, dura
 // one Sincos per carrier per sample on the same half-open [0, duration)
 // grid. It is kept as the golden reference the kernel-backed scans are
 // tested against and is not used on any hot path.
+//
+//ivn:allow unreached the reference TestKernelPeakMatchesNaive pins the kernel-backed scans to
 func NaivePeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
 		return p, err
@@ -212,30 +174,4 @@ func NaivePeakReceivedPower(carriers []radio.Carrier, chans []complex128, durati
 		}
 	}
 	return best, nil
-}
-
-// AverageReceivedPower returns the time-averaged received power of the
-// superposition over the same half-open [0, duration) grid as
-// PeakReceivedPower — equal for CIB and a blind array with the same
-// channels and per-antenna power ("the average received energy is the
-// same across both encoding schemes", §3.4).
-//
-//ivn:hotpath
-func AverageReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
-	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
-		return p, err
-	}
-	freqs, coeffs := carrierPhasors(carriers, chans)
-	re := pool.Float64(samples)
-	im := pool.Float64(samples)
-	phasor.SumSeries(freqs, coeffs, 0, duration/float64(samples), samples, re, im)
-	var acc float64
-	for k := 0; k < samples; k++ {
-		acc += re[k]*re[k] + im[k]*im[k]
-	}
-	pool.PutFloat64(im)
-	pool.PutFloat64(re)
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(freqs)
-	return acc / float64(samples), nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ivn/internal/core"
-	"ivn/internal/em"
 	"ivn/internal/rng"
 )
 
@@ -17,10 +16,16 @@ func unitChans(n int) []complex128 {
 	return out
 }
 
+// unitPhasor returns e^{jθ} with θ uniform in [0, 2π).
+func unitPhasor(r *rng.Rand) complex128 {
+	s, c := math.Sincos(r.Phase())
+	return complex(c, s)
+}
+
 func randomChans(n int, r *rng.Rand) []complex128 {
 	out := make([]complex128, n)
 	for i := range out {
-		out[i] = r.UnitPhasor()
+		out[i] = unitPhasor(r)
 	}
 	return out
 }
@@ -40,7 +45,7 @@ func TestOracleMRTAchievesNSquared(t *testing.T) {
 	r := rng.New(1)
 	const n = 10
 	chans := randomChans(n, r)
-	cs, err := OracleMRT(915e6, 1, chans)
+	cs, err := OracleMRTInto(nil, 915e6, 1, chans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestBlindArrayAverageGainIsN(t *testing.T) {
 	var acc float64
 	for i := 0; i < trials; i++ {
 		chans := unitChans(n)
-		cs, err := BlindArray(n, 915e6, 1, r)
+		cs, err := BlindArrayInto(nil, n, 915e6, 1, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +92,7 @@ func TestBlindArrayHasDeepNulls(t *testing.T) {
 	const n = 10
 	worst := math.Inf(1)
 	for i := 0; i < 2000; i++ {
-		cs, _ := BlindArray(n, 915e6, 1, r)
+		cs, _ := BlindArrayInto(nil, n, 915e6, 1, r)
 		p, _ := PeakReceivedPower(cs, unitChans(n), 1, 1)
 		worst = math.Min(worst, p)
 	}
@@ -107,7 +112,7 @@ func TestCIBBeatsBlindArrayAlmostAlways(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		chans := randomChans(n, r)
 		// CIB: offset carriers, random phases.
-		cibCarriers, err := BlindArray(n, 915e6, 1, r)
+		cibCarriers, err := BlindArrayInto(nil, n, 915e6, 1, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +123,7 @@ func TestCIBBeatsBlindArrayAlmostAlways(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blind, err := BlindArray(n, 915e6, 1, r)
+		blind, err := BlindArrayInto(nil, n, 915e6, 1, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,104 +140,13 @@ func TestCIBBeatsBlindArrayAlmostAlways(t *testing.T) {
 	}
 }
 
-func TestPhasedArraySteersInAir(t *testing.T) {
-	// In free space with boresight geometry, a 0-steer phased array adds
-	// coherently at a distant on-axis point.
-	const n = 8
-	freq := 915e6
-	lambda := em.Wavelength(freq)
-	spacing := lambda / 2
-	cs, err := PhasedArray(n, freq, 1, spacing, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On-axis target: all path lengths equal ⇒ identical channels.
-	p, err := PeakReceivedPower(cs, unitChans(n), 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-n*n) > 1e-9 {
-		t.Fatalf("boresight phased-array peak %v, want %d", p, n*n)
-	}
-}
-
-func TestPhasedArrayFailsThroughTissue(t *testing.T) {
-	// The same precoding through a layered-tissue channel with per-antenna
-	// phase scrambling loses most of its gain (paper footnote 5).
-	r := rng.New(5)
-	const n = 8
-	freq := 915e6
-	lambda := em.Wavelength(freq)
-	cs, err := PhasedArray(n, freq, 1, lambda/2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tissue channels: equal magnitude, scrambled phases (the layered
-	// stack decorrelates the inter-antenna phase relationship).
-	var acc float64
-	const trials = 300
-	for i := 0; i < trials; i++ {
-		chans := randomChans(n, r)
-		p, err := PeakReceivedPower(cs, chans, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc += p
-	}
-	mean := acc / trials
-	// Down from N²=64 to ≈N=8.
-	if mean > 2*n {
-		t.Fatalf("phased array through scrambling still averages %v, want ≈%d", mean, n)
-	}
-}
-
-func TestAveragePowerEqualAcrossSchemes(t *testing.T) {
-	// §3.4: "the average received energy is the same across both encoding
-	// schemes" — CIB and the blind array deliver identical mean power for
-	// the same channels and per-antenna power.
-	r := rng.New(6)
-	const n = 6
-	chans := randomChans(n, r)
-	offsets := core.PaperOffsets()[:n]
-	cib, _ := BlindArray(n, 915e6, 1, r)
-	for j := range cib {
-		cib[j].Freq = 915e6 + offsets[j]
-	}
-	blind, _ := BlindArray(n, 915e6, 1, r)
-	aCIB, err := AverageReceivedPower(cib, chans, 1, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aBlind, err := AverageReceivedPower(blind, chans, 1, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The blind array's average IS its static level, which varies per
-	// draw; compare CIB's time average to the channel-power sum instead.
-	var sum float64
-	for _, h := range chans {
-		m := real(h)*real(h) + imag(h)*imag(h)
-		sum += m
-	}
-	if math.Abs(aCIB-sum)/sum > 0.05 {
-		t.Fatalf("CIB average %v, want Σ|h|² = %v", aCIB, sum)
-	}
-	_ = aBlind // the blind array's average equals its own static level by construction
-}
-
 func TestValidationErrors(t *testing.T) {
 	r := rng.New(7)
-	if _, err := BlindArray(0, 915e6, 1, r); err == nil {
+	if _, err := BlindArrayInto(nil, 0, 915e6, 1, r); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := OracleMRT(915e6, 1, nil); err == nil {
+	if _, err := OracleMRTInto(nil, 915e6, 1, nil); err == nil {
 		t.Fatal("empty channels accepted")
-	}
-	if _, err := PhasedArray(0, 915e6, 1, 0.1, 0); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := PhasedArray(4, 915e6, 1, 0, 0); err == nil {
-		t.Fatal("zero spacing accepted")
 	}
 	cs := SingleAntenna(915e6, 1)
 	if _, err := PeakReceivedPower(cs, nil, 1, 10); err == nil {
@@ -241,24 +155,18 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := PeakReceivedPower(cs, unitChans(1), 0, 10); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	if _, err := AverageReceivedPower(cs, nil, 1, 10); err == nil {
-		t.Fatal("average channel mismatch accepted")
-	}
-	if _, err := AverageReceivedPower(cs, unitChans(1), 1, 0); err == nil {
+	if _, err := PeakReceivedPower(cs, unitChans(1), 1, 0); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 	if p, err := PeakReceivedPower(nil, nil, 1, 10); err != nil || p != 0 {
 		t.Fatal("empty carrier set should give 0 peak")
-	}
-	if p, err := AverageReceivedPower(nil, nil, 1, 10); err != nil || p != 0 {
-		t.Fatal("empty carrier set should give 0 average")
 	}
 }
 
 func BenchmarkPeakReceivedPower(b *testing.B) {
 	r := rng.New(1)
 	offsets := core.PaperOffsets()
-	cs, _ := BlindArray(10, 915e6, 1, r)
+	cs, _ := BlindArrayInto(nil, 10, 915e6, 1, r)
 	for j := range cs {
 		cs[j].Freq = 915e6 + offsets[j]
 	}

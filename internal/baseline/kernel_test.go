@@ -28,7 +28,7 @@ func randomCarrierSet(r *rng.Rand, n int, sameFreq bool) ([]radio.Carrier, []com
 			Phase:     r.Phase(),
 			Amplitude: 0.5 + r.Float64(),
 		}
-		chans[i] = r.UnitPhasor()
+		chans[i] = unitPhasor(r)
 	}
 	return cs, chans
 }
@@ -129,7 +129,7 @@ func TestRefinedPeakValidation(t *testing.T) {
 func BenchmarkPeakReceivedPowerRefined(b *testing.B) {
 	r := rng.New(1)
 	offsets := core.PaperOffsets()
-	cs, _ := BlindArray(10, 915e6, 1, r)
+	cs, _ := BlindArrayInto(nil, 10, 915e6, 1, r)
 	for j := range cs {
 		cs[j].Freq = 915e6 + offsets[j]
 	}
@@ -146,7 +146,7 @@ func BenchmarkPeakReceivedPowerRefined(b *testing.B) {
 func BenchmarkNaivePeakReceivedPower(b *testing.B) {
 	r := rng.New(1)
 	offsets := core.PaperOffsets()
-	cs, _ := BlindArray(10, 915e6, 1, r)
+	cs, _ := BlindArrayInto(nil, 10, 915e6, 1, r)
 	for j := range cs {
 		cs[j].Freq = 915e6 + offsets[j]
 	}

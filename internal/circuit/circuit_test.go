@@ -146,202 +146,6 @@ func TestNewRectifierValidation(t *testing.T) {
 	}
 }
 
-func TestEfficiencyShape(t *testing.T) {
-	r, _ := NewRectifier(2, 0.3)
-	if r.Efficiency(0.25) != 0 {
-		t.Fatal("efficiency below threshold nonzero")
-	}
-	// Efficiency grows with drive amplitude — the paper's core observation
-	// that harvesters favor large input voltages.
-	e1, e2, e3 := r.Efficiency(0.4), r.Efficiency(0.8), r.Efficiency(3)
-	if !(e1 < e2 && e2 < e3) {
-		t.Fatalf("efficiency not increasing: %v %v %v", e1, e2, e3)
-	}
-	if e3 > 1 {
-		t.Fatalf("efficiency %v exceeds 1", e3)
-	}
-}
-
-func TestTransientDoublerConverges(t *testing.T) {
-	// A single-stage doubler driven well above threshold converges near
-	// 2·(Vs−Vth) into an open circuit (Fig. 1 analysis).
-	r, _ := NewRectifier(1, 0.3)
-	const fs = 100e6
-	const fc = 1e6
-	const vs = 1.0
-	n := 20000
-	vin := make([]float64, n)
-	for i := range vin {
-		vin[i] = vs * math.Sin(2*math.Pi*fc*float64(i)/fs)
-	}
-	out, err := r.Transient(vin, fs, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := out[len(out)-1]
-	want := 2 * (vs - 0.3)
-	if math.Abs(final-want) > 0.15*want {
-		t.Fatalf("doubler settled at %v V, want ≈%v", final, want)
-	}
-}
-
-func TestTransientBelowThresholdHarvestsNothing(t *testing.T) {
-	r, _ := NewRectifier(1, 0.3)
-	const fs = 100e6
-	vin := make([]float64, 5000)
-	for i := range vin {
-		vin[i] = 0.25 * math.Sin(2*math.Pi*1e6*float64(i)/fs)
-	}
-	out, err := r.Transient(vin, fs, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final := out[len(out)-1]; final > 1e-6 {
-		t.Fatalf("below-threshold drive produced %v V", final)
-	}
-}
-
-func TestTransientMultiStageExceedsSingle(t *testing.T) {
-	const fs, fc, vs = 100e6, 1e6, 1.0
-	n := 40000
-	vin := make([]float64, n)
-	for i := range vin {
-		vin[i] = vs * math.Sin(2*math.Pi*fc*float64(i)/fs)
-	}
-	r1, _ := NewRectifier(1, 0.3)
-	r3, _ := NewRectifier(3, 0.3)
-	o1, err := r1.Transient(vin, fs, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o3, err := r3.Transient(vin, fs, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o3[n-1] <= o1[n-1]*1.5 {
-		t.Fatalf("3-stage output %v not meaningfully above 1-stage %v", o3[n-1], o1[n-1])
-	}
-}
-
-func TestTransientLoadDischarges(t *testing.T) {
-	r, _ := NewRectifier(1, 0.3)
-	const fs = 100e6
-	n := 20000
-	vin := make([]float64, n)
-	for i := 0; i < n/2; i++ {
-		vin[i] = math.Sin(2 * math.Pi * 1e6 * float64(i) / fs)
-	}
-	// Second half: no drive; the load must pull the output down.
-	out, err := r.Transient(vin, fs, 50e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, end := out[n/2-1], out[n-1]
-	if end >= mid {
-		t.Fatalf("output did not discharge: mid %v, end %v", mid, end)
-	}
-}
-
-func TestTransientErrors(t *testing.T) {
-	r, _ := NewRectifier(1, 0.3)
-	if _, err := r.Transient(nil, 0, 1e3); err == nil {
-		t.Fatal("zero sample rate accepted")
-	}
-	if _, err := r.Transient(nil, 1e6, 0); err == nil {
-		t.Fatal("zero load accepted")
-	}
-}
-
-func TestHarvestEnergyPeaksVsFlat(t *testing.T) {
-	// The CIB premise in miniature: a peaky envelope with the same mean
-	// power as a flat sub-threshold envelope harvests energy where the
-	// flat one cannot.
-	r, _ := NewRectifier(2, 0.3)
-	const fs = 1e6
-	n := 10000
-	flat := make([]float64, n)
-	peaky := make([]float64, n)
-	for i := range flat {
-		flat[i] = 0.25
-	}
-	// Same mean square: peaks of 0.25·√10 ≈ 0.79 for 1/10 of the time.
-	for i := 0; i < n; i += 10 {
-		peaky[i] = 0.25 * math.Sqrt(10)
-	}
-	eFlat := r.HarvestEnergy(flat, fs, 50)
-	ePeaky := r.HarvestEnergy(peaky, fs, 50)
-	if eFlat != 0 {
-		t.Fatalf("flat sub-threshold envelope harvested %v J", eFlat)
-	}
-	if ePeaky <= 0 {
-		t.Fatal("peaky envelope harvested nothing")
-	}
-}
-
-func TestHarvestableEnvelopePowerBounds(t *testing.T) {
-	r, _ := NewRectifier(2, 0.3)
-	if p := r.HarvestableEnvelopePower(0.2, 50); p != 0 {
-		t.Fatalf("sub-threshold power = %v", p)
-	}
-	if p := r.HarvestableEnvelopePower(1, -5); p != 0 {
-		t.Fatalf("negative rin power = %v", p)
-	}
-	v := 2.0
-	avail := v * v / (2 * 50.0)
-	if p := r.HarvestableEnvelopePower(v, 50); p <= 0 || p > avail {
-		t.Fatalf("power %v outside (0, %v]", p, avail)
-	}
-}
-
-func TestStorageLifecycle(t *testing.T) {
-	s, err := NewStorage(10e-9, 1.0, 3e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Ready() {
-		t.Fatal("empty storage reports ready")
-	}
-	if s.Operate() {
-		t.Fatal("empty storage operated")
-	}
-	s.Deposit(6e-9) // V = √(2·6e-9/10e-9) ≈ 1.1 V, above operating voltage
-	if !s.Ready() {
-		t.Fatalf("storage with %v J at %v V not ready", s.Stored(), s.Voltage())
-	}
-	if !s.Operate() {
-		t.Fatal("ready storage refused to operate")
-	}
-	if math.Abs(s.Stored()-3e-9) > 1e-15 {
-		t.Fatalf("stored after operate = %v, want 3e-9", s.Stored())
-	}
-	s.Drain()
-	if s.Stored() != 0 || s.Voltage() != 0 {
-		t.Fatal("drain did not empty storage")
-	}
-}
-
-func TestStorageOvervoltageClamp(t *testing.T) {
-	s, _ := NewStorage(10e-9, 1.0, 3e-9)
-	s.Deposit(1)            // absurd deposit
-	maxE := 0.5 * 10e-9 * 4 // C·(2V)²/2
-	if s.Stored() > maxE+1e-15 {
-		t.Fatalf("stored %v exceeds clamp %v", s.Stored(), maxE)
-	}
-	s.Deposit(-1) // ignored
-	if s.Stored() > maxE+1e-15 {
-		t.Fatal("negative deposit changed state")
-	}
-}
-
-func TestStorageValidation(t *testing.T) {
-	cases := [][3]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}}
-	for _, c := range cases {
-		if _, err := NewStorage(c[0], c[1], c[2]); err == nil {
-			t.Fatalf("NewStorage(%v) accepted", c)
-		}
-	}
-}
-
 func TestQuickSteadyStateMonotone(t *testing.T) {
 	r, _ := NewRectifier(3, 0.3)
 	f := func(a, b uint8) bool {
@@ -365,20 +169,5 @@ func TestQuickConductionAngleBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkTransient(b *testing.B) {
-	r, _ := NewRectifier(4, 0.3)
-	const fs = 100e6
-	vin := make([]float64, 10000)
-	for i := range vin {
-		vin[i] = math.Sin(2 * math.Pi * 1e6 * float64(i) / fs)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Transient(vin, fs, 100e3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

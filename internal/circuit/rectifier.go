@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Rectifier is an N-stage charge-pump energy harvester (Dickson/Greinacher
 // topology): each stage is the two-diode, two-capacitor voltage doubler of
@@ -13,15 +10,10 @@ type Rectifier struct {
 	Stages int
 	// Vth is the per-diode threshold voltage.
 	Vth float64
-	// StageCap is the per-stage capacitance in farads (default 10 pF).
-	StageCap float64
-	// SeriesResistance models the diode on-resistance in ohms
-	// (default 1 kΩ).
-	SeriesResistance float64
 }
 
-// NewRectifier returns an N-stage rectifier with the given diode threshold
-// and sensible IC-process defaults.
+// NewRectifier returns an N-stage rectifier with the given diode
+// threshold.
 func NewRectifier(stages int, vth float64) (*Rectifier, error) {
 	if stages < 1 {
 		return nil, fmt.Errorf("circuit: rectifier needs >= 1 stage, got %d", stages)
@@ -29,7 +21,7 @@ func NewRectifier(stages int, vth float64) (*Rectifier, error) {
 	if vth < 0 {
 		return nil, fmt.Errorf("circuit: negative threshold %v", vth)
 	}
-	return &Rectifier{Stages: stages, Vth: vth, StageCap: 10e-12, SeriesResistance: 1e3}, nil
+	return &Rectifier{Stages: stages, Vth: vth}, nil
 }
 
 // SteadyStateVoltage returns the paper's Eq. 1: the asymptotic DC output
@@ -45,124 +37,4 @@ func (r *Rectifier) SteadyStateVoltage(vs float64) float64 {
 		return 0
 	}
 	return float64(r.Stages) * v
-}
-
-// MinimumAmplitude returns the smallest RF amplitude that produces any
-// output — the threshold limit itself.
-func (r *Rectifier) MinimumAmplitude() float64 { return r.Vth }
-
-// Efficiency returns the RF→DC conversion efficiency for a sustained
-// sinusoidal amplitude vs, modeled from the conduction angle: the harvester
-// only passes the part of the cycle above threshold, and what it passes
-// loses Vth per diode drop. It is 0 below threshold and approaches 1 as
-// vs ≫ Vth — the qualitative curve behind the paper's Fig. 4 discussion.
-func (r *Rectifier) Efficiency(vs float64) float64 {
-	if vs <= r.Vth {
-		return 0
-	}
-	// Fraction of input power delivered: ((vs−vth)/vs)² weighted by the
-	// conduction window.
-	frac := (vs - r.Vth) / vs
-	return frac * frac * 2 * ConductionAngle(vs, r.Vth)
-}
-
-// StageState is the capacitor state of one doubler stage during transient
-// simulation.
-type StageState struct {
-	// VC1 is the series (flying) capacitor voltage.
-	VC1 float64
-	// VC2 is the stage output capacitor voltage.
-	VC2 float64
-}
-
-// Transient simulates the rectifier sample-by-sample against an input RF
-// voltage waveform vin sampled at rate fs, with a resistive load rl (ohms)
-// on the final stage (use math.Inf(1) for open circuit). It returns the
-// output-voltage waveform, same length as vin.
-//
-// Each stage is the Fig. 1 circuit with piecewise-linear threshold diodes:
-// D1 clamps the flying-capacitor node on negative half-cycles, D2 transfers
-// charge to the stage output on positive half-cycles. Stage k is driven by
-// stage k−1's output.
-func (r *Rectifier) Transient(vin []float64, fs float64, rl float64) ([]float64, error) {
-	if fs <= 0 {
-		return nil, fmt.Errorf("circuit: sample rate %v <= 0", fs)
-	}
-	if rl <= 0 {
-		return nil, fmt.Errorf("circuit: load resistance %v <= 0", rl)
-	}
-	dt := 1 / fs
-	cap := r.StageCap
-	if cap <= 0 {
-		cap = 10e-12
-	}
-	rd := r.SeriesResistance
-	if rd <= 0 {
-		rd = 1e3
-	}
-	stages := make([]StageState, r.Stages)
-	out := make([]float64, len(vin))
-	for i, v := range vin {
-		// Villard cascade: every stage's flying capacitor rides the same
-		// AC rail; stage s's clamp diode D1 references the previous
-		// stage's DC output (ground for stage 0), so DC levels stack.
-		prev := 0.0
-		for s := range stages {
-			st := &stages[s]
-			// Node between C1 and the diodes.
-			node := v + st.VC1
-			// D1: prev-stage output → node when node < prev − Vth
-			// (charges C1 up toward the stacked reference).
-			if ref := prev - r.Vth; node < ref {
-				i1 := (ref - node) / rd
-				st.VC1 += i1 * dt / cap
-				node = v + st.VC1
-			}
-			// D2: node → C2 when node > VC2 + Vth.
-			if node > st.VC2+r.Vth {
-				i2 := (node - st.VC2 - r.Vth) / rd
-				st.VC2 += i2 * dt / cap
-				st.VC1 -= i2 * dt / cap
-			}
-			prev = st.VC2
-		}
-		// Load discharge on the final stage.
-		last := &stages[len(stages)-1]
-		if !math.IsInf(rl, 1) {
-			last.VC2 -= last.VC2 / (rl * cap) * dt
-			if last.VC2 < 0 {
-				last.VC2 = 0
-			}
-		}
-		out[i] = last.VC2
-	}
-	return out, nil
-}
-
-// HarvestableEnvelopePower returns the instantaneous power (watts) the
-// harvester can extract when the RF envelope amplitude is v across an
-// input resistance rin: zero below threshold, otherwise the above-threshold
-// fraction of the available power scaled by the conduction-angle
-// efficiency. This behavioral model is what lets the simulator integrate
-// harvested energy over a CIB envelope without circuit-rate time stepping.
-func (r *Rectifier) HarvestableEnvelopePower(v, rin float64) float64 {
-	if v <= r.Vth || rin <= 0 {
-		return 0
-	}
-	avail := v * v / (2 * rin)
-	return avail * r.Efficiency(v)
-}
-
-// HarvestEnergy integrates HarvestableEnvelopePower over an envelope
-// waveform sampled at fs, returning joules.
-func (r *Rectifier) HarvestEnergy(envelope []float64, fs, rin float64) float64 {
-	if fs <= 0 {
-		return 0
-	}
-	dt := 1 / fs
-	var e float64
-	for _, v := range envelope {
-		e += r.HarvestableEnvelopePower(v, rin) * dt
-	}
-	return e
 }

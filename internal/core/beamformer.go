@@ -160,6 +160,8 @@ type Transmission struct {
 // that the frequency plan keeps the envelope flat enough over the
 // command's actual duration (Eq. 9 with Δt = this command's length, which
 // covers the §3.7 multi-sensor case of longer Select+Query compounds).
+//
+//ivn:allow unreached entry of the sample-level downlink chain that TestWaveformLevelDownlink validates the flatness abstraction with
 func (b *Beamformer) TransmitCommand(cmd gen2.Command, preamble bool) (*Transmission, error) {
 	bits := cmd.AppendBits(nil)
 	dur := b.PIE.FrameDuration(bits, preamble)
@@ -214,9 +216,10 @@ func (b *Beamformer) CommandAirTime(cmd gen2.Command, preamble bool) (float64, e
 	return dur, nil
 }
 
-// SelectQueryAirTime is CommandAirTime for the §3.7 Select+Query compound:
-// the flatness constraint is checked against the combined duration (as in
-// TransmitSelectThenQuery) and then each command is vetted individually.
+// SelectQueryAirTime is CommandAirTime for the §3.7 Select+Query compound
+// (a Select addressing one sensor's EPC prefix, then a Query): the
+// flatness constraint is checked against the combined duration and then
+// each command is vetted individually.
 func (b *Beamformer) SelectQueryAirTime(sel *gen2.Select, q *gen2.Query) (selDur, qDur float64, err error) {
 	b.bits = sel.AppendBits(b.bits[:0])
 	total := b.PIE.FrameDuration(b.bits, false)
@@ -236,31 +239,6 @@ func (b *Beamformer) SelectQueryAirTime(sel *gen2.Select, q *gen2.Query) (selDur
 		return 0, 0, err
 	}
 	return selDur, qDur, nil
-}
-
-// TransmitSelectThenQuery builds the §3.7 multi-sensor compound: a Select
-// addressing one sensor's EPC prefix followed by a Query, with the
-// flatness constraint checked against the combined duration.
-func (b *Beamformer) TransmitSelectThenQuery(sel *gen2.Select, q *gen2.Query) (*Transmission, *Transmission, error) {
-	selBits := sel.AppendBits(nil)
-	qBits := q.AppendBits(nil)
-	total := b.PIE.FrameDuration(selBits, false) + b.PIE.FrameDuration(qBits, true)
-	ok, err := SatisfiesFlatness(b.Offsets, DefaultFlatnessAlpha, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("core: offset plan violates flatness over the %.0f µs Select+Query compound", total*1e6)
-	}
-	ts, err := b.TransmitCommand(sel, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	tq, err := b.TransmitCommand(q, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ts, tq, nil
 }
 
 // HopCenter implements the §3.7 frequency-hopping extension: given a probe

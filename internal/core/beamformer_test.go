@@ -179,7 +179,7 @@ func TestTransmitCommandFlatnessEnforced(t *testing.T) {
 	}
 }
 
-func TestTransmitSelectThenQuery(t *testing.T) {
+func TestSelectQueryAirTime(t *testing.T) {
 	b, err := New(DefaultConfig(), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
@@ -187,23 +187,18 @@ func TestTransmitSelectThenQuery(t *testing.T) {
 	mask := gen2.BitsFromBytes([]byte{0xE2})
 	sel := &gen2.Select{Target: 4, Action: 0, MemBank: 1, Mask: mask}
 	q := &gen2.Query{Sel: 3, Q: 0}
-	ts, tq, err := b.TransmitSelectThenQuery(sel, q)
+	selDur, qDur, err := b.SelectQueryAirTime(sel, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts == nil || tq == nil {
-		t.Fatal("missing transmissions")
-	}
-	// The compound is longer than a lone query; duration must reflect it.
-	if ts.Duration+tq.Duration <= tq.Duration {
-		t.Fatal("select added no duration")
-	}
-	// The serialized commands decode back.
-	if _, err := gen2.DecodeCommand(ts.Command); err != nil {
+	// The compound is longer than a lone query; each part keeps its own
+	// air time.
+	wantQ, err := b.CommandAirTime(q, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gen2.DecodeCommand(tq.Command); err != nil {
-		t.Fatal(err)
+	if selDur <= 0 || qDur != wantQ {
+		t.Fatalf("select %v s, query %v s; want select > 0 and query %v s", selDur, qDur, wantQ)
 	}
 }
 

@@ -84,40 +84,6 @@ func EnvelopeSeries(offsets, betas []float64, t0, dt float64, n int, dst []float
 	return dst
 }
 
-// PeakEnvelope returns max over n samples of Y(t) for t ∈ [0, period)
-// (half-open grid, as in EnvelopeSeries).
-//
-//ivn:hotpath
-func PeakEnvelope(offsets, betas []float64, period float64, n int) float64 {
-	if len(offsets) == 0 || n <= 0 {
-		return 0
-	}
-	coeffs := phaseCoeffs(betas)
-	p := phasor.PeakPower(offsets, coeffs, 0, period/float64(n), n)
-	pool.PutComplex128(coeffs)
-	return math.Sqrt(p)
-}
-
-// FractionAbove returns the fraction of time Y(t) exceeds level over one
-// period — the conduction-angle proxy the §3.7 steady stage maximizes.
-//
-//ivn:hotpath
-func FractionAbove(offsets, betas []float64, level, period float64, n int) float64 {
-	if len(offsets) == 0 || n <= 0 {
-		return 0
-	}
-	buf := pool.Float64(n)
-	EnvelopeSeries(offsets, betas, 0, period/float64(n), n, buf)
-	count := 0
-	for _, v := range buf {
-		if v > level {
-			count++
-		}
-	}
-	pool.PutFloat64(buf)
-	return float64(count) / float64(n)
-}
-
 // drawBetas fills dst with uniform random phases; element 0 is pinned to 0
 // because only phase *differences* matter (paper §3.6 observes the
 // objective depends only on Δf and Δβ).
@@ -175,23 +141,6 @@ func PeakCDF(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) []floa
 	pool.PutComplex128(coeffs)
 	pool.PutFloat64(betas)
 	return out
-}
-
-// ExpectedConductionFraction estimates E_β[fraction of t with Y(t) > level].
-// Note that this quantity is invariant under scaling all offsets by a
-// common factor (it only rescales time), so it measures a plan's *pattern*
-// quality; the duty-cycle trade of §3.7 shows up in dwell time instead.
-func ExpectedConductionFraction(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
-	if len(offsets) == 0 || trials <= 0 {
-		return 0
-	}
-	betas := make([]float64, len(offsets))
-	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		acc += FractionAbove(offsets, betas, level, 1.0, samplesPerTrial)
-	}
-	return acc / float64(trials)
 }
 
 // MaxDwellAbove returns the longest contiguous time (seconds, out of one

@@ -36,27 +36,6 @@ func TestEnvelopeSeriesMatchesNaiveEnvelope(t *testing.T) {
 	}
 }
 
-func TestPeakEnvelopeMatchesSeriesMax(t *testing.T) {
-	r := rng.New(32)
-	for trial := 0; trial < 10; trial++ {
-		offsets := PaperOffsets()
-		betas := make([]float64, len(offsets))
-		drawBetas(betas, r)
-		const samples = 4096
-		series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
-		want := 0.0
-		for _, v := range series {
-			if v > want {
-				want = v
-			}
-		}
-		got := PeakEnvelope(offsets, betas, 1.0, samples)
-		if math.Abs(got-want) > 1e-12*(1+want) {
-			t.Fatalf("trial %d: PeakEnvelope %v, series max %v", trial, got, want)
-		}
-	}
-}
-
 func TestMaxDwellAboveMatchesSeriesScan(t *testing.T) {
 	// MaxDwellAbove's pooled-buffer rewrite must agree with a direct scan
 	// of the same half-open series.

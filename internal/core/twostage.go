@@ -110,10 +110,3 @@ func (ts *TwoStage) ObserveResponse(peakPower, sensorMinPower float64, r *rng.Ra
 	ts.stage = StageSteady
 	return nil
 }
-
-// Reset returns to discovery (sensor lost, body moved, band hopped).
-func (ts *TwoStage) Reset() {
-	ts.stage = StageDiscovery
-	ts.rho = 0
-	ts.steady = Plan{}
-}

@@ -48,11 +48,6 @@ func TestTwoStageLifecycle(t *testing.T) {
 	if dSteady < dDisc*0.9 {
 		t.Fatalf("steady dwell %v worse than discovery %v", dSteady, dDisc)
 	}
-
-	ts.Reset()
-	if ts.Stage() != StageDiscovery || ts.Rho() != 0 {
-		t.Fatal("Reset did not return to discovery")
-	}
 }
 
 func TestTwoStageThinMarginStaysInDiscovery(t *testing.T) {

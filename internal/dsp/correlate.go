@@ -1,3 +1,6 @@
+// Package dsp holds the uplink decoder's correlation kernel: the
+// normalized cross-correlation of a sampled reply against a known
+// preamble (MaxCorrelation), with the arithmetic mean it centres by.
 package dsp
 
 import (
@@ -6,26 +9,15 @@ import (
 	"ivn/internal/pool"
 )
 
-// NormalizedCrossCorrelation slides template over x and returns, at each
-// lag, the Pearson-style normalized correlation in [-1, 1]:
+// normalizedCrossCorrelationInto slides template over x and writes, at
+// each lag, the Pearson-style normalized correlation in [-1, 1]
 //
 //	ρ[lag] = Σ (x[lag+k]−x̄)(t[k]−t̄) / (‖x−x̄‖·‖t−t̄‖)
 //
-// The output has len(x)−len(template)+1 entries; it is empty when the
-// template is longer than the signal. IVN's in-vivo evaluation declares a
-// communication successful when the best correlation against the tag's
-// known 12-bit FM0 preamble exceeds 0.8 (paper §6.2).
-func NormalizedCrossCorrelation(x, template []float64) []float64 {
-	n, m := len(x), len(template)
-	if m == 0 || n < m {
-		return nil
-	}
-	return normalizedCrossCorrelationInto(make([]float64, n-m+1), x, template)
-}
-
-// normalizedCrossCorrelationInto writes the direct-path correlation into
-// out (which must have length len(x)−len(template)+1) and returns it,
-// letting callers that only reduce the series use pooled scratch. The
+// into out (which must have length len(x)−len(template)+1) and returns
+// it; a zero-variance segment correlates at 0. IVN's in-vivo evaluation
+// declares a communication successful when the best correlation against
+// the tag's known 12-bit FM0 preamble exceeds 0.8 (paper §6.2). The
 // per-lag inner product runs through the 4-wide unrolled kernel; the
 // simple loop is retained as normalizedCrossCorrelationRef and the two
 // are pinned bit-identical (TestCorrelationUnrollBitExact).
@@ -87,6 +79,8 @@ func centeredDotAndEnergy(seg, template []float64, segMean, tMean float64) (dot,
 // normalizedCrossCorrelationRef is the pre-unroll reference
 // implementation, retained so the specialized kernel stays testable
 // against the original arithmetic.
+//
+//ivn:allow unreached the reference TestCorrelationUnrollBitExact pins the unrolled kernel to
 func normalizedCrossCorrelationRef(out, x, template []float64) []float64 {
 	m := len(template)
 	tMean := Mean(template)
@@ -140,51 +134,14 @@ func MaxCorrelation(x, template []float64) (best float64, lag int) {
 	return best, lag
 }
 
-// CorrelateComplex computes the (non-normalized) complex cross-correlation
-// of x against template: out[lag] = Σ x[lag+k]·conj(t[k]). Used for matched
-// filtering of backscatter responses before coherent combining.
-func CorrelateComplex(x, template []complex128) []complex128 {
-	n, m := len(x), len(template)
-	if m == 0 || n < m {
-		return nil
+// Mean returns the arithmetic mean of x, or 0 for empty input.
+func Mean(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
 	}
-	out := make([]complex128, n-m+1)
-	for lag := range out {
-		var acc complex128
-		for k, tv := range template {
-			xv := x[lag+k]
-			// x·conj(t)
-			acc += complex(
-				real(xv)*real(tv)+imag(xv)*imag(tv),
-				imag(xv)*real(tv)-real(xv)*imag(tv),
-			)
-		}
-		out[lag] = acc
+	var s float64
+	for _, v := range x {
+		s += v
 	}
-	return out
-}
-
-// CoherentAverage splits x into periods of periodLen samples and returns
-// their element-wise complex mean. Averaging K periods coherently boosts a
-// periodic signal's SNR by a factor of K; IVN's out-of-band reader averages
-// tag responses over 1-second CIB envelope periods to survive deep-tissue
-// attenuation (paper §5b). Leftover samples past the last full period are
-// discarded. It returns nil when x holds no complete period.
-func CoherentAverage(x []complex128, periodLen int) []complex128 {
-	if periodLen <= 0 || len(x) < periodLen {
-		return nil
-	}
-	periods := len(x) / periodLen
-	out := make([]complex128, periodLen)
-	for p := 0; p < periods; p++ {
-		seg := x[p*periodLen : (p+1)*periodLen]
-		for i, v := range seg {
-			out[i] += v
-		}
-	}
-	inv := complex(1/float64(periods), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
+	return s / float64(len(x))
 }

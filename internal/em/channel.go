@@ -1,7 +1,6 @@
 package em
 
 import (
-	"fmt"
 	"math"
 
 	"ivn/internal/rng"
@@ -55,12 +54,6 @@ func (c *Channel) Coefficient(freq float64) complex128 {
 	return complex(g, 0) * h * sum
 }
 
-// PowerGain returns |H(f)|².
-func (c *Channel) PowerGain(freq float64) float64 {
-	h := c.Coefficient(freq)
-	return real(h)*real(h) + imag(h)*imag(h)
-}
-
 // MultipathProfile parameterizes random ray generation.
 type MultipathProfile struct {
 	// Rays is the number of echoes to generate.
@@ -83,21 +76,13 @@ var LOSProfile = MultipathProfile{Rays: 2, MaxExcessMeters: 5, MeanRelPower: 0.0
 // RichProfile models a cluttered environment with strong reflections.
 var RichProfile = MultipathProfile{Rays: 12, MaxExcessMeters: 6, MeanRelPower: 0.2}
 
-// GenerateRays draws a random ray set from the profile. Each ray has a
-// uniform excess delay, Rayleigh-distributed magnitude and uniform phase —
-// the standard rich-scattering assumption. The same *rng.Rand state always
-// yields the same rays.
-func (mp MultipathProfile) GenerateRays(r *rng.Rand) []Ray {
-	if mp.Rays <= 0 {
-		return nil
-	}
-	return mp.GenerateRaysInto(make([]Ray, 0, mp.Rays), r)
-}
-
-// GenerateRaysInto appends a random ray set to dst and returns it, drawing
-// exactly the same variate sequence as GenerateRays (per ray: Rayleigh,
-// Phase, UniformRange). Callers that realize placements per trial pass
-// dst[:0] of a retained buffer to keep ray generation allocation-free.
+// GenerateRaysInto appends a random ray set drawn from the profile to dst
+// and returns it. Each ray has a uniform excess delay, Rayleigh-distributed
+// magnitude and uniform phase — the standard rich-scattering assumption —
+// drawn per ray as Rayleigh, Phase, UniformRange; the same *rng.Rand state
+// always yields the same rays. Callers that realize placements per trial
+// pass dst[:0] of a retained buffer to keep ray generation
+// allocation-free.
 func (mp MultipathProfile) GenerateRaysInto(dst []Ray, r *rng.Rand) []Ray {
 	// Rayleigh with E[m²] = MeanRelPower ⇒ σ = √(MeanRelPower/2).
 	sigma := math.Sqrt(mp.MeanRelPower / 2)
@@ -111,25 +96,6 @@ func (mp MultipathProfile) GenerateRaysInto(dst []Ray, r *rng.Rand) []Ray {
 		})
 	}
 	return dst
-}
-
-// Validate checks the channel parameters.
-func (c *Channel) Validate() error {
-	if err := c.Direct.Validate(); err != nil {
-		return err
-	}
-	if c.OrientationGain < 0 || c.OrientationGain > 1 {
-		return fmt.Errorf("em: orientation gain %v out of [0,1]", c.OrientationGain)
-	}
-	if c.TxGain < 0 || c.RxGain < 0 {
-		return fmt.Errorf("em: negative antenna gain")
-	}
-	for i, ray := range c.Rays {
-		if ray.ExtraDelay < 0 {
-			return fmt.Errorf("em: ray %d has negative excess delay", i)
-		}
-	}
-	return nil
 }
 
 // DipoleOrientationGain returns the amplitude mismatch factor for a linear

@@ -146,12 +146,6 @@ func (m Medium) LossDBPerCM(freq float64) float64 {
 	return 20 * m.Alpha(freq) * math.Log10(math.E) * 0.01
 }
 
-// RefractiveIndex returns the effective refractive index β/β₀ that sets
-// the in-medium wavelength.
-func (m Medium) RefractiveIndex(freq float64) float64 {
-	return m.Beta(freq) / (2 * math.Pi * freq / C)
-}
-
 // Validate reports whether the medium's parameters are physical.
 func (m Medium) Validate() error {
 	if m.EpsilonR < 1 {
@@ -163,30 +157,13 @@ func (m Medium) Validate() error {
 	return nil
 }
 
-// TransmittanceAmplitude returns the Fresnel amplitude transmission
-// coefficient for a wave passing from medium a into medium b at normal
-// incidence:
-//
-//	t = 2η_b / (η_a + η_b).
-//
-// The corresponding transmitted power fraction (accounting for the
-// impedance change) is TransmittancePower. At an air→tissue boundary near
-// 1 GHz this costs 3–5 dB, matching the paper (§2.2.1).
-func TransmittanceAmplitude(a, b Medium, freq float64) float64 {
-	etaA, etaB := a.Impedance(freq), b.Impedance(freq)
-	return 2 * etaB / (etaA + etaB)
-}
-
 // TransmittancePower returns the fraction of incident power that crosses
-// the a→b boundary: T_p = (η_a/η_b)·t² = 4·η_a·η_b/(η_a+η_b)².
+// the a→b boundary at normal incidence: with the Fresnel amplitude
+// coefficient t = 2η_b/(η_a+η_b), T_p = (η_a/η_b)·t² = 4·η_a·η_b/(η_a+η_b)².
+// At an air→tissue boundary near 1 GHz this costs 3–5 dB, matching the
+// paper (§2.2.1).
 func TransmittancePower(a, b Medium, freq float64) float64 {
 	etaA, etaB := a.Impedance(freq), b.Impedance(freq)
 	s := etaA + etaB
 	return 4 * etaA * etaB / (s * s)
-}
-
-// ReflectancePower returns the reflected power fraction at the a→b
-// boundary; it complements TransmittancePower to 1.
-func ReflectancePower(a, b Medium, freq float64) float64 {
-	return 1 - TransmittancePower(a, b, freq)
 }

@@ -120,21 +120,6 @@ func (p Path) PhaseDelay(freq float64) float64 {
 	return ph
 }
 
-// GroupDelay returns the path's propagation delay in seconds, using each
-// layer's phase velocity.
-//
-//ivn:unit freq Hz
-//ivn:unit return s
-func (p Path) GroupDelay(freq float64) float64 {
-	d := p.AirDistance / C
-	for _, l := range p.Layers {
-		w := 2 * math.Pi * freq
-		v := w / l.Medium.Beta(freq)
-		d += l.Thickness / v
-	}
-	return d
-}
-
 // Coefficient returns the complex channel coefficient h = |h|·e^{-jφ} of
 // the direct path at freq.
 //
@@ -169,15 +154,6 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// WithAirDistance returns a copy of p with the air segment replaced.
-//
-//ivn:unit r m
-func (p Path) WithAirDistance(r float64) Path {
-	q := Path{AirDistance: r, Layers: make([]Layer, len(p.Layers))}
-	copy(q.Layers, p.Layers)
-	return q
-}
-
 // WithAirDistanceShared returns a copy of p with the air segment replaced
 // that aliases p's layer stack instead of copying it. Callers must treat
 // the stack as immutable for as long as either path is live; the
@@ -190,9 +166,9 @@ func (p Path) WithAirDistanceShared(r float64) Path {
 }
 
 // SetDepth adjusts a layer stack in place so its total thickness equals d
-// and returns the (possibly shortened) slice — the allocation-free
-// counterpart of Path.WithDepth, with identical truncate/extend
-// semantics.
+// and returns the (possibly shortened) slice: a d shallower than the
+// outer layers truncates the stack, a deeper one grows the innermost
+// layer, and an empty stack stays empty.
 //
 //ivn:unit d m
 func SetDepth(layers []Layer, d float64) []Layer {
@@ -213,29 +189,4 @@ func SetDepth(layers []Layer, d float64) []Layer {
 		out[len(out)-1].Thickness += remaining
 	}
 	return out
-}
-
-// WithDepth returns a copy of p whose final layer thickness is adjusted so
-// the total tissue depth equals d. A path with no layers is returned
-// unchanged. d shallower than the preceding layers truncates the stack.
-//
-//ivn:unit d m
-func (p Path) WithDepth(d float64) Path {
-	q := Path{AirDistance: p.AirDistance}
-	remaining := d
-	for _, l := range p.Layers {
-		if remaining <= 0 {
-			break
-		}
-		t := l.Thickness
-		if t > remaining {
-			t = remaining
-		}
-		q.Layers = append(q.Layers, Layer{Medium: l.Medium, Thickness: t})
-		remaining -= t
-	}
-	if remaining > 0 && len(q.Layers) > 0 {
-		q.Layers[len(q.Layers)-1].Thickness += remaining
-	}
-	return q
 }

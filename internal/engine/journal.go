@@ -162,13 +162,6 @@ func (j *Journal) Attach(w io.Writer) {
 	j.mu.Unlock()
 }
 
-// Entries returns the number of distinct trial entries held.
-func (j *Journal) Entries() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
 // Recorded returns the count of entries recorded (executed and written)
 // by this run.
 func (j *Journal) Recorded() int64 { return j.recorded.Load() }

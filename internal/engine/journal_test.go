@@ -224,8 +224,8 @@ func TestShardFragmentsMergeToDirectRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if union.Entries() != n {
-		t.Fatalf("union holds %d entries, want %d", union.Entries(), n)
+	if len(union.entries) != n {
+		t.Fatalf("union holds %d entries, want %d", len(union.entries), n)
 	}
 	merged, err := TrialsCtx(context.Background(), Limits{Journal: union}, 21, "merge", n,
 		func(trial int, r *rng.Rand) (tsample, error) {

@@ -4,40 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// Renderer turns a typed Result into one output format. Renderers are
-// pluggable: the named registry below serves the CLI, and callers may use
-// any function of this shape.
+// Renderer turns a typed Result into one output format: RenderText,
+// RenderCSV or RenderJSON, or any function of this shape.
 type Renderer func(r *Result, w io.Writer) error
-
-// renderers is the named registry the CLI selects from.
-var renderers = map[string]Renderer{
-	"text": RenderText,
-	"csv":  RenderCSV,
-	"json": RenderJSON,
-}
-
-// RendererFor looks a renderer up by name ("text", "csv", "json").
-func RendererFor(name string) (Renderer, error) {
-	r, ok := renderers[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown renderer %q (use one of %v)", name, RendererNames())
-	}
-	return r, nil
-}
-
-// RendererNames lists the registered renderer names, sorted.
-func RendererNames() []string {
-	names := make([]string, 0, len(renderers))
-	for name := range renderers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // RenderText writes an aligned text table: the historical human-readable
 // format, derived from the typed cells.

@@ -76,26 +76,3 @@ func TestRenderJSONRoundTrip(t *testing.T) {
 		t.Fatalf("JSON lacks numeric values:\n%s", buf.String())
 	}
 }
-
-func TestRendererRegistry(t *testing.T) {
-	names := RendererNames()
-	if !reflect.DeepEqual(names, []string{"csv", "json", "text"}) {
-		t.Fatalf("RendererNames() = %v", names)
-	}
-	for _, name := range names {
-		rd, err := RendererFor(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rd(demoResult(), &buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s rendered nothing", name)
-		}
-	}
-	if _, err := RendererFor("yaml"); err == nil {
-		t.Fatal("unknown renderer accepted")
-	}
-}

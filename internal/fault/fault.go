@@ -152,9 +152,6 @@ func NewInjector(cfg Config, seed uint64) *Injector {
 	return &Injector{cfg: cfg, base: splitmix(seed ^ 0x5bf0_3635_0c38_f7c1)}
 }
 
-// Config returns the injector's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
 // splitmix is one SplitMix64 diffusion round (same construction the rng
 // package uses to expand seeds).
 func splitmix(z uint64) uint64 {

@@ -97,8 +97,8 @@ func TestWriteThenReadUserMemory(t *testing.T) {
 	if rrep.Words[0] != 0xABCD {
 		t.Fatalf("read back %#04x, want 0xABCD", rrep.Words[0])
 	}
-	if tag.UserMemory()[2] != 0xABCD {
-		t.Fatal("UserMemory disagrees")
+	if tag.user[2] != 0xABCD {
+		t.Fatal("user bank disagrees")
 	}
 }
 

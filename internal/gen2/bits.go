@@ -93,23 +93,6 @@ func (b Bits) String() string {
 	return sb.String()
 }
 
-// ParseBits parses a string of '0'/'1' characters (spaces ignored).
-func ParseBits(s string) (Bits, error) {
-	var b Bits
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			b = append(b, 0)
-		case '1':
-			b = append(b, 1)
-		case ' ':
-		default:
-			return nil, fmt.Errorf("gen2: invalid bit character %q at %d", s[i], i)
-		}
-	}
-	return b, nil
-}
-
 // BitsFromBytes unpacks packed bytes MSB-first into a Bits string of
 // length 8·len(p).
 func BitsFromBytes(p []byte) Bits {

@@ -1,9 +1,28 @@
 package gen2
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// ParseBits parses a test vector written as a string of '0'/'1'
+// characters (spaces ignored).
+func ParseBits(s string) (Bits, error) {
+	var b Bits
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '0':
+			b = append(b, 0)
+		case '1':
+			b = append(b, 1)
+		case ' ':
+		default:
+			return nil, fmt.Errorf("gen2: invalid bit character %q at %d", s[i], i)
+		}
+	}
+	return b, nil
+}
 
 func TestAppendUintAndUint(t *testing.T) {
 	var b Bits

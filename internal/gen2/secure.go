@@ -71,9 +71,6 @@ func (a *Access) String() string {
 // written at commissioning time.
 func (t *TagLogic) SetAccessPassword(pwd uint32) { t.accessPwd = pwd }
 
-// Secured reports whether the tag has accepted an Access this session.
-func (t *TagLogic) Secured() bool { return t.state == StateSecured }
-
 func (t *TagLogic) handleAccess(a *Access) Reply {
 	if (t.state != StateOpen && t.state != StateSecured) || a.Handle != t.handle {
 		return Reply{Kind: ReplyNone}

@@ -52,7 +52,7 @@ func TestProtectedWriteRequiresAccess(t *testing.T) {
 	if r := tag.HandleCommand(&Access{Password: pwd ^ 1, Handle: handle}); r.Kind != ReplyNone {
 		t.Fatal("wrong password acknowledged")
 	}
-	if tag.Secured() {
+	if tag.State() == StateSecured {
 		t.Fatal("wrong password secured the tag")
 	}
 	// Correct password: handle reply, Secured.
@@ -63,14 +63,14 @@ func TestProtectedWriteRequiresAccess(t *testing.T) {
 	if !CheckCRC16(r.Bits) {
 		t.Fatal("Access grant CRC broken")
 	}
-	if !tag.Secured() || tag.State() != StateSecured {
+	if tag.State() != StateSecured {
 		t.Fatal("tag not secured after correct Access")
 	}
 	// Now the write lands.
 	if r := tag.HandleCommand(&Write{Bank: BankUser, WordPtr: 0, Data: 0x77, Handle: handle}); r.Kind != ReplyWrite {
 		t.Fatalf("secured write reply = %s", r.Kind)
 	}
-	if tag.UserMemory()[0] != 0x77 {
+	if tag.user[0] != 0x77 {
 		t.Fatal("secured write did not land")
 	}
 	// Reads work in Secured too.
@@ -110,7 +110,7 @@ func TestSecuredTagClosesOutLikeOpen(t *testing.T) {
 	const pwd = 0x12345678
 	tag, handle := openProtectedTag(t, pwd, 35)
 	tag.HandleCommand(&Access{Password: pwd, Handle: handle})
-	if !tag.Secured() {
+	if tag.State() != StateSecured {
 		t.Fatal("not secured")
 	}
 	// QueryRep ends the round: flag flips, back to Ready.
@@ -131,7 +131,7 @@ func TestPowerLossClearsSecuredState(t *testing.T) {
 	tag, handle := openProtectedTag(t, pwd, 36)
 	tag.HandleCommand(&Access{Password: pwd, Handle: handle})
 	tag.PowerReset()
-	if tag.Secured() {
+	if tag.State() == StateSecured {
 		t.Fatal("Secured survived power loss")
 	}
 	if tag.State() != StateReady {

@@ -136,13 +136,6 @@ func NewTagLogic(epc []byte, random *rng.Rand) (*TagLogic, error) {
 	return &TagLogic{epc: append([]byte(nil), epc...), random: *random}, nil
 }
 
-// UserMemory returns a copy of the user bank.
-func (t *TagLogic) UserMemory() []uint16 {
-	out := make([]uint16, userWords)
-	copy(out, t.user[:])
-	return out
-}
-
 // readBank fetches count words starting at ptr from a bank; ok is false
 // on a range violation or unsupported bank.
 func (t *TagLogic) readBank(bank MemoryBank, ptr byte, count byte) ([]uint16, bool) {
@@ -179,18 +172,26 @@ func (t *TagLogic) readBank(bank MemoryBank, ptr byte, count byte) ([]uint16, bo
 }
 
 // State returns the current inventory state.
+//
+//ivn:allow unreached the session and tag tests observe a tag's live inventory state through it
 func (t *TagLogic) State() TagState { return t.state }
 
 // EPC returns the tag's identifier.
 func (t *TagLogic) EPC() []byte { return append([]byte(nil), t.epc...) }
 
 // SL returns the selected flag.
+//
+//ivn:allow unreached the session tests observe a tag's live selected flag through it
 func (t *TagLogic) SL() bool { return t.sl }
 
 // Inventoried returns the inventoried flag (false = A) for a session.
+//
+//ivn:allow unreached the session tests observe a tag's live inventoried flags through it
 func (t *TagLogic) Inventoried(s Session) bool { return t.inventoried[s&3] }
 
 // LastRN16 returns the most recent slot RN16 (for test observability).
+//
+//ivn:allow unreached the session tests observe a tag's live slot RN16 through it
 func (t *TagLogic) LastRN16() uint16 { return t.rn16 }
 
 // PowerReset models losing power: all volatile state clears; per the spec

@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"ivn/internal/em"
+	"ivn/internal/gen2"
+	"ivn/internal/link"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
+	"ivn/internal/session"
 	"ivn/internal/tag"
 )
 
@@ -76,5 +79,62 @@ func TestKitsReusedMatchFresh(t *testing.T) {
 	}
 	if decoded == 0 {
 		t.Fatal("no comm trial decoded: the sequence never exercised the waveform decode")
+	}
+}
+
+// TestCommTrialTagDrawsItsOwnStream pins the stream a comm trial's tag
+// draws its RN16 from: trial i's tag is seeded from the "tag" split of
+// trial i's own stream, taken after the placement and link draws. The
+// RN16 reaches a trial's result only through the uplink decode — the
+// payload moves the decoder's DC estimate, and with it the last bits of
+// the preamble correlation — so the test replays each waveform session
+// by hand with the tag the trial must have and requires the identical
+// result. A comm trial that hands every trial one shared tag generator
+// fails here.
+func TestCommTrialTagDrawsItsOwnStream(t *testing.T) {
+	sc := scenario.NewTank(0.5, em.Water, 0.15)
+	model := tag.StandardTag()
+	parent := rng.New(23)
+	var ck commKit
+	for i := 0; i < 16; i++ {
+		got, err := ck.trial(sc, 8, model, CommOptions{Waveform: true}, parent.SplitIndexed("rn16", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		r := parent.SplitIndexed("rn16", i)
+		var p scenario.Placement
+		if err := scenario.RealizeInto(sc, &p, 8, r); err != nil {
+			t.Fatal(err)
+		}
+		var kit link.TrialKit
+		lk, err := kit.ForTrial(&p, 8, nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tagRand rng.Rand
+		r.SplitInto(&tagRand, "tag")
+		tg, err := tag.New(model, defaultEPC, &tagRand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := CommTrial{PeakPower: lk.PeakPower()}
+		x := session.Exchange{Link: lk}
+		if want.Powered = x.PowerUp(tg, want.PeakPower); want.Powered {
+			reply, err := x.Query(tg, &gen2.Query{Q: 0, Session: gen2.S0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Kind == gen2.ReplyRN16 {
+				dec, ok, err := lk.Decode(tg, reply, "uplink", r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Decoded, want.Correlation = ok, dec.Correlation
+			}
+		}
+		if got != want {
+			t.Fatalf("trial %d: %+v, replayed with the trial's own tag stream %+v", i, got, want)
+		}
 	}
 }

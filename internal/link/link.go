@@ -210,6 +210,8 @@ func (l *Link) PeakPower() float64 { return l.peak }
 func (l *Link) PeakPowerDBm() float64 { return 10*math.Log10(l.peak) + 30 }
 
 // Jam returns the CIB→reader leakage tone set.
+//
+//ivn:allow unreached the benchmark in _perfbench decodes the uplink against it
 func (l *Link) Jam() []radio.ToneAt { return l.jam[:] }
 
 // RoundTrip is the reader→tag→reader amplitude gain for a tag model at

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -14,8 +15,16 @@ import (
 // for analysis and again as a dependency of another package), yielding
 // distinct *types.Func objects; FullName strings bridge the instances, so
 // cross-package call edges resolve no matter which instance a call site's
-// type info came from.
+// type info came from. A method of an instantiated generic type is named
+// by its declaration ("(*p.List[T]).Push", not "(*p.List[int]).Push"),
+// and a package's second and later init functions carry their ordinal
+// ("p.init#2"), since every init shares one FullName.
 type FuncID string
+
+// funcID returns fn's FuncID, canonicalized to its generic declaration.
+func funcID(fn *types.Func) FuncID {
+	return FuncID(fn.Origin().FullName())
+}
 
 // CallEdge is one static call site: caller invokes callee at pos. Callee
 // may name a function outside the graph (stdlib, or a package not in this
@@ -39,6 +48,8 @@ type Node struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
+	// Test marks a function declared in a _test.go file.
+	Test bool
 
 	// Calls lists the statically resolved call sites in source order.
 	Calls []CallEdge
@@ -70,6 +81,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 		Callers: map[FuncID][]FuncID{},
 	}
 	for _, pkg := range pkgs {
+		inits := 0
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -80,11 +92,16 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				id := FuncID(fn.FullName())
+				id := funcID(fn)
+				if fd.Recv == nil && fd.Name.Name == "init" {
+					if inits++; inits > 1 {
+						id = FuncID(fmt.Sprintf("%s#%d", id, inits))
+					}
+				}
 				if _, dup := g.Nodes[id]; dup {
 					continue // shadowed duplicate instance; first wins
 				}
-				n := &Node{ID: id, Fn: fn, Decl: fd, Pkg: pkg}
+				n := &Node{ID: id, Fn: fn, Decl: fd, Pkg: pkg, Test: pkg.IsTest[f]}
 				collectCalls(pkg.Info, fd, n)
 				g.Nodes[id] = n
 			}
@@ -143,7 +160,7 @@ func collectCalls(info *types.Info, fd *ast.FuncDecl, n *Node) {
 		default:
 			n.Calls = append(n.Calls, CallEdge{
 				Caller:    n.ID,
-				Callee:    FuncID(fn.FullName()),
+				Callee:    funcID(fn),
 				CalleePkg: funcPkgPath(fn),
 				Pos:       call.Pos(),
 			})
@@ -162,7 +179,7 @@ func collectCalls(info *types.Info, fd *ast.FuncDecl, n *Node) {
 		}
 		n.Refs = append(n.Refs, CallEdge{
 			Caller:    n.ID,
-			Callee:    FuncID(fn.FullName()),
+			Callee:    funcID(fn),
 			CalleePkg: funcPkgPath(fn),
 			Pos:       id.Pos(),
 		})
@@ -198,32 +215,34 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr) bool {
 	return builtin
 }
 
-// Reachable walks the static call edges from root and returns every node
-// in its closure (root included), with a parent edge map for diagnostics:
-// parent[id] is the edge through which id was first reached, in a
-// deterministic (source-order BFS) traversal.
-func (g *CallGraph) Reachable(root FuncID) (closure map[FuncID]bool, parent map[FuncID]CallEdge) {
+// Reachable walks the static call edges and function-value references
+// from roots and returns every node in their closure (roots included),
+// with a parent edge map for diagnostics: parent[id] is the edge through
+// which id was first reached, in a deterministic (source-order BFS)
+// traversal. A referenced function counts as reachable because the value
+// may be called.
+func (g *CallGraph) Reachable(roots ...FuncID) (closure map[FuncID]bool, parent map[FuncID]CallEdge) {
 	closure = map[FuncID]bool{}
 	parent = map[FuncID]CallEdge{}
-	if g.Nodes[root] == nil {
-		return closure, parent
-	}
-	queue := []FuncID{root}
-	closure[root] = true
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		n := g.Nodes[id]
-		if n == nil {
-			continue
+	var queue []FuncID
+	for _, root := range roots {
+		if g.Nodes[root] != nil && !closure[root] {
+			closure[root] = true
+			queue = append(queue, root)
 		}
-		for _, e := range n.Calls {
-			if g.Nodes[e.Callee] == nil || closure[e.Callee] {
-				continue
+	}
+	for len(queue) > 0 {
+		n := g.Nodes[queue[0]]
+		queue = queue[1:]
+		for _, edges := range [][]CallEdge{n.Calls, n.Refs} {
+			for _, e := range edges {
+				if g.Nodes[e.Callee] == nil || closure[e.Callee] {
+					continue
+				}
+				closure[e.Callee] = true
+				parent[e.Callee] = e
+				queue = append(queue, e.Callee)
 			}
-			closure[e.Callee] = true
-			parent[e.Callee] = e
-			queue = append(queue, e.Callee)
 		}
 	}
 	return closure, parent

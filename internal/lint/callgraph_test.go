@@ -282,7 +282,7 @@ func cmp(a, b float64) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := RunAnalyzers(pkgs, l.Support(), []*Analyzer{FloatCmp})
+	findings := BuildProgram(pkgs, l.Support()).Run([]*Analyzer{FloatCmp})
 	var stale []Finding
 	for _, f := range findings {
 		if !strings.Contains(f.Message, "stale suppression") {
@@ -297,7 +297,7 @@ func cmp(a, b float64) bool {
 
 	// The same package under an analyzer set without floatcmp: the site's
 	// liveness is unknowable, so nothing is reported.
-	if findings := RunAnalyzers(pkgs, l.Support(), []*Analyzer{ErrCheck}); len(findings) != 0 {
+	if findings := BuildProgram(pkgs, l.Support()).Run([]*Analyzer{ErrCheck}); len(findings) != 0 {
 		t.Errorf("stale reported without its analyzer in the run set: %v", findings)
 	}
 }

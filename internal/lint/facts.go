@@ -128,7 +128,7 @@ func (fc *Facts) ownership(fn *types.Func) []bool {
 	if isPoolGetter(fn) {
 		return []bool{true}
 	}
-	if ff := fc.Per[FuncID(fn.FullName())]; ff != nil {
+	if ff := fc.Per[funcID(fn)]; ff != nil {
 		return ff.OwnsResult
 	}
 	return nil
@@ -143,7 +143,7 @@ func (fc *Facts) releases(fn *types.Func) []bool {
 	if isPoolPutter(fn) {
 		return []bool{true}
 	}
-	if ff := fc.Per[FuncID(fn.FullName())]; ff != nil {
+	if ff := fc.Per[funcID(fn)]; ff != nil {
 		return ff.ReleasesParam
 	}
 	return nil
@@ -373,7 +373,7 @@ func collectDirectFacts(g *CallGraph, n *Node, ff *FuncFacts) {
 		if fn == nil || interfaceMethod(fn) {
 			return false
 		}
-		if _, inGraph := g.Nodes[FuncID(fn.FullName())]; inGraph {
+		if _, inGraph := g.Nodes[funcID(fn)]; inGraph {
 			return true
 		}
 		return assumedAllocFree(funcPkgPath(fn))

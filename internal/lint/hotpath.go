@@ -11,7 +11,7 @@ import (
 // figure kernels. A function marked
 //
 //	//ivn:hotpath
-//	func PeakEnvelope(...) ... { ... }
+//	func MaxDwellAbove(...) ... { ... }
 //
 // has its entire static call-graph closure checked against the fact
 // store: any reachable allocation site — make/new, growing append,
@@ -63,7 +63,7 @@ func runHotpath(pass *Pass) {
 			if !ok {
 				continue
 			}
-			checkHotRoot(pass, FuncID(fn.FullName()))
+			checkHotRoot(pass, funcID(fn))
 		}
 	}
 }

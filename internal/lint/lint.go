@@ -5,8 +5,9 @@
 // correctness rests on: published tables must be byte-reproducible (no
 // wall-clock, no global math/rand, no map-order-dependent rows), pooled
 // scratch buffers must be returned on every path and must never outlive
-// their function, goroutines belong on the sanctioned bounded runners, and
-// floating-point values are never compared with ==. Each analyzer in this
+// their function, goroutines belong on the sanctioned bounded runners,
+// floating-point values are never compared with ==, and no function
+// outlives the last program path that reached it. Each analyzer in this
 // package enforces one of those invariants over the type-checked AST,
 // using only the standard library's go/ast, go/parser, go/token and
 // go/types — the module stays offline-buildable with zero dependencies.
@@ -57,6 +58,11 @@ type Analyzer struct {
 	Doc string
 	// SkipTests excludes *_test.go files from the pass.
 	SkipTests bool
+	// WholeProgram marks a check whose verdict needs every caller in
+	// view. It runs only when the analyzed packages are the whole
+	// program (Program.Whole); on a partial run it reports nothing and
+	// its suppressions are not checked for staleness.
+	WholeProgram bool
 	// Run performs the analysis.
 	Run func(*Pass)
 }
@@ -102,6 +108,7 @@ func Analyzers() []*Analyzer {
 		ErrCheck,
 		Unitcheck,
 		Hotpath,
+		Unreached,
 	}
 }
 
@@ -118,10 +125,22 @@ type Program struct {
 	Facts    *Facts
 	Units    *unitIndex
 
+	// Whole reports that the analyzed packages are the whole program, so
+	// every caller of every function is in view. WholeProgram analyzers
+	// run only then.
+	Whole bool
+	// APIRoot is the import path of the package whose exported API
+	// counts as used by code outside the program: the module's root
+	// package on a LintDirs run, none ("") otherwise.
+	APIRoot string
+
 	// hotReported dedupes hotpath findings by position across packages:
 	// two roots in different packages reaching the same allocation site
 	// yield one finding.
 	hotReported map[string]bool
+	// reached caches the unreached analyzer's closure, computed once per
+	// run.
+	reached map[FuncID]bool
 }
 
 // BuildProgram assembles the interprocedural state for one run. Support
@@ -233,18 +252,28 @@ func fileSuppressions(fset *token.FileSet, f *ast.File) ([]*suppSite, []Finding)
 	return sites, malformed
 }
 
-// RunAnalyzers executes every analyzer over every package, with the
+// Run executes every analyzer over every analyzed package, with the
 // support packages' bodies and facts in view, applies the //ivn:allow
 // suppressions, reports stale ones, and returns the surviving findings
 // sorted by file, line, column and analyzer. Suppressions are
-// module-wide: a finding located in another package's file is silenced by
-// the //ivn:allow at that file's line, no matter which pass produced it.
-// A suppression declared in an analyzed package is stale when its
+// module-wide: a finding located in another package's file is silenced
+// by the //ivn:allow at that file's line, no matter which pass produced
+// it. A suppression declared in an analyzed package is stale when its
 // analyzer ran and no finding consumed it; sites in support packages are
-// never reported. Duplicate positions from interprocedural analyzers (two
-// roots reaching one site) collapse to a single finding.
-func RunAnalyzers(pkgs, support []*Package, analyzers []*Analyzer) []Finding {
-	prog := BuildProgram(pkgs, support)
+// never reported. A WholeProgram analyzer does not run on a partial
+// program, so its suppressions are never stale there. Duplicate
+// positions from interprocedural analyzers (two roots reaching one site)
+// collapse to a single finding.
+func (prog *Program) Run(analyzers []*Analyzer) []Finding {
+	if !prog.Whole {
+		var scoped []*Analyzer
+		for _, an := range analyzers {
+			if !an.WholeProgram {
+				scoped = append(scoped, an)
+			}
+		}
+		analyzers = scoped
+	}
 
 	// Module-wide suppression map over analyzed and support files alike.
 	type key struct {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -86,6 +87,7 @@ func TestFixtures(t *testing.T) {
 		"errcheck":         ErrCheck,
 		"unitcheck":        Unitcheck,
 		"hotpath":          Hotpath,
+		"unreached":        Unreached,
 	}
 	names := make([]string, 0, len(cases))
 	for name := range cases {
@@ -104,7 +106,9 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}
-			findings := RunAnalyzers(pkgs, nil, []*Analyzer{an})
+			prog := BuildProgram(pkgs, nil)
+			prog.Whole = true // each fixture is a program of its own
+			findings := prog.Run([]*Analyzer{an})
 			wants := collectWants(t, pkgs)
 			for _, f := range findings {
 				if f.Analyzer == "ivnlint" {
@@ -284,6 +288,68 @@ func TestDefaultBuildTag(t *testing.T) {
 		}
 		if defaultBuildTag(tag) {
 			t.Errorf("non-default tag %q satisfied", tag)
+		}
+	}
+}
+
+// TestUnreachedNeedsWholeModule runs the unreached analyzer over a
+// throwaway module. Over the whole module it reports the dead functions
+// and a stale annotation, and counts the root package's exported API as
+// reached; over part of the module it reports nothing, stale
+// annotations included, since callers outside the run are not in view.
+func TestUnreachedNeedsWholeModule(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module example.com/m\n",
+		"m.go": `package m
+
+import "example.com/m/a"
+
+func API() {
+	a.Used()
+	a.Reached()
+}
+
+type T struct{}
+
+func (T) Method() { a.ViaMethod() }
+
+func unexported() {}
+`,
+		"a/a.go": `package a
+
+func Used() {}
+
+func ViaMethod() {}
+
+func Dead() {}
+
+//ivn:allow unreached kept for a test that compares against it
+func Kept() {}
+
+//ivn:allow unreached stale: the root package's API calls it
+func Reached() {}
+`,
+	})
+	lint := func(dirs ...string) []string {
+		t.Helper()
+		findings, err := LintDirs(root, dirs, []*Analyzer{Unreached})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range findings {
+			rel, _ := filepath.Rel(root, f.File)
+			got = append(got, fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), f.Line, f.Analyzer))
+		}
+		return got
+	}
+	want := []string{"a/a.go:7 unreached", "a/a.go:12 ivnlint", "m.go:14 unreached"}
+	if got := lint(root, filepath.Join(root, "a")); !reflect.DeepEqual(got, want) {
+		t.Errorf("whole module: got %q, want %q", got, want)
+	}
+	for _, dir := range []string{root, filepath.Join(root, "a")} {
+		if got := lint(dir); len(got) != 0 {
+			t.Errorf("run over %s only: got %q, want nothing", dir, got)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func NewLoader(rootDir string) (*Loader, error) {
 
 // Support returns the module-local packages the loader imported as
 // dependencies of the explicitly loaded directories, with full syntax and
-// type info, sorted by path. Handing these to RunAnalyzers lets the
+// type info, sorted by path. Handing these to BuildProgram lets the
 // interprocedural analyzers see through cross-package calls even when
 // only a subset of directories is being analyzed.
 func (l *Loader) Support() []*Package {
@@ -412,11 +412,22 @@ func ExpandPatterns(root string, patterns []string) ([]string, error) {
 // (unsuppressed) findings sorted by position. Module-local dependencies
 // of the loaded directories participate as support packages, so
 // hot-path closures and derived pool facts resolve across package
-// boundaries even for partial directory sets.
+// boundaries even for partial directory sets. The run is the whole
+// program when dirs cover every package directory of the module
+// (ExpandPatterns of "./..."); the root package's exported API counts as
+// used.
 func LintDirs(root string, dirs []string, analyzers []*Analyzer) ([]Finding, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
+	}
+	moduleDirs, err := ExpandPatterns(loader.RootDir, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	uncovered := map[string]bool{}
+	for _, dir := range moduleDirs {
+		uncovered[dir] = true
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
@@ -424,6 +435,7 @@ func LintDirs(root string, dirs []string, analyzers []*Analyzer) ([]Finding, err
 		if err != nil {
 			return nil, err
 		}
+		delete(uncovered, abs)
 		rel, err := filepath.Rel(loader.RootDir, abs)
 		if err != nil {
 			return nil, err
@@ -438,5 +450,8 @@ func LintDirs(root string, dirs []string, analyzers []*Analyzer) ([]Finding, err
 		}
 		pkgs = append(pkgs, loaded...)
 	}
-	return RunAnalyzers(pkgs, loader.Support(), analyzers), nil
+	prog := BuildProgram(pkgs, loader.Support())
+	prog.Whole = len(uncovered) == 0
+	prog.APIRoot = loader.ModulePath
+	return prog.Run(analyzers), nil
 }

@@ -1,9 +1,9 @@
 // Package pool provides size-bucketed scratch-buffer pools for the hot
 // trial paths of the simulator.
 //
-// The envelope kernels, FFT correlators, and Monte-Carlo trial loops all
-// need short-lived float64/complex128 work slices of a handful of
-// recurring sizes (2^k grids, carrier-count vectors). Allocating them per
+// The envelope kernels, the uplink correlator and the Monte-Carlo trial
+// loops all need short-lived float64/complex128 work slices of a handful
+// of recurring sizes (2^k grids, carrier-count vectors). Allocating them per
 // call keeps the garbage collector busy on exactly the paths the
 // experiment harness hammers millions of times. This package hands out
 // zeroed slices from per-size free lists and takes them back when the

@@ -7,55 +7,6 @@ import (
 	"ivn/internal/rng"
 )
 
-// TestQuantizeBoundaries pins the clip semantics at the converter rails:
-// exactly-full-scale and just-over-full-scale inputs must land on the max
-// code with no wraparound or sign flip, and negative overloads mirror.
-func TestQuantizeBoundaries(t *testing.T) {
-	const fs = 1.0
-	eps := fs * 1e-9
-	x := []complex128{
-		complex(fs, -fs),             // exactly at the rails: representable boundary
-		complex(fs+eps, -(fs + eps)), // just over: clips, no wraparound
-		complex(fs*1e6, -fs*1e6),     // far over: still the rail codes
-	}
-	clipped, err := Quantize(x, 12, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exactly ±fullScale is the boundary code, not an overload.
-	if real(x[0]) != fs || imag(x[0]) != -fs {
-		t.Fatalf("full-scale sample moved: %v", x[0])
-	}
-	// Over-range samples clamp to the rails — a wraparound or sign flip
-	// would surface here as a negative real or positive imaginary part.
-	for i := 1; i < 3; i++ {
-		if real(x[i]) != fs || imag(x[i]) != -fs {
-			t.Fatalf("sample %d = %v, want (%v,%v)", i, x[i], fs, -fs)
-		}
-	}
-	// Per-component accounting: samples 1 and 2 clip on both I and Q.
-	if clipped != 4 {
-		t.Fatalf("clipped = %d, want 4 (per-component)", clipped)
-	}
-}
-
-// TestQuantizePerComponentCount: a sample overloading both rails counts
-// twice; one rail counts once; in-range counts zero.
-func TestQuantizePerComponentCount(t *testing.T) {
-	x := []complex128{
-		complex(2.0, 3.0),   // both components clip: +2
-		complex(-2.0, 0.5),  // real only: +1
-		complex(0.25, -0.5), // clean: +0
-	}
-	clipped, err := Quantize(x, 8, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clipped != 3 {
-		t.Fatalf("clipped = %d, want 3", clipped)
-	}
-}
-
 // dropChain zeroes one chain and re-locks another.
 type dropChain struct{ drop, relock int }
 

@@ -64,9 +64,6 @@ func (o *Oscillator) Phase() float64 {
 	return o.phase
 }
 
-// Locked reports whether the oscillator has been locked.
-func (o *Oscillator) Locked() bool { return o.locked }
-
 // PowerAmp is a Rapp-model power amplifier: linear gain with smooth
 // saturation near the output 1 dB compression point, matching the
 // prototype's HMC453 (P1dB = 30 dBm).
@@ -202,11 +199,6 @@ type Antenna struct {
 	GainDBi float64 //ivn:unit dBi
 }
 
-// AmplitudeGain returns √(10^{dBi/10}).
-//
-//ivn:unit return 1
-func (a Antenna) AmplitudeGain() float64 { return math.Pow(10, a.GainDBi/20) }
-
 // TxChain is one transmit path: oscillator → drive → PA → antenna port.
 type TxChain struct {
 	Osc *Oscillator
@@ -226,13 +218,12 @@ func (c *TxChain) Carrier() Carrier {
 	}
 }
 
-// Array is a set of transmit chains sharing a reference clock. The shared
-// clock aligns command *timing* across chains (the "coherent" half of
+// Array is a set of transmit chains. A shared reference clock aligns
+// command *timing* across the chains (the "coherent" half of
 // coherently-incoherent beamforming) but does nothing for carrier phase:
 // each PLL still locks at a random phase (the "incoherent" half).
 type Array struct {
 	Chains []*TxChain
-	Clock  SharedClock
 }
 
 // NewUniformArray builds n chains at the given frequencies with identical
@@ -255,7 +246,7 @@ func NewUniformArray(freqs []float64, drive float64, pa PowerAmp, ant Antenna) (
 			return nil, fmt.Errorf("radio: carrier frequency %v <= 0", f)
 		}
 	}
-	a := &Array{Clock: DefaultClock(), Chains: make([]*TxChain, len(freqs))}
+	a := &Array{Chains: make([]*TxChain, len(freqs))}
 	chains := make([]TxChain, len(freqs))
 	oscs := make([]Oscillator, len(freqs))
 	for i, f := range freqs {
@@ -335,36 +326,4 @@ func (a *Array) TotalRadiatedPower() float64 {
 		p += amp * amp
 	}
 	return p
-}
-
-// SharedClock models the Octoclock-style reference distribution: a common
-// 10 MHz reference and PPS pulse with small per-device jitter.
-type SharedClock struct {
-	// RefFreq is the reference frequency in Hz.
-	RefFreq float64 //ivn:unit Hz
-	// SyncJitter is the 1σ per-device trigger jitter in seconds.
-	SyncJitter float64 //ivn:unit s
-}
-
-// DefaultClock matches a CDA-2900-class distribution: 10 MHz reference,
-// ~5 ns trigger jitter.
-func DefaultClock() SharedClock { return SharedClock{RefFreq: 10e6, SyncJitter: 5e-9} }
-
-// StartOffset draws one device's trigger offset in seconds.
-//
-//ivn:unit return s
-func (c SharedClock) StartOffset(r *rng.Rand) float64 {
-	return c.SyncJitter * r.NormFloat64()
-}
-
-// CommandAligned reports whether the worst-case trigger skew keeps
-// synchronized commands aligned to within the given fraction of a symbol:
-// battery-free tags decode energy envelopes, so all antennas must present
-// the same envelope edges (paper §3.2).
-//
-//ivn:unit symbolDuration s
-//ivn:unit maxFraction 1
-func (c SharedClock) CommandAligned(symbolDuration, maxFraction float64) bool {
-	// 6σ worst case.
-	return 6*c.SyncJitter <= symbolDuration*maxFraction
 }

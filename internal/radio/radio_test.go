@@ -100,17 +100,6 @@ func TestPASaturationCeiling(t *testing.T) {
 	}
 }
 
-func TestAntennaGain(t *testing.T) {
-	a := Antenna{GainDBi: 7}
-	want := math.Pow(10, 7.0/20)
-	if g := a.AmplitudeGain(); math.Abs(g-want) > 1e-12 {
-		t.Fatalf("amplitude gain = %v, want %v", g, want)
-	}
-	if g := (Antenna{}).AmplitudeGain(); g != 1 {
-		t.Fatalf("isotropic gain = %v, want 1", g)
-	}
-}
-
 func TestNewUniformArrayValidation(t *testing.T) {
 	if _, err := NewUniformArray(nil, 1, DefaultPA(), Antenna{}); err == nil {
 		t.Fatal("empty array accepted")
@@ -165,33 +154,6 @@ func TestArrayLockDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestSharedClockAlignment(t *testing.T) {
-	c := DefaultClock()
-	// 5 ns jitter against a 12.5 µs Tari: easily aligned within 1%.
-	if !c.CommandAligned(12.5e-6, 0.01) {
-		t.Fatal("default clock cannot align Gen2 symbols")
-	}
-	// A microsecond-jitter clock cannot.
-	bad := SharedClock{RefFreq: 10e6, SyncJitter: 1e-6}
-	if bad.CommandAligned(12.5e-6, 0.01) {
-		t.Fatal("sloppy clock reported aligned")
-	}
-	// Offsets are centred and small.
-	r := rng.New(3)
-	var acc, count float64
-	for i := 0; i < 1000; i++ {
-		off := c.StartOffset(r)
-		acc += off
-		count++
-		if math.Abs(off) > 6*c.SyncJitter {
-			t.Fatalf("offset %v beyond 6σ", off)
-		}
-	}
-	if math.Abs(acc/count) > c.SyncJitter {
-		t.Fatalf("offsets biased: mean %v", acc/count)
-	}
-}
-
 func TestSAWFilterShape(t *testing.T) {
 	f := DefaultSAW(880e6)
 	if a := f.AttenuationDB(880e6); math.Abs(a-f.InsertionLossDB) > 1e-9 {
@@ -234,23 +196,23 @@ func TestReceiverSelfJammingScenario(t *testing.T) {
 
 func TestReceiverSNR(t *testing.T) {
 	rx := NewReceiver(880e6)
+	// The signal-to-(noise+interference) ratio the uplink decoder works
+	// at: interference weighted by the analog pre-filter and the digital
+	// channel rejection.
+	snrDB := func(signal float64, jam []ToneAt) float64 {
+		return 10 * math.Log10(signal/(rx.NoiseFloor+rx.EffectiveInterference(jam)))
+	}
 	// Signal at −60 dBm against the −90 dBm floor: ≈30 dB.
-	snr := rx.SNRdB(1e-9, nil)
+	snr := snrDB(1e-9, nil)
 	if math.Abs(snr-30) > 0.5 {
 		t.Fatalf("SNR = %v dB, want ≈30", snr)
 	}
 	// Out-of-band jam is attenuated by the filter before it degrades SNR:
-	// the residual jam power must match the filter's rejection, and the
-	// unfiltered jam would have been catastrophically worse.
+	// the unfiltered jam would have been catastrophically worse.
 	jam := []ToneAt{{Freq: 915e6, Power: 1e-6}}
-	snrJam := rx.SNRdB(1e-9, jam)
+	snrJam := snrDB(1e-9, jam)
 	if snrJam > snr {
 		t.Fatal("jamming improved SNR")
-	}
-	residual := rx.EffectiveInterference(jam)
-	wantSNR := 10 * math.Log10(1e-9/(rx.NoiseFloor+residual))
-	if math.Abs(snrJam-wantSNR) > 0.1 {
-		t.Fatalf("jammed SNR %v dB, want %v", snrJam, wantSNR)
 	}
 	// The 35 MHz-offset tone is outside the digital channel, so the
 	// combined analog+digital rejection (≈107 dB) must leave the SNR
@@ -267,49 +229,6 @@ func TestReceiverSNR(t *testing.T) {
 	wantEff := rx.Filter.Apply(1e-9, 880e6+100e3)
 	if math.Abs(eff-wantEff)/wantEff > 1e-9 {
 		t.Fatalf("in-channel interference got digital rejection: %v vs %v", eff, wantEff)
-	}
-	if !math.IsInf(rx.SNRdB(0, nil), -1) {
-		t.Fatal("zero signal should give -Inf SNR")
-	}
-}
-
-func TestReceiverAddNoisePower(t *testing.T) {
-	rx := NewReceiver(880e6)
-	rx.NoiseFloor = 1e-6
-	x := make([]complex128, 200000)
-	rx.AddNoise(x, rng.New(7))
-	var p float64
-	for _, v := range x {
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	p /= float64(len(x))
-	if math.Abs(p-rx.NoiseFloor)/rx.NoiseFloor > 0.05 {
-		t.Fatalf("noise power %v, want ≈%v", p, rx.NoiseFloor)
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	x := []complex128{complex(0.5, -0.25), complex(2, 0), complex(-3, 1)}
-	clipped, err := Quantize(x, 12, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clipped != 2 {
-		t.Fatalf("clipped = %d, want 2", clipped)
-	}
-	if real(x[1]) != 1.0 {
-		t.Fatalf("clipped sample = %v, want full scale", x[1])
-	}
-	// Quantization error bounded by half a step.
-	step := 1.0 / float64(int64(1)<<11)
-	if math.Abs(real(x[0])-0.5) > step/2+1e-15 {
-		t.Fatalf("quantization error too large: %v", real(x[0]))
-	}
-	if _, err := Quantize(x, 1, 1); err == nil {
-		t.Fatal("1-bit ADC accepted")
-	}
-	if _, err := Quantize(x, 12, 0); err == nil {
-		t.Fatal("zero full scale accepted")
 	}
 }
 
@@ -454,11 +373,11 @@ func TestOperatingDriveMatchesFreshSearch(t *testing.T) {
 
 func TestOscillatorLocked(t *testing.T) {
 	o := Oscillator{Freq: 915e6}
-	if o.Locked() {
+	if o.locked {
 		t.Fatal("fresh oscillator reports locked")
 	}
 	o.Lock(rng.New(1))
-	if !o.Locked() {
+	if !o.locked {
 		t.Fatal("locked oscillator reports unlocked")
 	}
 }

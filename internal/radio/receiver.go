@@ -3,8 +3,6 @@ package radio
 import (
 	"fmt"
 	"math"
-
-	"ivn/internal/rng"
 )
 
 // SAWFilter is a behavioral band-pass pre-selector: near-zero loss inside
@@ -147,70 +145,6 @@ func (r *Receiver) Saturated(tones []ToneAt) bool {
 	return r.PostFilterPower(tones) > r.SaturationPower
 }
 
-// SNRdB returns the signal-to-(noise+interference) ratio for a wanted
-// in-band signal power against a set of interfering tones, assuming the
-// receiver is not saturated. Interference is weighted by both the analog
-// pre-filter and the digital channel rejection.
-//
-//ivn:unit signalWatts W
-//ivn:unit return dB
-func (r *Receiver) SNRdB(signalWatts float64, jammers []ToneAt) float64 {
-	if signalWatts <= 0 {
-		return math.Inf(-1)
-	}
-	n := r.NoiseFloor + r.EffectiveInterference(jammers)
-	return 10 * math.Log10(signalWatts/n)
-}
-
-// AddNoise adds complex AWGN with the receiver's noise floor to a baseband
-// capture of n samples; the per-sample noise power equals NoiseFloor
-// (noise already integrated over the receive bandwidth).
-func (r *Receiver) AddNoise(x []complex128, rnd *rng.Rand) {
-	sigma := math.Sqrt(r.NoiseFloor / 2)
-	for i := range x {
-		x[i] += rnd.ComplexCircular(sigma)
-	}
-}
-
-// Quantize applies ADC quantization in place: bits of resolution over
-// ±fullScale on each of I and Q, clipping beyond. It returns the number
-// of clipped components (I and Q counted separately — a sample clipped on
-// both rails contributes two) so callers can detect converter overload.
-// Inputs at or beyond a rail clamp to that rail's code: a just-over-full-
-// scale sample produces the max code, never a wrapped or sign-flipped
-// value.
-func Quantize(x []complex128, bits int, fullScale float64) (clipped int, err error) {
-	if bits < 2 || bits > 24 {
-		return 0, fmt.Errorf("radio: ADC bits %d outside [2,24]", bits)
-	}
-	if fullScale <= 0 {
-		return 0, fmt.Errorf("radio: ADC full scale %v <= 0", fullScale)
-	}
-	levels := float64(int64(1) << uint(bits-1)) // per polarity
-	step := fullScale / levels
-	q := func(v float64) (float64, bool) {
-		clip := false
-		if v > fullScale {
-			v, clip = fullScale, true
-		} else if v < -fullScale {
-			v, clip = -fullScale, true
-		}
-		return math.Round(v/step) * step, clip
-	}
-	for i := range x {
-		re, c1 := q(real(x[i]))
-		im, c2 := q(imag(x[i]))
-		x[i] = complex(re, im)
-		if c1 {
-			clipped++
-		}
-		if c2 {
-			clipped++
-		}
-	}
-	return clipped, nil
-}
-
 // ReceivedBaseband synthesizes the complex baseband a receiver centered at
 // f0 observes from a set of carriers, each multiplied by its own channel
 // coefficient: y[k] = Σᵢ Aᵢ·hᵢ·e^{j(2π(fᵢ−f0)·k/fs + θᵢ)}. This is the
@@ -219,6 +153,7 @@ func Quantize(x []complex128, bits int, fullScale float64) (clipped int, err err
 //
 //ivn:unit f0 Hz
 //ivn:unit fs Hz
+//ivn:allow unreached entry of the sample-level downlink chain that TestWaveformLevelDownlink validates the flatness abstraction with
 func ReceivedBaseband(carriers []Carrier, chans []complex128, f0, fs float64, n int) ([]complex128, error) {
 	if len(carriers) != len(chans) {
 		return nil, fmt.Errorf("radio: %d carriers but %d channels", len(carriers), len(chans))
@@ -232,7 +167,9 @@ func ReceivedBaseband(carriers []Carrier, chans []complex128, f0, fs float64, n 
 		if h == 0 || c.Amplitude == 0 {
 			continue
 		}
-		// Phasor recurrence, re-normalized periodically (see dsp.AddToneTo).
+		// Phasor recurrence: one complex multiply per sample, with the
+		// magnitude re-normalized every 1024 samples so rounding in the
+		// rotation cannot make a long capture's amplitude drift.
 		step := 2 * math.Pi * (c.Freq - f0) / fs
 		ss, cs := math.Sincos(step)
 		rot := complex(cs, ss)

@@ -113,14 +113,6 @@ func (r *Reader) txFreq() float64 {
 	return r.TxFreq
 }
 
-// txAmplitude resolves the transmit amplitude, defaulting the zero value.
-func (r *Reader) txAmplitude() float64 {
-	if r.TxAmplitude == 0 {
-		return DefaultTxAmplitude
-	}
-	return r.TxAmplitude
-}
-
 // rx resolves the receive chain, building the default receiver (centered
 // at the resolved carrier) when none is configured.
 func (r *Reader) rx() *radio.Receiver {
@@ -176,16 +168,6 @@ func (r *Reader) Validate() error {
 	return nil
 }
 
-// Jammed reports whether the CIB transmitters saturate the receive chain
-// despite the SAW filter. leakPower is the total CIB power reaching the
-// reader antenna (watts) at cibFreq.
-//
-//ivn:unit leakPower W
-//ivn:unit cibFreq Hz
-func (r *Reader) Jammed(leakPower, cibFreq float64) bool {
-	return r.rx().Saturated([]radio.ToneAt{{Freq: cibFreq, Power: leakPower}})
-}
-
 // DecodeResult is a successful uplink decode.
 type DecodeResult struct {
 	// Bits is the recovered payload.
@@ -226,9 +208,8 @@ func (r *Reader) DecodeUplink(bs []float64, linkGain complex128, jamPowers []rad
 	drift := math.Sqrt(CoherentAveragingGain(periods, r.PhaseDriftPerPeriod))
 	effLink := linkGain * complex(drift, 0)
 	sigma := math.Sqrt(noise / 2 / k)
-	// The averaged capture's complex noise, drawn in one call: sample i
-	// takes normals 2i (real) and 2i+1 (imaginary), the order in which
-	// ComplexCircular draws them.
+	// The averaged capture's complex circular Gaussian noise, drawn in
+	// one call: sample i takes normals 2i (real) and 2i+1 (imaginary).
 	normals := pool.Float64(2 * len(bs))
 	defer pool.PutFloat64(normals)
 	rnd.NormFloat64s(normals)

@@ -236,36 +236,3 @@ func (r *Rand) Rayleigh(sigma float64) float64 {
 	}
 	return sigma * math.Sqrt(-2*math.Log(u))
 }
-
-// ComplexCircular returns a zero-mean circularly-symmetric complex Gaussian
-// with the given standard deviation per real dimension. This is the standard
-// model for rich-scattering channel taps and thermal noise samples.
-func (r *Rand) ComplexCircular(sigma float64) complex128 {
-	return complex(sigma*r.NormFloat64(), sigma*r.NormFloat64())
-}
-
-// UnitPhasor returns e^{jθ} with θ uniform in [0, 2π).
-func (r *Rand) UnitPhasor() complex128 {
-	th := r.Phase()
-	s, c := math.Sincos(th)
-	return complex(c, s)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

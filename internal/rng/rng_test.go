@@ -289,70 +289,6 @@ func TestRayleighMean(t *testing.T) {
 	}
 }
 
-func TestUnitPhasorMagnitude(t *testing.T) {
-	r := New(51)
-	for i := 0; i < 10000; i++ {
-		z := r.UnitPhasor()
-		if m := real(z)*real(z) + imag(z)*imag(z); math.Abs(m-1) > 1e-12 {
-			t.Fatalf("|UnitPhasor()|² = %v, want 1", m)
-		}
-	}
-}
-
-func TestComplexCircularMoments(t *testing.T) {
-	r := New(61)
-	const n = 100000
-	sigma := 0.7
-	var re, im, pow float64
-	for i := 0; i < n; i++ {
-		z := r.ComplexCircular(sigma)
-		re += real(z)
-		im += imag(z)
-		pow += real(z)*real(z) + imag(z)*imag(z)
-	}
-	if math.Abs(re/n) > 0.02 || math.Abs(im/n) > 0.02 {
-		t.Fatalf("complex mean = (%v, %v), want ≈0", re/n, im/n)
-	}
-	wantPow := 2 * sigma * sigma
-	if got := pow / n; math.Abs(got-wantPow) > 0.05*wantPow {
-		t.Fatalf("E|z|² = %v, want ≈%v", got, wantPow)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(71)
-	for _, n := range []int{0, 1, 2, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(81)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestQuickIntnInRange(t *testing.T) {
 	r := New(91)
 	f := func(n uint16) bool {

@@ -58,11 +58,6 @@ func EIRPdBm(carriers []radio.Carrier, antennaGainDBi float64) float64 {
 	return 10*math.Log10(maxP) + 30 + antennaGainDBi
 }
 
-// FCCCompliant reports whether every chain respects the ISM EIRP limit.
-func FCCCompliant(carriers []radio.Carrier, antennaGainDBi float64) bool {
-	return EIRPdBm(carriers, antennaGainDBi) <= FCCMaxEIRPdBm+1e-9
-}
-
 // Exposure describes an RF exposure evaluation point at the body surface.
 type Exposure struct {
 	// PeakSAR is the instantaneous worst-case SAR in W/kg (at the beat
@@ -132,19 +127,6 @@ func EvaluateSurface(carriers []radio.Carrier, antennaGain float64, distance flo
 	// caller supply the measured ratio.
 	peakSAR := avgSAR * peakFactor * peakFactor
 	return Exposure{PeakSAR: peakSAR, AverageSAR: avgSAR, IncidentAvgWm2: sAvg}, nil
-}
-
-// ContinuousEquivalentPower returns the power (watts) a single continuous
-// transmitter would need to deliver the same *peak* field CIB produces,
-// given CIB's total radiated power and its peak-to-average power ratio.
-// This is the §7 safety argument quantified: matching CIB's deliverable
-// peak with CW requires papr× more average power, and it is the average
-// that heats tissue.
-func ContinuousEquivalentPower(totalRadiated, papr float64) (float64, error) {
-	if totalRadiated <= 0 || papr < 1 {
-		return 0, fmt.Errorf("safety: bad inputs P=%v papr=%v", totalRadiated, papr)
-	}
-	return totalRadiated * papr, nil
 }
 
 // DutyCycle summarizes a CIB envelope's energy concentration: the

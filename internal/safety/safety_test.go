@@ -32,11 +32,11 @@ func TestPrototypeEIRPWithinFCC(t *testing.T) {
 	if math.Abs(eirp-37) > 0.5 {
 		t.Fatalf("prototype EIRP = %.1f dBm, want ≈37", eirp)
 	}
-	if FCCCompliant(cs, 7) {
-		t.Fatal("37 dBm EIRP reported compliant")
+	if EIRPdBm(cs, 7) <= FCCMaxEIRPdBm {
+		t.Fatal("37 dBm EIRP within the FCC limit")
 	}
-	if !FCCCompliant(cs, 6) {
-		t.Fatal("36 dBm EIRP reported non-compliant")
+	if EIRPdBm(cs, 6) > FCCMaxEIRPdBm+1e-9 {
+		t.Fatal("36 dBm EIRP over the FCC limit")
 	}
 	if !math.IsInf(EIRPdBm(nil, 7), -1) {
 		t.Fatal("empty carrier set EIRP should be -Inf")
@@ -172,22 +172,6 @@ func TestAnalyzeEnvelopeValidation(t *testing.T) {
 	}
 	if _, err := AnalyzeEnvelope(make([]float64, 4)); err == nil {
 		t.Fatal("all-zero envelope accepted")
-	}
-}
-
-func TestContinuousEquivalentPower(t *testing.T) {
-	p, err := ContinuousEquivalentPower(10, 7.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-77) > 1e-12 {
-		t.Fatalf("CW equivalent = %v, want 77", p)
-	}
-	if _, err := ContinuousEquivalentPower(0, 2); err == nil {
-		t.Fatal("zero power accepted")
-	}
-	if _, err := ContinuousEquivalentPower(1, 0.5); err == nil {
-		t.Fatal("papr < 1 accepted")
 	}
 }
 

@@ -96,13 +96,6 @@ func (a *Air) RealizeInto(p *Placement, nAntennas int, r *rng.Rand) error {
 	return a.Geometry.realizeInto(p, em.Path{AirDistance: a.Range}, nAntennas, r)
 }
 
-// WithRange returns a copy at a different range.
-func (a *Air) WithRange(m float64) *Air {
-	c := *a
-	c.Range = m
-	return &c
-}
-
 // SwinePlacement selects where in the animal the sensor sits (Fig. 14).
 type SwinePlacement int
 

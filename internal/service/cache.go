@@ -74,13 +74,6 @@ func (c *resultCache) setCapacity(n int) {
 	c.evictLocked()
 }
 
-// len reports the current entry count.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 func (c *resultCache) evictLocked() {
 	for c.ll.Len() > c.capacity {
 		el := c.ll.Back()

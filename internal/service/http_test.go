@@ -90,7 +90,7 @@ func pollDone(t *testing.T, srv *httptest.Server, id string, d time.Duration) en
 	deadline := time.Now().Add(d)
 	for {
 		env := getRun(t, srv, id)
-		if env.State.terminal() {
+		if st := env.State; st == StateDone || st == StateFailed || st == StateCancelled {
 			return env
 		}
 		if time.Now().After(deadline) {

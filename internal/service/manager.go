@@ -40,11 +40,6 @@ const (
 	StateCancelled State = "cancelled"
 )
 
-// terminal reports whether a job in state s can never change again.
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
 var (
 	// ErrQueueFull rejects a submission when the bounded queue has no
 	// room; the HTTP layer maps it to 429.
@@ -150,12 +145,6 @@ type Status struct {
 
 // ID returns the job's manager-unique id.
 func (j *Job) ID() string { return j.id }
-
-// Key returns the job's content key (runspec.Spec.Key).
-func (j *Job) Key() string { return j.key }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Status snapshots the job.
 func (j *Job) Status() Status {

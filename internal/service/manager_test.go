@@ -39,7 +39,7 @@ func abortClose(t *testing.T, m *Manager) {
 func waitTerminal(t *testing.T, job *Job, d time.Duration) {
 	t.Helper()
 	select {
-	case <-job.Done():
+	case <-job.done:
 	case <-time.After(d):
 		t.Fatalf("job %s still %s after %v", job.ID(), job.Status().State, d)
 	}
@@ -158,7 +158,7 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 		t.Fatalf("second submission not served from cache: %+v", st)
 	}
 	select {
-	case <-second.Done():
+	case <-second.done:
 	default:
 		t.Fatal("cached job's Done channel not closed at submit")
 	}
@@ -205,7 +205,7 @@ func TestCancelRunningJobReturnsPromptly(t *testing.T) {
 		t.Fatalf("cancel of a running job reported %s", state)
 	}
 	select {
-	case <-job.Done():
+	case <-job.done:
 	case <-time.After(2 * time.Second):
 		t.Fatalf("job not terminal %v after cancel", time.Since(start))
 	}
@@ -252,7 +252,7 @@ func TestCancelQueuedJobImmediately(t *testing.T) {
 		t.Fatalf("cancel queued: %s, %v", state, err)
 	}
 	select {
-	case <-queued.Done():
+	case <-queued.done:
 	default:
 		t.Fatal("queued job not terminal immediately after cancel")
 	}
@@ -374,8 +374,8 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Fatal("a evicted despite promotion")
 	}
 	c.setCapacity(1)
-	if c.len() != 1 {
-		t.Fatalf("len = %d after shrink", c.len())
+	if c.ll.Len() != 1 {
+		t.Fatalf("len = %d after shrink", c.ll.Len())
 	}
 }
 

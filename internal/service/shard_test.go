@@ -295,7 +295,7 @@ func journalAtDone(t *testing.T, job *Job, path string) <-chan []byte {
 		defer f.Close()
 		for {
 			select {
-			case <-job.Done():
+			case <-job.done:
 				data, _ := io.ReadAll(f) // a read error shows as a missing record
 				ch <- data
 				return

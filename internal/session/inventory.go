@@ -252,15 +252,6 @@ type RoundStats struct {
 	Recovered int
 }
 
-// Efficiency returns singulations per slot (captures included) — the
-// throughput metric slotted ALOHA maximizes near Q ≈ log2(population).
-func (s RoundStats) Efficiency() float64 {
-	if s.Slots == 0 {
-		return 0
-	}
-	return float64(s.Singles+s.Captures) / float64(s.Slots)
-}
-
 // medium abstracts what the controller can observe of the air interface.
 // With more than one tag backscattering in a slot the reader sees a
 // collision (CRC/preamble failure), not bits — unless a channel's

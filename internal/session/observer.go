@@ -157,14 +157,6 @@ func NewTrace(obs Observer) *Trace {
 	return &Trace{obs: obs}
 }
 
-// Now returns the current sim-clock time in seconds.
-func (t *Trace) Now() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.now
-}
-
 // Advance moves the sim clock forward by dt seconds.
 func (t *Trace) Advance(dt float64) {
 	if t == nil {

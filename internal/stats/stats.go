@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the IVN evaluation reports:
 // medians with 10th/90th percentile error bars (Figs. 9-11, 13), empirical
-// CDFs (Figs. 6, 12), and bootstrap confidence intervals.
+// CDFs (Figs. 6, 12), running means and Welch's t-test.
 package stats
 
 import (
@@ -8,28 +8,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"ivn/internal/rng"
 )
 
 // ErrEmpty reports a statistic requested over an empty sample.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It does not modify xs.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
+// percentileSorted returns the p-th percentile (0 <= p <= 100) of an
+// ascending sample, interpolating linearly between closest ranks.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -44,11 +29,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -59,20 +39,6 @@ func Mean(xs []float64) (float64, error) {
 		s += v
 	}
 	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the sample (n−1) standard deviation.
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	var acc float64
-	for _, v := range xs {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(xs)-1)), nil
 }
 
 // Summary bundles the error-bar statistics the paper's figures use: median
@@ -137,91 +103,8 @@ func (c *CDF) Quantile(q float64) float64 {
 	return percentileSorted(c.sorted, q*100)
 }
 
-// Len returns the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points renders the CDF as n (x, F(x)) pairs evenly spaced in probability,
-// the form used to print the paper's CDF figures as table rows.
-func (c *CDF) Points(n int) [][2]float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out[i] = [2]float64{c.Quantile(q), q}
-	}
-	return out
-}
-
 // FractionAbove returns P(X > x), convenient for statements like "CIB
 // outperforms the baseline across over 99% of trials" (Fig. 12).
 func (c *CDF) FractionAbove(x float64) float64 {
 	return 1 - c.At(x)
-}
-
-// BootstrapCI returns a percentile-bootstrap confidence interval for the
-// statistic stat over sample xs at the given confidence level (e.g. 0.95),
-// using resamples iterations.
-func BootstrapCI(xs []float64, stat func([]float64) float64, level float64, resamples int, r *rng.Rand) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("stats: confidence level %v out of (0,1)", level)
-	}
-	if resamples < 10 {
-		resamples = 10
-	}
-	vals := make([]float64, resamples)
-	tmp := make([]float64, len(xs))
-	for i := 0; i < resamples; i++ {
-		for j := range tmp {
-			tmp[j] = xs[r.Intn(len(xs))]
-		}
-		vals[i] = stat(tmp)
-	}
-	sort.Float64s(vals)
-	alpha := (1 - level) / 2
-	return percentileSorted(vals, alpha*100), percentileSorted(vals, (1-alpha)*100), nil
-}
-
-// Histogram counts xs into nbins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram builds a histogram. Values outside [min, max] are clamped to
-// the edge bins so no sample is silently dropped.
-func NewHistogram(xs []float64, min, max float64, nbins int) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if nbins < 1 || max <= min {
-		return nil, fmt.Errorf("stats: invalid histogram spec [%v,%v] nbins=%d", min, max, nbins)
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, nbins)}
-	w := (max - min) / float64(nbins)
-	for _, v := range xs {
-		idx := int((v - min) / w)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h, nil
-}
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
 }

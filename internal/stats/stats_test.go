@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -15,64 +14,45 @@ func TestPercentileKnown(t *testing.T) {
 		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4},
 	}
 	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := percentileSorted(xs, c.p); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("percentile %v = %v, want %v", c.p, got, c.want)
 		}
 	}
 }
 
+// TestPercentileDoesNotMutate: Summarize and NewCDF sort a copy, never
+// the caller's sample.
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
+	if _, err := Summarize(xs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCDF(xs); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Fatal("negative percentile accepted")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Fatal("percentile > 100 accepted")
+		t.Fatalf("input mutated: %v", xs)
 	}
 }
 
 func TestMedianSingleAndEven(t *testing.T) {
-	if m, _ := Median([]float64{7}); m != 7 {
-		t.Fatalf("Median([7]) = %v", m)
+	if s, _ := Summarize([]float64{7}); s.Median != 7 {
+		t.Fatalf("median of [7] = %v", s.Median)
 	}
-	m, _ := Median([]float64{1, 2, 3, 4})
-	if math.Abs(m-2.5) > 1e-12 {
-		t.Fatalf("Median(1..4) = %v, want 2.5", m)
+	s, _ := Summarize([]float64{1, 2, 3, 4})
+	if math.Abs(s.Median-2.5) > 1e-12 {
+		t.Fatalf("median of 1..4 = %v, want 2.5", s.Median)
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	m, err := Mean(xs)
 	if err != nil || m != 5 {
 		t.Fatalf("Mean = %v, err %v", m, err)
 	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(32.0 / 7)
-	if math.Abs(sd-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", sd, want)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Fatal("StdDev of one sample accepted")
+	if _, err := Mean(nil); err == nil {
+		t.Fatal("Mean of an empty sample accepted")
 	}
 }
 
@@ -113,8 +93,8 @@ func TestCDFBasics(t *testing.T) {
 	if got := c.FractionAbove(2); got != 0.5 {
 		t.Fatalf("FractionAbove(2) = %v, want 0.5", got)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.sorted) != 4 {
+		t.Fatalf("CDF holds %d samples", len(c.sorted))
 	}
 	if _, err := NewCDF(nil); err == nil {
 		t.Fatal("empty CDF accepted")
@@ -141,24 +121,6 @@ func TestCDFQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c, _ := NewCDF([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("Points(11) returned %d points", len(pts))
-	}
-	if pts[0][1] != 0 || pts[10][1] != 1 {
-		t.Fatalf("probability endpoints wrong: %v %v", pts[0], pts[10])
-	}
-	if pts[0][0] != 0 || pts[10][0] != 10 {
-		t.Fatalf("value endpoints wrong: %v %v", pts[0], pts[10])
-	}
-	// Degenerate request falls back to 2 points.
-	if got := c.Points(1); len(got) != 2 {
-		t.Fatalf("Points(1) returned %d points, want 2", len(got))
-	}
-}
-
 func TestCDFAtQuantileRoundTrip(t *testing.T) {
 	r := rng.New(2)
 	xs := make([]float64, 200)
@@ -177,70 +139,6 @@ func TestCDFAtQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBootstrapCICoversMedian(t *testing.T) {
-	r := rng.New(3)
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = 10 + r.NormFloat64()
-	}
-	med := func(s []float64) float64 {
-		c := make([]float64, len(s))
-		copy(c, s)
-		sort.Float64s(c)
-		return c[len(c)/2]
-	}
-	lo, hi, err := BootstrapCI(xs, med, 0.95, 500, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampleMed := med(xs)
-	if lo > sampleMed || hi < sampleMed {
-		t.Fatalf("95%% CI [%v, %v] does not cover the sample median %v", lo, hi, sampleMed)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("CI suspiciously wide: [%v, %v]", lo, hi)
-	}
-	// The CI should sit near the true median 10 for n=300 draws of N(10,1).
-	if lo > 10.5 || hi < 9.5 {
-		t.Fatalf("CI [%v, %v] implausibly far from 10", lo, hi)
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	r := rng.New(4)
-	id := func(s []float64) float64 { return s[0] }
-	if _, _, err := BootstrapCI(nil, id, 0.95, 100, r); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, id, 1.5, 100, r); err == nil {
-		t.Fatal("bad level accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 99}
-	h, err := NewHistogram(xs, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -5 clamps into bin 0, 99 clamps into bin 1.
-	if h.Counts[0] != 3 || h.Counts[1] != 3 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.5) > 1e-12 {
-		t.Fatalf("Fraction(0) = %v", f)
-	}
-	if _, err := NewHistogram(nil, 0, 1, 2); err == nil {
-		t.Fatal("empty histogram accepted")
-	}
-	if _, err := NewHistogram(xs, 1, 0, 2); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-	if _, err := NewHistogram(xs, 0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-}
-
 func TestQuickPercentileWithinRange(t *testing.T) {
 	r := rng.New(5)
 	f := func(n uint8, p uint8) bool {
@@ -250,10 +148,11 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 			xs[i] = r.NormFloat64()
 		}
 		pct := float64(p) / 255 * 100
-		v, err := Percentile(xs, pct)
+		c, err := NewCDF(xs)
 		if err != nil {
 			return false
 		}
+		v := c.Quantile(pct / 100)
 		lo, hi := xs[0], xs[0]
 		for _, x := range xs {
 			lo = math.Min(lo, x)

@@ -1,46 +1,23 @@
 package stats
 
-import "math"
-
-// Stream is a streaming aggregator: mean, standard deviation, and range
-// over a sample fed one value at a time, without retaining the values.
-// The trial engine folds per-trial samples into Streams in index order,
-// so the aggregate — like everything else on a result path — is a pure
-// function of the seed.
+// Stream is a streaming mean over a sample fed one value at a time,
+// without retaining the values. The trial engine folds per-trial samples
+// into Streams in index order, so the aggregate — like everything else
+// on a result path — is a pure function of the seed.
 //
 // The mean is a plain running sum (sum/n), deliberately matching the
 // reduction the experiment loops historically performed so migrated
-// tables stay byte-identical; the second moment uses Welford's update,
-// which is numerically stable for the variance.
+// tables stay byte-identical.
 type Stream struct {
-	n    int
-	sum  float64
-	mean float64 // Welford running mean (variance only)
-	m2   float64 // Welford sum of squared deviations
-	min  float64
-	max  float64
+	n   int
+	sum float64
 }
 
 // Add folds one value into the stream.
 func (s *Stream) Add(x float64) {
 	s.n++
 	s.sum += x
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-	if s.n == 1 || x < s.min {
-		s.min = x
-	}
-	if s.n == 1 || x > s.max {
-		s.max = x
-	}
 }
-
-// N returns the count of values added.
-func (s *Stream) N() int { return s.n }
-
-// Sum returns the running sum.
-func (s *Stream) Sum() float64 { return s.sum }
 
 // Mean returns sum/n, or 0 for an empty stream.
 func (s *Stream) Mean() float64 {
@@ -49,18 +26,3 @@ func (s *Stream) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// StdDev returns the sample (n−1) standard deviation, or 0 with fewer
-// than two values.
-func (s *Stream) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Min returns the smallest value added, or 0 for an empty stream.
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest value added, or 0 for an empty stream.
-func (s *Stream) Max() float64 { return s.max }

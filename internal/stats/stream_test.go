@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.N() != 0 || s.Sum() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatalf("empty stream not all-zero: %+v", s)
+	if s.Mean() != 0 {
+		t.Fatalf("empty stream mean %v, want 0", s.Mean())
 	}
 }
 
@@ -20,50 +17,17 @@ func TestStreamMatchesBatch(t *testing.T) {
 		s.Add(x)
 		sum += x
 	}
-	if s.N() != len(xs) {
-		t.Fatalf("N = %d", s.N())
-	}
 	// Mean must be the plain running sum divided by n — bit-for-bit the
 	// reduction the experiment loops historically performed.
-	if s.Sum() != sum || s.Mean() != sum/float64(len(xs)) {
-		t.Fatalf("Sum/Mean = %v/%v, want %v/%v", s.Sum(), s.Mean(), sum, sum/float64(len(xs)))
-	}
-	if s.Min() != -4 || s.Max() != 7.75 {
-		t.Fatalf("range [%v, %v]", s.Min(), s.Max())
-	}
-	mean := sum / float64(len(xs))
-	var m2 float64
-	for _, x := range xs {
-		m2 += (x - mean) * (x - mean)
-	}
-	want := math.Sqrt(m2 / float64(len(xs)-1))
-	if math.Abs(s.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
+	if s.Mean() != sum/float64(len(xs)) {
+		t.Fatalf("Mean = %v, want %v", s.Mean(), sum/float64(len(xs)))
 	}
 }
 
 func TestStreamSingleValue(t *testing.T) {
 	var s Stream
 	s.Add(-2.5)
-	if s.Mean() != -2.5 || s.Min() != -2.5 || s.Max() != -2.5 {
-		t.Fatalf("single-value stream wrong: %+v", s)
-	}
-	if s.StdDev() != 0 {
-		t.Fatalf("StdDev of one value = %v", s.StdDev())
-	}
-}
-
-func TestStreamStdDevStability(t *testing.T) {
-	// Welford keeps the variance accurate when the mean is huge relative
-	// to the spread — the regime where (sum of squares − n·mean²) loses
-	// every significant digit.
-	var s Stream
-	const base = 1e9
-	for _, d := range []float64{-1, 0, 1, -1, 0, 1} {
-		s.Add(base + d)
-	}
-	want := math.Sqrt(4.0 / 5.0)
-	if math.Abs(s.StdDev()-want) > 1e-6 {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
+	if s.Mean() != -2.5 {
+		t.Fatalf("single-value stream mean %v, want -2.5", s.Mean())
 	}
 }

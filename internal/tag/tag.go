@@ -272,6 +272,8 @@ func (t *Tag) BackscatterWaveform(reply gen2.Reply, samplesPerHalfBit int) ([]fl
 // voltage envelope and decodes the PIE frame into a command. The tag must
 // be powered. envelope is in volts at the detector; pie supplies the
 // timing expectations.
+//
+//ivn:allow unreached exit of the sample-level downlink chain that TestWaveformLevelDownlink validates the flatness abstraction with
 func (t *Tag) DemodulateDownlink(envelope []float64, pie gen2.PIEParams) (gen2.Command, error) {
 	if !t.powered {
 		return nil, fmt.Errorf("tag: unpowered")

@@ -37,7 +37,7 @@ COUNT="${BENCHCOUNT:-3}"
 EXP_BENCH='BenchmarkInventoryExchange$|BenchmarkFig6FreqSelectionCDF$|BenchmarkFig9GainVsAntennas$|BenchmarkFig12CIBvsBaselineCDF$|BenchmarkFig13RangeStandardAir$|BenchmarkFig13DepthStandardWater$|BenchmarkPopulation$|BenchmarkAdaptiveQ$'
 MICRO_CORE='BenchmarkEnvelopeSeries10Carriers$|BenchmarkExpectedPeak$'
 MICRO_BASE='BenchmarkPeakReceivedPower'
-MICRO_DSP='BenchmarkMaxCorrelation4096x96$|BenchmarkGoertzelBank8Bins4096$'
+MICRO_DSP='BenchmarkMaxCorrelation4096x96$'
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT

@@ -10,7 +10,11 @@
 # 3. ivnlint ./...           — domain lint suite: determinism, pool
 #                              discipline, float comparisons, goroutine
 #                              hygiene, discarded errors, physical-unit
-#                              consistency, static hot-path alloc-freedom;
+#                              consistency, static hot-path alloc-freedom,
+#                              and no function that no main, init,
+#                              package-level initializer, root-package API
+#                              or interface method reaches (checked only
+#                              because ./... covers the whole module);
 #                              set IVNLINT_REPORT=<path> to also write the
 #                              machine-readable JSON report (CI uploads it
 #                              as a build artifact)
