@@ -179,7 +179,9 @@ func TestTransmitCommandFlatnessEnforced(t *testing.T) {
 	}
 }
 
-func TestSelectQueryAirTime(t *testing.T) {
+// TestTransmitSelectThenQuery: a Select followed by a Query is timed
+// by SelectQueryAirTime, part by part.
+func TestTransmitSelectThenQuery(t *testing.T) {
 	b, err := New(DefaultConfig(), rng.New(9))
 	if err != nil {
 		t.Fatal(err)

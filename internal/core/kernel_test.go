@@ -36,6 +36,34 @@ func TestEnvelopeSeriesMatchesNaiveEnvelope(t *testing.T) {
 	}
 }
 
+// TestPeakEnvelopeMatchesSeriesMax: PeakCDF's peak power for each phase
+// draw, taken by the phasor kernel's peak scan, is the square of the
+// largest EnvelopeSeries sample on the same grid and draw.
+func TestPeakEnvelopeMatchesSeriesMax(t *testing.T) {
+	const trials, samples = 10, 4096
+	offsets := PaperOffsets()
+	peaks := PeakCDF(offsets, trials, samples, rng.New(32))
+	if len(peaks) != trials {
+		t.Fatalf("PeakCDF returned %d samples, want %d", len(peaks), trials)
+	}
+	r := rng.New(32)
+	betas := make([]float64, len(offsets))
+	for trial, got := range peaks {
+		drawBetas(betas, r)
+		series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
+		want := 0.0
+		for _, v := range series {
+			if v > want {
+				want = v
+			}
+		}
+		want *= want
+		if math.Abs(got-want) > 1e-12*(1+want) {
+			t.Fatalf("trial %d: PeakCDF %v, series max² %v", trial, got, want)
+		}
+	}
+}
+
 func TestMaxDwellAboveMatchesSeriesScan(t *testing.T) {
 	// MaxDwellAbove's pooled-buffer rewrite must agree with a direct scan
 	// of the same half-open series.

@@ -92,6 +92,21 @@ func TestAirTissueBoundaryLossInPaperRange(t *testing.T) {
 	}
 }
 
+// TestTransmittancePlusReflectanceIsOne: at normal incidence the power
+// reflectance |Γ|², Γ = (η_b−η_a)/(η_a+η_b) from the media's impedances,
+// and TransmittancePower account for all the incident power.
+func TestTransmittancePlusReflectanceIsOne(t *testing.T) {
+	pairs := [][2]Medium{{Air, Muscle}, {Fat, Muscle}, {Air, Water}, {Skin, Fat}}
+	for _, p := range pairs {
+		etaA, etaB := p[0].Impedance(f915), p[1].Impedance(f915)
+		gamma := (etaB - etaA) / (etaA + etaB)
+		tp := TransmittancePower(p[0], p[1], f915)
+		if math.Abs(tp+gamma*gamma-1) > 1e-12 {
+			t.Errorf("%s→%s: T+R = %v, want 1", p[0].Name, p[1].Name, tp+gamma*gamma)
+		}
+	}
+}
+
 func TestTransmittanceSameMediumIsUnity(t *testing.T) {
 	if tp := TransmittancePower(Muscle, Muscle, f915); math.Abs(tp-1) > 1e-12 {
 		t.Fatalf("same-medium transmittance = %v, want 1", tp)

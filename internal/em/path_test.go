@@ -134,6 +134,24 @@ func TestNearFieldClamp(t *testing.T) {
 	}
 }
 
+// TestGroupDelaySlowerInTissue: the group delay dφ/dω of PhaseDelay, by
+// central difference, is r/c in air and longer when part of the path is
+// muscle.
+func TestGroupDelaySlowerInTissue(t *testing.T) {
+	groupDelay := func(p Path) float64 {
+		const df = 1e6
+		return (p.PhaseDelay(f915+df) - p.PhaseDelay(f915-df)) / (2 * math.Pi * 2 * df)
+	}
+	air := Path{AirDistance: 1}
+	tissue := Path{AirDistance: 0.95, Layers: []Layer{{Muscle, 0.05}}}
+	if d := groupDelay(air); math.Abs(d-1/C) > 1e-9/C {
+		t.Fatalf("air group delay %v s, want %v s", d, 1/C)
+	}
+	if groupDelay(tissue) <= groupDelay(air) {
+		t.Fatal("wave should travel slower through tissue than air")
+	}
+}
+
 func TestPathValidate(t *testing.T) {
 	if err := (Path{AirDistance: -1}).Validate(); err == nil {
 		t.Fatal("negative air distance accepted")
@@ -146,7 +164,8 @@ func TestPathValidate(t *testing.T) {
 	}
 }
 
-func TestSetDepthAdjustsStack(t *testing.T) {
+// TestWithDepthAdjustsStack: SetDepth fits a layer stack to a new depth.
+func TestWithDepthAdjustsStack(t *testing.T) {
 	p := swinePath(0.5)
 	layers := func() []Layer { return append([]Layer(nil), p.Layers...) }
 	depth := func(ls []Layer) float64 { return Path{Layers: ls}.Depth() }
@@ -163,6 +182,20 @@ func TestSetDepthAdjustsStack(t *testing.T) {
 	}
 	if len(SetDepth(nil, 0.2)) != 0 {
 		t.Fatal("an empty stack should stay empty")
+	}
+}
+
+// TestWithAirDistanceCopies: WithAirDistanceShared returns a copy of the
+// path with the air segment replaced, leaves the receiver as it was and
+// aliases the layer stack.
+func TestWithAirDistanceCopies(t *testing.T) {
+	p := swinePath(0.5)
+	q := p.WithAirDistanceShared(2)
+	if q.AirDistance != 2 || p.AirDistance != 0.5 {
+		t.Fatal("WithAirDistanceShared wrong")
+	}
+	if len(q.Layers) != len(p.Layers) || &q.Layers[0] != &p.Layers[0] {
+		t.Fatal("WithAirDistanceShared copied the layer stack")
 	}
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -45,7 +46,20 @@ func TestMedianSingleAndEven(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
+// TestPercentileErrors: every percentile entry point reports an empty
+// sample as ErrEmpty.
+func TestPercentileErrors(t *testing.T) {
+	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("Summarize(nil) error %v, want ErrEmpty", err)
+	}
+	if _, err := NewCDF(nil); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("NewCDF(nil) error %v, want ErrEmpty", err)
+	}
+}
+
+// TestMeanStdDev: Mean, and the sample standard deviation WelchTTest
+// builds on.
+func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	m, err := Mean(xs)
 	if err != nil || m != 5 {
@@ -53,6 +67,11 @@ func TestMean(t *testing.T) {
 	}
 	if _, err := Mean(nil); err == nil {
 		t.Fatal("Mean of an empty sample accepted")
+	}
+	sd := math.Sqrt(sampleVariance(xs, m))
+	want := math.Sqrt(32.0 / 7)
+	if math.Abs(sd-want) > 1e-12 {
+		t.Fatalf("sample standard deviation = %v, want %v", sd, want)
 	}
 }
 
