@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"ivn/internal/core"
@@ -16,16 +17,10 @@ func unitChans(n int) []complex128 {
 	return out
 }
 
-// unitPhasor returns e^{jθ} with θ uniform in [0, 2π).
-func unitPhasor(r *rng.Rand) complex128 {
-	s, c := math.Sincos(r.Phase())
-	return complex(c, s)
-}
-
 func randomChans(n int, r *rng.Rand) []complex128 {
 	out := make([]complex128, n)
 	for i := range out {
-		out[i] = unitPhasor(r)
+		out[i] = cmplx.Rect(1, r.Phase())
 	}
 	return out
 }

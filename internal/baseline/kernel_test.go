@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"ivn/internal/core"
@@ -28,7 +29,7 @@ func randomCarrierSet(r *rng.Rand, n int, sameFreq bool) ([]radio.Carrier, []com
 			Phase:     r.Phase(),
 			Amplitude: 0.5 + r.Float64(),
 		}
-		chans[i] = unitPhasor(r)
+		chans[i] = cmplx.Rect(1, r.Phase())
 	}
 	return cs, chans
 }

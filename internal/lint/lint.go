@@ -138,6 +138,10 @@ type Program struct {
 	// two roots in different packages reaching the same allocation site
 	// yield one finding.
 	hotReported map[string]bool
+	// allowed maps a file line to the well-formed //ivn:allow sites that
+	// cover it, over analyzed and support files alike; Run fills it
+	// before any analyzer runs.
+	allowed map[lineKey][]*suppSite
 	// reached caches the unreached analyzer's closure, computed once per
 	// run.
 	reached map[FuncID]bool
@@ -199,6 +203,12 @@ type suppSite struct {
 	line     int
 	col      int
 	support  bool // declared in a support (not analyzed) package
+}
+
+// lineKey names one line of one file.
+type lineKey struct {
+	file string
+	line int
 }
 
 // fileSuppressions scans a file's comments for //ivn:allow directives,
@@ -276,11 +286,8 @@ func (prog *Program) Run(analyzers []*Analyzer) []Finding {
 	}
 
 	// Module-wide suppression map over analyzed and support files alike.
-	type key struct {
-		file string
-		line int
-	}
-	allowed := map[key][]*suppSite{}
+	allowed := map[lineKey][]*suppSite{}
+	prog.allowed = allowed
 	var sites []*suppSite
 	var all []Finding
 	collect := func(pkg *Package, isSupport bool) {
@@ -289,8 +296,8 @@ func (prog *Program) Run(analyzers []*Analyzer) []Finding {
 			for _, s := range fs {
 				s.support = isSupport
 				sites = append(sites, s)
-				allowed[key{s.file, s.line}] = append(allowed[key{s.file, s.line}], s)
-				allowed[key{s.file, s.line + 1}] = append(allowed[key{s.file, s.line + 1}], s)
+				allowed[lineKey{s.file, s.line}] = append(allowed[lineKey{s.file, s.line}], s)
+				allowed[lineKey{s.file, s.line + 1}] = append(allowed[lineKey{s.file, s.line + 1}], s)
 			}
 			if !isSupport {
 				all = append(all, malformed...)
@@ -334,7 +341,7 @@ func (prog *Program) Run(analyzers []*Analyzer) []Finding {
 			an.Run(pass)
 			for _, fd := range pass.findings {
 				dropped := false
-				for _, s := range allowed[key{fd.File, fd.Line}] {
+				for _, s := range allowed[lineKey{fd.File, fd.Line}] {
 					if s.analyzer == fd.Analyzer {
 						dropped = true
 						used[s] = true

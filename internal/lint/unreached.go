@@ -40,9 +40,9 @@ var Unreached = &Analyzer{
 	Run:          runUnreached,
 }
 
-// unreachedName is Unreached's name. The annotation scan spells it out:
-// reading Unreached.Name there would make the variable's initializer
-// refer to itself.
+// unreachedName is Unreached's name. The closure's annotation check
+// spells it out: reading Unreached.Name there would make the variable's
+// initializer refer to itself.
 const unreachedName = "unreached"
 
 func runUnreached(pass *Pass) {
@@ -63,7 +63,7 @@ func runUnreached(pass *Pass) {
 }
 
 // reachedFuncs returns the closure of the program's entry points,
-// computed once per run.
+// computed once per run. It reads the //ivn:allow sites Run parsed.
 func (p *Program) reachedFuncs() map[FuncID]bool {
 	if p.reached != nil {
 		return p.reached
@@ -76,7 +76,6 @@ func (p *Program) reachedFuncs() map[FuncID]bool {
 			if pkg.IsTest[f] {
 				continue
 			}
-			annotated := unreachedAnnotations(pkg.Fset, f)
 			for _, decl := range f.Decls {
 				switch decl := decl.(type) {
 				case *ast.GenDecl:
@@ -85,8 +84,7 @@ func (p *Program) reachedFuncs() map[FuncID]bool {
 					}
 				case *ast.FuncDecl:
 					fn, ok := pkg.Info.Defs[decl.Name].(*types.Func)
-					line := pkg.Fset.Position(decl.Pos()).Line
-					if !ok || !annotated[line] && !annotated[line-1] {
+					if !ok || !p.allowsUnreached(pkg.Fset.Position(decl.Pos())) {
 						continue
 					}
 					if n := g.Nodes[funcID(fn)]; n != nil {
@@ -132,19 +130,15 @@ func (p *Program) entryPoint(n *Node) bool {
 	return ok && named.Obj().Exported()
 }
 
-// unreachedAnnotations returns the lines of f that carry a well-formed
-// //ivn:allow unreached suppression (one with a reason).
-func unreachedAnnotations(fset *token.FileSet, f *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			text, ok := strings.CutPrefix(c.Text, allowPrefix)
-			if fields := strings.Fields(text); ok && len(fields) > 1 && fields[0] == unreachedName {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
+// allowsUnreached reports whether an //ivn:allow unreached site covers
+// pos: one on its line or the line directly above.
+func (p *Program) allowsUnreached(pos token.Position) bool {
+	for _, s := range p.allowed[lineKey{pos.Filename, pos.Line}] {
+		if s.analyzer == unreachedName {
+			return true
 		}
 	}
-	return lines
+	return false
 }
 
 // referencedFuncs lists the functions a declaration calls or references,

@@ -128,13 +128,6 @@ func TestAveragingRescuesWeakLink(t *testing.T) {
 	}
 }
 
-// jammed reports whether leakPower watts of CIB at cibFreq saturate r's
-// receive chain despite the SAW filter: the check DecodeUplink makes
-// before decoding.
-func jammed(r *Reader, leakPower, cibFreq float64) bool {
-	return r.rx().Saturated([]radio.ToneAt{{Freq: cibFreq, Power: leakPower}})
-}
-
 func TestJammingSaturatesWithoutFilterHeadroom(t *testing.T) {
 	r := New()
 	_, _, bs := makeReply(t, r.SamplesPerHalfBit)
@@ -149,10 +142,12 @@ func TestJammingSaturatesWithoutFilterHeadroom(t *testing.T) {
 	if _, err := r.DecodeUplink(bs, link, hardJam, 16, rng.New(5)); err == nil {
 		t.Fatal("saturating jam decoded anyway")
 	}
-	if !jammed(r, 1e4, 915e6) {
+	// The receiver's saturation check is the one DecodeUplink makes
+	// before decoding.
+	if !r.rx().Saturated(hardJam) {
 		t.Fatal("saturation check disagrees with the decoder")
 	}
-	if jammed(r, 1e-2, 915e6) {
+	if r.rx().Saturated(okJam) {
 		t.Fatal("saturation reported for filtered leak")
 	}
 }
@@ -163,11 +158,12 @@ func TestInBandReaderWouldBeJammed(t *testing.T) {
 	inBand := New()
 	inBand.TxFreq = 915e6
 	inBand.RX = radio.NewReceiver(915e6)
-	if !jammed(inBand, 1e-3, 915e6) {
+	leak := []radio.ToneAt{{Freq: 915e6, Power: 1e-3}}
+	if !inBand.rx().Saturated(leak) {
 		t.Fatal("in-band receiver survived 0 dBm CIB leak")
 	}
 	outBand := New()
-	if jammed(outBand, 1e-3, 915e6) {
+	if outBand.rx().Saturated(leak) {
 		t.Fatal("out-of-band receiver saturated at 0 dBm leak")
 	}
 }

@@ -9,12 +9,6 @@ import (
 	"ivn/internal/rng"
 )
 
-// powerGain returns |H(f)|² of the channel.
-func powerGain(c *em.Channel, freq float64) float64 {
-	h := c.Coefficient(freq)
-	return real(h)*real(h) + imag(h)*imag(h)
-}
-
 func TestTankRealizeShape(t *testing.T) {
 	sc := NewTank(0.5, em.Water, 0.1)
 	p, err := sc.Realize(10, rng.New(1))
@@ -30,6 +24,14 @@ func TestTankRealizeShape(t *testing.T) {
 		}
 		if c.OrientationGain < 0 || c.OrientationGain > 1 {
 			t.Fatalf("channel %d orientation gain %v out of [0,1]", i, c.OrientationGain)
+		}
+		if c.TxGain < 0 || c.RxGain < 0 {
+			t.Fatalf("channel %d antenna gains %v, %v negative", i, c.TxGain, c.RxGain)
+		}
+		for j, ray := range c.Rays {
+			if ray.ExtraDelay < 0 {
+				t.Fatalf("channel %d ray %d excess delay %v negative", i, j, ray.ExtraDelay)
+			}
 		}
 		if c.Direct.Depth() != 0.1 {
 			t.Fatalf("channel %d depth %v", i, c.Direct.Depth())
@@ -89,10 +91,10 @@ func TestDeepTankWeakerThanShallow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := powerGain(shallow.Downlink[0], 915e6)
-	pd := powerGain(deep.Downlink[0], 915e6)
+	ps := cmplx.Abs(shallow.Downlink[0].Coefficient(915e6))
+	pd := cmplx.Abs(deep.Downlink[0].Coefficient(915e6))
 	if pd >= ps {
-		t.Fatalf("deep gain %v >= shallow %v", pd, ps)
+		t.Fatalf("deep |H| %v >= shallow %v", pd, ps)
 	}
 }
 
@@ -188,7 +190,7 @@ func TestGastricLinkWeakerThanSubcutaneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if powerGain(r1.Downlink[0], 915e6) >= powerGain(r2.Downlink[0], 915e6) {
+	if cmplx.Abs(r1.Downlink[0].Coefficient(915e6)) >= cmplx.Abs(r2.Downlink[0].Coefficient(915e6)) {
 		t.Fatal("gastric link not weaker than subcutaneous")
 	}
 }

@@ -133,6 +133,9 @@ func TestRoundEfficiencyReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.Slots == 0 {
+		t.Fatal("round ran no slots")
+	}
 	// Singulations per slot, captures included.
 	if e := float64(stats.Singles+stats.Captures) / float64(stats.Slots); e < 0.1 || e > 0.6 {
 		t.Fatalf("efficiency %v outside plausible slotted-ALOHA range", e)
