@@ -1,14 +1,14 @@
 // Command ivnlint runs the repository's domain lint suite (internal/lint)
 // over package patterns and reports violations of the simulator's
-// correctness invariants: determinism of published tables, scratch-pool
-// discipline, float-comparison hygiene, sanctioned concurrency, handled
-// errors, physical-unit consistency, statically alloc-free hot paths, and
-// no function that no program path reaches (checked only when the
-// patterns cover the whole module).
+// correctness invariants: determinism of published tables,
+// float-comparison hygiene, sanctioned concurrency, handled errors,
+// physical-unit consistency, statically alloc-free hot paths, and no
+// function that no program path reaches (checked only when the patterns
+// cover the whole module).
 //
 // Usage:
 //
-//	ivnlint [-json] [-analyzers determinism,pooldiscipline] [pattern ...]
+//	ivnlint [-json] [-analyzers determinism,hotpath] [pattern ...]
 //	ivnlint -list
 //
 // Patterns are module-relative directories in the go tool's style:

@@ -17,7 +17,6 @@ import (
 	"math/cmplx"
 
 	"ivn/internal/phasor"
-	"ivn/internal/pool"
 	"ivn/internal/radio"
 	"ivn/internal/rng"
 )
@@ -80,21 +79,24 @@ func scanSpec(carriers []radio.Carrier, chans []complex128, duration float64, sa
 	return 0, false, nil
 }
 
-// carrierPhasors fills pooled scratch with the kernel representation of a
-// carrier set seen through per-carrier channels: baseband frequencies
-// relative to the first carrier, and complex coefficients
-// Aᵢ·e^{jφᵢ}·hᵢ. Callers must release both slices via pool.PutFloat64 /
-// pool.PutComplex128.
-func carrierPhasors(carriers []radio.Carrier, chans []complex128) (freqs []float64, coeffs []complex128) {
+// stackCarriers sizes the stack arrays that hold a carrier set's kernel
+// representation. Every set the program builds fits (the largest has 10
+// carriers); a larger one spills to the heap through append.
+const stackCarriers = 16
+
+// carrierPhasors appends the kernel representation of a carrier set seen
+// through per-carrier channels to freqs and coeffs and returns them:
+// baseband frequencies relative to the first carrier, and complex
+// coefficients Aᵢ·e^{jφᵢ}·hᵢ. Callers pass empty slices of
+// [stackCarriers] arrays of their own.
+func carrierPhasors(freqs []float64, coeffs []complex128, carriers []radio.Carrier, chans []complex128) ([]float64, []complex128) {
 	f0 := carriers[0].Freq
-	freqs = pool.Float64(len(carriers))
-	coeffs = pool.Complex128(len(carriers))
 	for i, c := range carriers {
-		freqs[i] = c.Freq - f0
 		s, cs := math.Sincos(c.Phase)
-		coeffs[i] = complex(c.Amplitude*cs, c.Amplitude*s) * chans[i]
+		coeff := complex(c.Amplitude*cs, c.Amplitude*s) * chans[i]
+		//ivn:allow hotpath stays in the caller's stack arrays for every set of up to stackCarriers carriers; the largest built has 10
+		freqs, coeffs = append(freqs, c.Freq-f0), append(coeffs, coeff)
 	}
-	//ivn:allow pooldiscipline ownership transfers to the caller by documented contract; every caller Puts both slices
 	return freqs, coeffs
 }
 
@@ -116,11 +118,10 @@ func PeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration fl
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
 		return p, err
 	}
-	freqs, coeffs := carrierPhasors(carriers, chans)
-	best := phasor.PeakPower(freqs, coeffs, 0, duration/float64(samples), samples)
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(freqs)
-	return best, nil
+	var fb [stackCarriers]float64
+	var cb [stackCarriers]complex128
+	freqs, coeffs := carrierPhasors(fb[:0], cb[:0], carriers, chans)
+	return phasor.PeakPower(freqs, coeffs, 0, duration/float64(samples), samples), nil
 }
 
 // PeakReceivedPowerRefined is PeakReceivedPower with a coarse-to-fine
@@ -139,11 +140,10 @@ func PeakReceivedPowerRefined(carriers []radio.Carrier, chans []complex128, dura
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
 		return p, err
 	}
-	freqs, coeffs := carrierPhasors(carriers, chans)
-	best := phasor.PeakPowerRefined(freqs, coeffs, duration, coarseSamples, samples)
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(freqs)
-	return best, nil
+	var fb [stackCarriers]float64
+	var cb [stackCarriers]complex128
+	freqs, coeffs := carrierPhasors(fb[:0], cb[:0], carriers, chans)
+	return phasor.PeakPowerRefined(freqs, coeffs, duration, coarseSamples, samples), nil
 }
 
 // NaivePeakReceivedPower is the direct evaluation of PeakReceivedPower —

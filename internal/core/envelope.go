@@ -22,9 +22,13 @@ import (
 	"math"
 
 	"ivn/internal/phasor"
-	"ivn/internal/pool"
 	"ivn/internal/rng"
 )
+
+// stackCarriers sizes the stack arrays that hold a plan's per-carrier
+// phases and phasors. Every plan the program builds fits (the largest
+// has 10 carriers); a larger one spills to the heap through append.
+const stackCarriers = 16
 
 // Envelope evaluates Y(t) = |Σᵢ e^{j(2πΔfᵢt + βᵢ)}| (paper Eq. 5, after
 // factoring out the common carrier). offsets and betas must have equal
@@ -48,16 +52,15 @@ func Envelope(offsets, betas []float64, t float64) float64 {
 	return math.Hypot(re, im)
 }
 
-// phaseCoeffs fills a pooled complex scratch with the unit phasors
-// e^{jβᵢ}; the caller must return it via pool.PutComplex128.
-func phaseCoeffs(betas []float64) []complex128 {
-	coeffs := pool.Complex128(len(betas))
-	for i, b := range betas {
+// phaseCoeffs appends the unit phasors e^{jβᵢ} to dst and returns it.
+// Callers pass an empty slice of a [stackCarriers] array of their own.
+func phaseCoeffs(dst []complex128, betas []float64) []complex128 {
+	for _, b := range betas {
 		s, c := math.Sincos(b)
-		coeffs[i] = complex(c, s)
+		//ivn:allow hotpath stays in the caller's stack array for every plan of up to stackCarriers carriers; the largest built has 10
+		dst = append(dst, complex(c, s))
 	}
-	//ivn:allow pooldiscipline ownership transfers to the caller by documented contract; every caller Puts the slice
-	return coeffs
+	return dst
 }
 
 // EnvelopeSeries samples Y(t) at the n points t_k = t0 + k·dt for
@@ -65,8 +68,8 @@ func phaseCoeffs(betas []float64) []complex128 {
 // dt = period/n: it excludes t = period, which for integer-offset plans
 // duplicates t = 0 — the same convention baseline.PeakReceivedPower
 // scans with. It reuses dst when it has capacity. The evaluation runs on
-// the shared phasor-recurrence kernel with pooled scratch, so
-// steady-state calls with a recycled dst do not allocate.
+// the shared phasor-recurrence kernel, whose scratch stays inside
+// phasor, so steady-state calls with a recycled dst do not allocate.
 //
 //ivn:unit t0 s
 //ivn:unit dt s
@@ -78,9 +81,8 @@ func EnvelopeSeries(offsets, betas []float64, t0, dt float64, n int, dst []float
 		//ivn:allow hotpath first-call convenience allocation; steady-state callers recycle dst's capacity
 		dst = make([]float64, n)
 	}
-	coeffs := phaseCoeffs(betas)
-	phasor.MagnitudeSeries(offsets, coeffs, t0, dt, n, dst)
-	pool.PutComplex128(coeffs)
+	var cb [stackCarriers]complex128
+	phasor.MagnitudeSeries(offsets, phaseCoeffs(cb[:0], betas), t0, dt, n, dst)
 	return dst
 }
 
@@ -105,20 +107,16 @@ func ExpectedPeak(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) f
 	if len(offsets) == 0 || trials <= 0 || samplesPerTrial <= 0 {
 		return 0
 	}
-	betas := pool.Float64(len(offsets))
-	coeffs := pool.Complex128(len(offsets))
+	var bb [stackCarriers]float64
+	var cb [stackCarriers]complex128
+	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
 	dt := 1.0 / float64(samplesPerTrial)
 	var acc float64
 	for t := 0; t < trials; t++ {
 		drawBetas(betas, r)
-		for i, b := range betas {
-			s, c := math.Sincos(b)
-			coeffs[i] = complex(c, s)
-		}
+		coeffs := phaseCoeffs(cb[:0], betas)
 		acc += math.Sqrt(phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
 	}
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(betas)
 	return acc / float64(trials)
 }
 
@@ -127,55 +125,31 @@ func ExpectedPeak(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) f
 // β draw. The returned slice has trials entries.
 func PeakCDF(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) []float64 {
 	out := make([]float64, 0, trials)
-	betas := pool.Float64(len(offsets))
-	coeffs := pool.Complex128(len(offsets))
+	var bb [stackCarriers]float64
+	var cb [stackCarriers]complex128
+	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
 	dt := 1.0 / float64(samplesPerTrial)
 	for t := 0; t < trials; t++ {
 		drawBetas(betas, r)
-		for i, b := range betas {
-			s, c := math.Sincos(b)
-			coeffs[i] = complex(c, s)
-		}
+		coeffs := phaseCoeffs(cb[:0], betas)
 		out = append(out, phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
 	}
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(betas)
 	return out
 }
 
 // MaxDwellAbove returns the longest contiguous time (seconds, out of one
 // 1 s period) the envelope stays above level for a given phase draw. The
 // envelope is sampled on the same half-open grid as EnvelopeSeries
-// (t ∈ [0, 1), samples points).
+// (t ∈ [0, 1), samples points); a run may wrap the period edge.
 //
 //ivn:hotpath
 func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64 {
 	if len(offsets) == 0 || samples <= 0 {
 		return 0
 	}
-	buf := pool.Float64(samples)
-	defer pool.PutFloat64(buf)
+	var cb [stackCarriers]complex128
 	dt := 1.0 / float64(samples)
-	EnvelopeSeries(offsets, betas, 0, dt, samples, buf)
-	best, run := 0, 0
-	// The envelope is 1-periodic; handle a run wrapping the period edge by
-	// scanning two concatenated periods (capped at one full period).
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range buf {
-			if v > level {
-				run++
-				if run > best {
-					best = run
-				}
-			} else {
-				run = 0
-			}
-		}
-	}
-	if best > samples {
-		best = samples
-	}
-	return float64(best) * dt
+	return float64(phasor.LongestRunAbove(offsets, phaseCoeffs(cb[:0], betas), 0, dt, samples, level)) * dt
 }
 
 // ExpectedDwellTime estimates E_β[max contiguous dwell above level] — the
@@ -187,7 +161,8 @@ func ExpectedDwellTime(offsets []float64, level float64, trials, samplesPerTrial
 	if len(offsets) == 0 || trials <= 0 {
 		return 0
 	}
-	betas := make([]float64, len(offsets))
+	var bb [stackCarriers]float64
+	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
 	var acc float64
 	for t := 0; t < trials; t++ {
 		drawBetas(betas, r)

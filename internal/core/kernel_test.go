@@ -65,8 +65,8 @@ func TestPeakEnvelopeMatchesSeriesMax(t *testing.T) {
 }
 
 func TestMaxDwellAboveMatchesSeriesScan(t *testing.T) {
-	// MaxDwellAbove's pooled-buffer rewrite must agree with a direct scan
-	// of the same half-open series.
+	// MaxDwellAbove, which counts through phasor.LongestRunAbove, must
+	// agree with a direct scan of the same half-open series.
 	r := rng.New(33)
 	offsets := PaperOffsets()[:5]
 	betas := make([]float64, len(offsets))

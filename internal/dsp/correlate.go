@@ -3,11 +3,7 @@
 // preamble (MaxCorrelation), with the arithmetic mean it centres by.
 package dsp
 
-import (
-	"math"
-
-	"ivn/internal/pool"
-)
+import "math"
 
 // normalizedCrossCorrelationInto slides template over x and writes, at
 // each lag, the Pearson-style normalized correlation in [-1, 1]
@@ -111,10 +107,14 @@ func normalizedCrossCorrelationRef(out, x, template []float64) []float64 {
 	return out
 }
 
+// corrBlock is how many lags MaxCorrelation correlates per pass into its
+// stack array.
+const corrBlock = 256
+
 // MaxCorrelation returns the highest normalized cross-correlation value and
-// the lag where it occurs. For degenerate inputs it returns (0, -1). The
-// correlation series lives in pooled scratch, so the reduction allocates
-// nothing in steady state.
+// the first lag where it occurs. For degenerate inputs it returns (0, -1).
+// The lags are correlated corrBlock at a time into a stack array, so the
+// reduction allocates nothing.
 //
 //ivn:hotpath
 func MaxCorrelation(x, template []float64) (best float64, lag int) {
@@ -122,15 +122,17 @@ func MaxCorrelation(x, template []float64) (best float64, lag int) {
 	if m == 0 || n < m {
 		return 0, -1
 	}
-	buf := pool.Float64(n - m + 1)
-	corr := normalizedCrossCorrelationInto(buf, x, template)
-	best, lag = corr[0], 0
-	for i, v := range corr[1:] {
-		if v > best {
-			best, lag = v, i+1
+	var blk [corrBlock]float64
+	lag = -1
+	for lo := 0; lo <= n-m; lo += corrBlock {
+		nb := min(corrBlock, n-m+1-lo)
+		corr := normalizedCrossCorrelationInto(blk[:nb], x[lo:lo+nb+m-1], template)
+		for i, v := range corr {
+			if lag < 0 || v > best {
+				best, lag = v, lo+i
+			}
 		}
 	}
-	pool.PutFloat64(buf)
 	return best, lag
 }
 

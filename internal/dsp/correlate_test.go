@@ -89,6 +89,75 @@ func TestCorrelationDegenerateInputs(t *testing.T) {
 	}
 }
 
+// firstMax returns the largest value of corr and the first index that
+// holds it.
+func firstMax(corr []float64) (float64, int) {
+	best, arg := corr[0], 0
+	for i, v := range corr {
+		if v > best {
+			best, arg = v, i
+		}
+	}
+	return best, arg
+}
+
+// TestMaxCorrelationAcrossBlocks pins MaxCorrelation, which correlates
+// corrBlock lags per pass, to the first maximum of the reference series
+// over all lags: the same value bit for bit at the same lag, for lag
+// counts on both sides of a block edge. Equal maxima on the two sides of
+// the first edge must resolve to the earlier lag.
+func TestMaxCorrelationAcrossBlocks(t *testing.T) {
+	r := rng.New(9)
+	const m = 12
+	for _, lags := range []int{1, corrBlock - 1, corrBlock, corrBlock + 1, 600} {
+		// Noise alone, then with the template planted at the last lag,
+		// where the maximum then sits in the last block.
+		for _, plant := range []bool{false, true} {
+			x := make([]float64, lags+m-1)
+			tmpl := make([]float64, m)
+			for i := range x {
+				x[i] = r.NormFloat64()
+			}
+			for i := range tmpl {
+				tmpl[i] = r.NormFloat64()
+			}
+			if plant {
+				copy(x[lags-1:], tmpl)
+			}
+			want, wantLag := firstMax(normalizedCrossCorrelationRef(make([]float64, lags), x, tmpl))
+			if plant && wantLag != lags-1 {
+				t.Fatalf("%d lags: planted template not the reference maximum (lag %d)", lags, wantLag)
+			}
+			got, gotLag := MaxCorrelation(x, tmpl)
+			if got != want || gotLag != wantLag {
+				t.Errorf("%d lags, planted %v: MaxCorrelation (%v at %d), reference (%v at %d)", lags, plant, got, gotLag, want, wantLag)
+			}
+		}
+	}
+
+	// A template of powers of two, and a signal that is zero except for
+	// the powers 2⁰…2ᵐ starting at lag corrBlock−1: the segment there is
+	// the template, the one a lag later is exactly twice it, so the two
+	// correlate to the same bits.
+	tmpl := make([]float64, m)
+	for k := range tmpl {
+		tmpl[k] = math.Ldexp(1, k)
+	}
+	x := make([]float64, 600+m-1)
+	for j := 0; j <= m; j++ {
+		x[corrBlock-1+j] = math.Ldexp(1, j)
+	}
+	ref := normalizedCrossCorrelationRef(make([]float64, 600), x, tmpl)
+	want, wantLag := firstMax(ref)
+	if wantLag != corrBlock-1 || ref[corrBlock] != want {
+		t.Fatalf("fixture: reference maximum %v at %d, %v at %d; want a tie at %d and %d",
+			want, wantLag, ref[corrBlock], corrBlock, corrBlock-1, corrBlock)
+	}
+	if got, gotLag := MaxCorrelation(x, tmpl); got != want || gotLag != corrBlock-1 {
+		t.Errorf("tie across the block edge: MaxCorrelation (%v at %d), want (%v at %d)", got, gotLag, want, corrBlock-1)
+	}
+}
+
 func BenchmarkMaxCorrelation4096x96(b *testing.B) {
 	r := rng.New(1)
 	x := make([]float64, 4096)

@@ -10,7 +10,6 @@ import (
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
 	"ivn/internal/link"
-	"ivn/internal/pool"
 	"ivn/internal/radio"
 	"ivn/internal/reader"
 	"ivn/internal/rng"
@@ -248,7 +247,8 @@ func runAblationFlatness(cfg Config) (*engine.Result, error) {
 		Plan: func(scale float64) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("flat-%v", scale)
 		},
-		Measure: func(scale float64, _, _ any, _ int, r *rng.Rand) (flatnessSample, error) {
+		NewScratch: newPeakSeries,
+		Measure: func(scale float64, _, scratch any, _ int, r *rng.Rand) (flatnessSample, error) {
 			var s flatnessSample
 			offsets := make([]float64, 10)
 			for i, f := range core.PaperOffsets() {
@@ -263,7 +263,7 @@ func runAblationFlatness(cfg Config) (*engine.Result, error) {
 			// Align the envelope peak with the command start (the beamformer
 			// times commands near peaks); sample the beat envelope across
 			// the frame, one point per PIE sample.
-			_, peakT := peakIndex(offsets, betas)
+			_, peakT := peakIndex(offsets, betas, scratch.(*[peakGrid]float64))
 			combined := core.EnvelopeSeries(offsets, betas, peakT, 1/pie.SampleRate, len(env), nil)
 			var lo, hi float64 = math.Inf(1), 0
 			for k, b := range combined {
@@ -315,18 +315,25 @@ func mustLimitFor(pie gen2.PIEParams, bits gen2.Bits) float64 {
 	return l
 }
 
-func peakIndex(offsets, betas []float64) (float64, float64) {
-	const n = 4096
-	buf := pool.Float64(n)
-	defer pool.PutFloat64(buf)
-	core.EnvelopeSeries(offsets, betas, 0, 1.0/n, n, buf)
+// peakGrid is the number of points peakIndex samples one 1 s envelope
+// period at.
+const peakGrid = 4096
+
+// newPeakSeries makes the per-worker scratch of the sweeps that call
+// peakIndex: one series buffer of peakGrid points.
+func newPeakSeries() any { return new([peakGrid]float64) }
+
+// peakIndex samples the envelope of one 1 s period into buf and returns
+// its maximum and the first time at which it occurs.
+func peakIndex(offsets, betas []float64, buf *[peakGrid]float64) (float64, float64) {
+	series := core.EnvelopeSeries(offsets, betas, 0, 1.0/peakGrid, peakGrid, buf[:])
 	best, bestK := 0.0, 0
-	for k, y := range buf {
+	for k, y := range series {
 		if y > best {
 			best, bestK = y, k
 		}
 	}
-	return best, float64(bestK) / n
+	return best, float64(bestK) / peakGrid
 }
 
 func ones(n int) []float64 {

@@ -10,7 +10,6 @@ import (
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
 	"ivn/internal/link"
-	"ivn/internal/pool"
 	"ivn/internal/radio"
 	"ivn/internal/reader"
 	"ivn/internal/rng"
@@ -120,7 +119,8 @@ func runAblationFreqError(cfg Config) (*engine.Result, error) {
 		Plan: func(sigma float64) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("fe-%v", sigma)
 		},
-		Measure: func(sigma float64, _, _ any, _ int, r *rng.Rand) (freqErrorSample, error) {
+		NewScratch: newPeakSeries,
+		Measure: func(sigma float64, _, scratch any, _ int, r *rng.Rand) (freqErrorSample, error) {
 			var s freqErrorSample
 			offsets := make([]float64, n)
 			for i, f := range base {
@@ -137,19 +137,10 @@ func runAblationFreqError(cfg Config) (*engine.Result, error) {
 				}
 			}
 			// Peak over the nominal 1 s period.
-			buf := pool.Float64(4096)
-			defer pool.PutFloat64(buf)
-			series := core.EnvelopeSeries(offsets, betas, 0, 1.0/4096, 4096, buf)
-			peak, idx := 0.0, 0
-			for k, v := range series {
-				if v > peak {
-					peak, idx = v, k
-				}
-			}
+			peak, tPeak := peakIndex(offsets, betas, scratch.(*[peakGrid]float64))
 			s.Peak = peak
 			// The cyclic-operation guarantee: with exact integer offsets
 			// the same peak recurs at t+10 s; frequency error dephases it.
-			tPeak := float64(idx) / 4096
 			s.Recur = core.Envelope(offsets, betas, tPeak+10) / peak
 			return s, nil
 		},

@@ -13,15 +13,13 @@ import (
 // analyzers share. Facts come in two flavors:
 //
 //   - direct facts, read straight off a function body: allocation sites,
-//     wall-clock reads, global-rand usage, pool Get/Put flow;
+//     wall-clock reads, global-rand usage;
 //   - transitive facts, propagated over the call graph to fixpoint:
 //     "may allocate anywhere in its closure", "may read the wall clock",
-//     "may consume global rand", plus the derived pool-ownership facts
-//     (a function that returns a pooled slice is a getter in its own
-//     right; a function that Puts its parameter is a putter).
+//     "may consume global rand".
 //
-// All lattices are finite and monotone (bool taints ordered false < true;
-// ownership bitsets only grow), so every worklist terminates.
+// The lattices are finite and monotone (bool taints ordered
+// false < true), so the worklist terminates.
 
 // FactSite is one body-level occurrence of a fact: a position plus a
 // human-readable description used verbatim in findings.
@@ -44,16 +42,6 @@ type FuncFacts struct {
 	WallClock []FactSite
 	// GlobalRand lists direct uses of the process-global math/rand state.
 	GlobalRand []FactSite
-
-	// OwnsResult[i] is true when the i-th result carries pool ownership:
-	// the function obtained the value from internal/pool (directly or via
-	// another owning function) and returns it un-Put, transferring the
-	// release obligation to its caller.
-	OwnsResult []bool
-	// ReleasesParam[j] is true when the function releases its j-th
-	// parameter back to the pool (directly or via another releasing
-	// function), discharging the caller's obligation.
-	ReleasesParam []bool
 
 	// MayAlloc / MayReadClock / MayUseGlobalRand are the transitive
 	// closures: true when the function or anything reachable from it over
@@ -80,21 +68,8 @@ var allocFreeExternPkgs = map[string]bool{
 	"math/cmplx": true,
 }
 
-// poolPkgPath reports whether path is the project's scratch pool — its
-// Get/Put surface is exempt from allocation accounting by design (the
-// pooled-scratch contract amortizes its internal growth).
-func poolPkgPath(path string) bool {
-	return path == poolPkgSuffix || strings.HasSuffix(path, "/"+poolPkgSuffix)
-}
-
-// assumedAllocFree reports whether a call into pkg (outside the graph or
-// exempt from descent) may be assumed allocation-free.
-func assumedAllocFree(pkg string) bool {
-	return allocFreeExternPkgs[pkg] || poolPkgPath(pkg)
-}
-
-// sortedNodeIDs returns the graph's node IDs in lexical order, so every
-// fixpoint iterates deterministically.
+// sortedNodeIDs returns the graph's node IDs in lexical order, so the
+// walks over them run deterministically.
 func sortedNodeIDs(g *CallGraph) []FuncID {
 	ids := make([]FuncID, 0, len(g.Nodes))
 	for id := range g.Nodes {
@@ -104,8 +79,8 @@ func sortedNodeIDs(g *CallGraph) []FuncID {
 	return ids
 }
 
-// computeFacts builds the fact store for g and runs every transitive
-// lattice to fixpoint.
+// computeFacts builds the fact store for g and runs the transitive
+// taints to fixpoint.
 func computeFacts(g *CallGraph) *Facts {
 	fc := &Facts{Graph: g, Per: make(map[FuncID]*FuncFacts, len(g.Nodes))}
 	for id, n := range g.Nodes {
@@ -113,40 +88,8 @@ func computeFacts(g *CallGraph) *Facts {
 		collectDirectFacts(g, n, ff)
 		fc.Per[id] = ff
 	}
-	fc.fixpointPool()
 	fc.fixpointTaints()
 	return fc
-}
-
-// ownership reports the OwnsResult mask for a statically resolved callee,
-// covering both the direct pool getters and derived owners. Nil when the
-// callee transfers no ownership.
-func (fc *Facts) ownership(fn *types.Func) []bool {
-	if fn == nil {
-		return nil
-	}
-	if isPoolGetter(fn) {
-		return []bool{true}
-	}
-	if ff := fc.Per[funcID(fn)]; ff != nil {
-		return ff.OwnsResult
-	}
-	return nil
-}
-
-// releases reports the ReleasesParam mask for a statically resolved
-// callee, covering direct pool putters and derived releasers.
-func (fc *Facts) releases(fn *types.Func) []bool {
-	if fn == nil {
-		return nil
-	}
-	if isPoolPutter(fn) {
-		return []bool{true}
-	}
-	if ff := fc.Per[funcID(fn)]; ff != nil {
-		return ff.ReleasesParam
-	}
-	return nil
 }
 
 // fixpointTaints propagates MayAlloc / MayReadClock / MayUseGlobalRand
@@ -160,7 +103,7 @@ func (fc *Facts) fixpointTaints() {
 		ff.MayReadClock = len(ff.WallClock) > 0
 		ff.MayUseGlobalRand = len(ff.GlobalRand) > 0
 		for _, e := range n.Calls {
-			if fc.Graph.Nodes[e.Callee] == nil && !assumedAllocFree(e.CalleePkg) {
+			if fc.Graph.Nodes[e.Callee] == nil && !allocFreeExternPkgs[e.CalleePkg] {
 				ff.MayAlloc = true
 			}
 		}
@@ -189,144 +132,6 @@ func (fc *Facts) fixpointTaints() {
 			}
 		}
 	}
-}
-
-// fixpointPool iterates the derived getter/putter analysis until the
-// ownership masks stop growing. Each round rescans every body with the
-// masks from the previous round, so ownership flows through helper
-// chains of any depth.
-func (fc *Facts) fixpointPool() {
-	for changed := true; changed; {
-		changed = false
-		for _, id := range sortedNodeIDs(fc.Graph) {
-			n := fc.Graph.Nodes[id]
-			ff := fc.Per[id]
-			owns, rels := derivePoolFlow(n, fc)
-			if growMask(&ff.OwnsResult, owns) {
-				changed = true
-			}
-			if growMask(&ff.ReleasesParam, rels) {
-				changed = true
-			}
-		}
-	}
-}
-
-// growMask ORs src into *dst, growing it as needed; reports whether any
-// bit newly turned on.
-func growMask(dst *[]bool, src []bool) bool {
-	changed := false
-	for i, b := range src {
-		if !b {
-			continue
-		}
-		for len(*dst) <= i {
-			*dst = append(*dst, false)
-		}
-		if !(*dst)[i] {
-			(*dst)[i] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-// derivePoolFlow scans n's body once, flow-insensitively, for the
-// ownership signature: which results leave carrying pooled values, and
-// which parameters get released. A value that is Put anywhere in the body
-// is not treated as owned-on-return (the common get/use/put shape), which
-// keeps the overapproximation from inventing obligations for callers.
-func derivePoolFlow(n *Node, fc *Facts) (owns, rels []bool) {
-	info := n.Pkg.Info
-	sig, ok := n.Fn.Type().(*types.Signature)
-	if !ok {
-		return nil, nil
-	}
-	owns = make([]bool, sig.Results().Len())
-	rels = make([]bool, sig.Params().Len())
-
-	paramIndex := map[*types.Var]int{}
-	for i := 0; i < sig.Params().Len(); i++ {
-		paramIndex[sig.Params().At(i)] = i
-	}
-
-	held := map[*types.Var]bool{}   // vars holding pooled values
-	putted := map[*types.Var]bool{} // vars released somewhere in the body
-
-	mark := func(lhs []ast.Expr, masks []bool) {
-		for i, b := range masks {
-			if !b || i >= len(lhs) {
-				continue
-			}
-			id, ok := ast.Unparen(lhs[i]).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if v := lhsVar(info, id); v != nil {
-				held[v] = true
-			}
-		}
-	}
-	// Two passes over the same body: the first discovers held/putted
-	// vars regardless of statement order, the second reads the returns
-	// against the complete picture. The outer fixpoint handles
-	// cross-function ordering.
-	for pass := 0; pass < 2; pass++ {
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			switch node := node.(type) {
-			case *ast.AssignStmt:
-				if len(node.Rhs) == 1 {
-					if call, ok := node.Rhs[0].(*ast.CallExpr); ok {
-						mark(node.Lhs, fc.ownership(calleeFunc(info, call)))
-					}
-				} else if len(node.Lhs) == len(node.Rhs) {
-					for i, r := range node.Rhs {
-						if call, ok := r.(*ast.CallExpr); ok {
-							masks := fc.ownership(calleeFunc(info, call))
-							if len(masks) == 1 && masks[0] {
-								mark(node.Lhs[i:i+1], masks)
-							}
-						}
-					}
-				}
-			case *ast.CallExpr:
-				masks := fc.releases(calleeFunc(info, node))
-				for j, b := range masks {
-					if !b || j >= len(node.Args) {
-						continue
-					}
-					id, ok := ast.Unparen(node.Args[j]).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					v, ok := info.Uses[id].(*types.Var)
-					if !ok {
-						continue
-					}
-					putted[v] = true
-					if pi, isParam := paramIndex[v]; isParam {
-						rels[pi] = true
-					}
-				}
-			case *ast.ReturnStmt:
-				for i, res := range node.Results {
-					if i >= len(owns) {
-						break
-					}
-					id, ok := ast.Unparen(res).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					v, ok := info.Uses[id].(*types.Var)
-					if ok && held[v] && !putted[v] {
-						owns[i] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return owns, rels
 }
 
 // collectDirectFacts scans n's body for the direct fact sites.
@@ -376,7 +181,7 @@ func collectDirectFacts(g *CallGraph, n *Node, ff *FuncFacts) {
 		if _, inGraph := g.Nodes[funcID(fn)]; inGraph {
 			return true
 		}
-		return assumedAllocFree(funcPkgPath(fn))
+		return allocFreeExternPkgs[funcPkgPath(fn)]
 	}
 
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {

@@ -21,9 +21,7 @@ import (
 // (dynamic dispatch, or a package outside the module that is not on the
 // assumed-allocation-free list: math, math/bits, math/cmplx).
 //
-// Two sanctioned idioms are exempt by design: the internal/pool scratch
-// surface (Get/Put amortize their internal growth — the pooled-scratch
-// contract PR 1 established), and append into recycled capacity via
+// One idiom is exempt by design: append into recycled capacity via
 // append(x[:0], ...). Everything else needs either a fix or a reasoned
 // //ivn:allow hotpath on the offending line.
 //
@@ -68,10 +66,10 @@ func runHotpath(pass *Pass) {
 	}
 }
 
-// checkHotRoot walks root's closure over static call edges (skipping the
-// exempt pool package) and reports every fact that breaks the
-// allocation-freedom proof. Findings are deduplicated by position across
-// roots: the first root to reach a site reports it.
+// checkHotRoot walks root's closure over static call edges and reports
+// every fact that breaks the allocation-freedom proof. Findings are
+// deduplicated by position across roots: the first root to reach a site
+// reports it.
 func checkHotRoot(pass *Pass, root FuncID) {
 	prog := pass.Prog
 	g := prog.Graph
@@ -112,11 +110,8 @@ func checkHotRoot(pass *Pass, root FuncID) {
 			emit(pos, "hot path %s: dynamic call (function value or interface method) cannot be proven allocation-free%s", shortID(root), suffix)
 		}
 		for _, e := range n.Calls {
-			if poolPkgPath(e.CalleePkg) {
-				continue // pooled-scratch exemption: do not descend or flag
-			}
 			if g.Nodes[e.Callee] == nil {
-				if !assumedAllocFree(e.CalleePkg) {
+				if !allocFreeExternPkgs[e.CalleePkg] {
 					emit(e.Pos, "hot path %s: calls %s outside the analyzable module (assumed to allocate)%s", shortID(root), shortID(e.Callee), suffix)
 				}
 				continue

@@ -3,9 +3,9 @@
 //
 // The compiler and go vet cannot see the invariants this repository's
 // correctness rests on: published tables must be byte-reproducible (no
-// wall-clock, no global math/rand, no map-order-dependent rows), pooled
-// scratch buffers must be returned on every path and must never outlive
-// their function, goroutines belong on the sanctioned bounded runners,
+// wall-clock, no global math/rand, no map-order-dependent rows), the
+// figure kernels allocate nothing, goroutines belong on the sanctioned
+// bounded runners, errors are handled, physical units agree,
 // floating-point values are never compared with ==, and no function
 // outlives the last program path that reached it. Each analyzer in this
 // package enforces one of those invariants over the type-checked AST,
@@ -102,7 +102,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		PoolDiscipline,
 		FloatCmp,
 		GoroutineHygiene,
 		ErrCheck,

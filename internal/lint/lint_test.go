@@ -81,7 +81,6 @@ func TestFixtures(t *testing.T) {
 	root := repoRoot(t)
 	cases := map[string]*Analyzer{
 		"determinism":      Determinism,
-		"pooldiscipline":   PoolDiscipline,
 		"floatcmp":         FloatCmp,
 		"goroutinehygiene": GoroutineHygiene,
 		"errcheck":         ErrCheck,

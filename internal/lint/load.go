@@ -411,7 +411,7 @@ func ExpandPatterns(root string, patterns []string) ([]string, error) {
 // root and runs the analyzers over all of them, returning the surviving
 // (unsuppressed) findings sorted by position. Module-local dependencies
 // of the loaded directories participate as support packages, so
-// hot-path closures and derived pool facts resolve across package
+// hot-path closures and unit annotations resolve across package
 // boundaries even for partial directory sets. The run is the whole
 // program when dirs cover every package directory of the module
 // (ExpandPatterns of "./..."); the root package's exported API counts as

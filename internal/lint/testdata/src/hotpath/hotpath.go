@@ -1,13 +1,11 @@
 // Fixture corpus for the hotpath analyzer: transitive allocation through
-// a two-deep callee chain, the pooled-scratch and append-reuse
-// exemptions, interface boxing, dynamic dispatch, and extern calls.
+// a two-deep callee chain, the append-reuse exemption, interface boxing,
+// dynamic dispatch, and extern calls.
 package hotpath
 
 import (
 	"math"
 	"strconv"
-
-	"ivn/internal/pool"
 )
 
 // kernel reaches an allocation two calls down.
@@ -34,18 +32,6 @@ func deep(dst []float64, n int) {
 func inner(dst []float64, n int) {
 	tmp := make([]float64, n) // want `hot path .*kernel: make\(\[\]float64\) allocates \(path: .*kernel → .*deep → .*inner\)`
 	copy(dst, tmp)
-}
-
-// pooled exercises the pooled-scratch exemption: pool Get/Put amortize
-// their internal growth, so the closure stays provably alloc-free.
-//
-//ivn:hotpath
-func pooled(dst []float64, n int) {
-	scratch := pool.Float64(n)
-	for i := range dst {
-		dst[i] += scratch[i%len(scratch)]
-	}
-	pool.PutFloat64(scratch)
 }
 
 // reuses exercises the append(x[:0], ...) recycled-capacity exemption.

@@ -24,14 +24,15 @@
 // the envelope is periodic, so the excluded endpoint would only duplicate
 // t0.
 //
-// Scratch buffers come from internal/pool, so steady-state scans allocate
-// nothing.
+// The scans that need working storage (MagnitudeSeries, LongestRunAbove
+// and the peak scans) take an re/im accumulator pair from a
+// package-private free list and give it back before they return, so
+// steady-state scans allocate nothing.
 package phasor
 
 import (
 	"math"
-
-	"ivn/internal/pool"
+	"sync"
 )
 
 // renormMask sets the renormalization cadence: after every
@@ -340,23 +341,60 @@ func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 }
 
 // MagnitudeSeries writes |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}| into
-// dst[k] for k in [0, n). dst must have length ≥ n. Scratch comes from the
-// buffer pool; the call itself does not allocate in steady state.
+// dst[k] for k in [0, n). dst must have length ≥ n. The sums run in a
+// scratch pair from the free list; the call itself does not allocate in
+// steady state.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
 //ivn:hotpath
 func MagnitudeSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int, dst []float64) {
-	re := pool.Float64(n)
-	im := pool.Float64(n)
+	re, im := getScratch(n)
 	SumSeries(freqs, coeffs, t0, dt, n, re, im)
 	dst = dst[:n]
 	for k := 0; k < n; k++ {
 		dst[k] = math.Hypot(re[k], im[k])
 	}
-	pool.PutFloat64(re)
-	pool.PutFloat64(im)
+	putScratch(re, im)
+}
+
+// LongestRunAbove returns the length of the longest run of consecutive
+// samples k ∈ [0, n) whose magnitude
+// |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}| exceeds level. The grid is
+// taken as one period of a periodic envelope, so a run may wrap from the
+// last sample to the first: the series is scanned twice end to end, and
+// the count is capped at n.
+//
+//ivn:unit freqs Hz
+//ivn:unit t0 s
+//ivn:unit dt s
+//ivn:hotpath
+func LongestRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int, level float64) int {
+	if n <= 0 {
+		return 0
+	}
+	re, im := getScratch(n)
+	SumSeries(freqs, coeffs, t0, dt, n, re, im)
+	mag := re // the magnitudes overwrite the real parts
+	for k := range mag {
+		mag[k] = math.Hypot(re[k], im[k])
+	}
+	best, run := 0, 0
+	for pass := 0; pass < 2; pass++ {
+		for _, v := range mag {
+			if v > level {
+				run++
+				if run > best {
+					best = run
+				}
+			} else {
+				run = 0
+			}
+		}
+	}
+	putScratch(re, im)
+	return min(best, n)
 }
 
 // PeakPower returns max_k |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}|²
@@ -385,11 +423,9 @@ func peakPowerArg(freqs []float64, coeffs []complex128, t0, dt float64, n int) (
 	if len(freqs) != len(coeffs) {
 		panic("phasor: freqs/coeffs length mismatch")
 	}
-	re := pool.Float64(n)
-	im := pool.Float64(n)
+	re, im := getScratch(n)
 	best, arg := scan(freqs, coeffs, t0, dt, n, re, im, true)
-	pool.PutFloat64(re)
-	pool.PutFloat64(im)
+	putScratch(re, im)
 	return best, arg
 }
 
@@ -432,8 +468,7 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 	ratio := nFine / nCoarse
 
 	// Coarse pass; keep the per-cell powers in re.
-	re := pool.Float64(nCoarse)
-	im := pool.Float64(nCoarse)
+	re, im := getScratch(nCoarse)
 	SumSeries(freqs, coeffs, 0, dtC, nCoarse, re, im)
 	maxP := 0.0
 	for k := 0; k < nCoarse; k++ {
@@ -443,7 +478,6 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 			maxP = p
 		}
 	}
-	pool.PutFloat64(im)
 
 	// Every coarse point is also a fine point (k·dtC = k·ratio·dtF), so the
 	// coarse peak is a valid lower bound on the fine-grid answer.
@@ -474,6 +508,52 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 			best = p
 		}
 	}
-	pool.PutFloat64(re)
+	putScratch(re, im)
 	return best
+}
+
+// scratchPair is one re/im accumulator pair of the free list.
+type scratchPair struct{ re, im []float64 }
+
+// The free list of accumulator pairs. A pair grows to the largest scan it
+// has served and is never released; the list holds as many pairs as scans
+// have ever been in flight at once (one per trial worker, plus
+// PeakPowerRefined's nested refinement scan). A scan takes its pair and
+// returns it within one function and keeps no reference to it.
+var (
+	scratchMu   sync.Mutex
+	scratchFree []scratchPair
+)
+
+// getScratch returns a zeroed re/im pair of length n: the most recently
+// returned pair, cleared, when it has the capacity, else a new one. The
+// kernels add into re/im, so a pair must arrive zeroed.
+func getScratch(n int) (re, im []float64) {
+	var p scratchPair
+	//ivn:allow hotpath sync.Mutex's Lock does not allocate
+	scratchMu.Lock()
+	if k := len(scratchFree) - 1; k >= 0 {
+		p, scratchFree = scratchFree[k], scratchFree[:k]
+	}
+	//ivn:allow hotpath sync.Mutex's Unlock does not allocate
+	scratchMu.Unlock()
+	if cap(p.re) < n {
+		//ivn:allow hotpath a pair grows once per size and then serves every scan up to it; make zeroes it
+		return make([]float64, n), make([]float64, n)
+	}
+	re, im = p.re[:n], p.im[:n]
+	clear(re)
+	clear(im)
+	return re, im
+}
+
+// putScratch returns a pair taken with getScratch to the free list. The
+// caller must not use re or im afterwards.
+func putScratch(re, im []float64) {
+	//ivn:allow hotpath sync.Mutex's Lock does not allocate
+	scratchMu.Lock()
+	//ivn:allow hotpath the list grows only until it holds one pair per scan ever in flight at once
+	scratchFree = append(scratchFree, scratchPair{re, im})
+	//ivn:allow hotpath sync.Mutex's Unlock does not allocate
+	scratchMu.Unlock()
 }

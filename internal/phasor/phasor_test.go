@@ -3,6 +3,7 @@ package phasor
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"ivn/internal/rng"
@@ -323,6 +324,102 @@ func TestPeakPowerArgMatchesSerial(t *testing.T) {
 				carriers, got, gotArg, want, wantArg)
 		}
 	}
+}
+
+// serialRunAbove is the reference for LongestRunAbove: the serial sum,
+// its magnitude, then the longest run above level over two concatenated
+// copies of the series, capped at n.
+func serialRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int, level float64) int {
+	re := make([]float64, n)
+	im := make([]float64, n)
+	sumSeriesSerial(freqs, coeffs, t0, dt, n, re, im)
+	best, run := 0, 0
+	for k := 0; k < 2*n; k++ {
+		if math.Hypot(re[k%n], im[k%n]) > level {
+			run++
+			best = max(best, run)
+		} else {
+			run = 0
+		}
+	}
+	return min(best, n)
+}
+
+// TestLongestRunAboveMatchesSerial pins LongestRunAbove to the serial
+// reference at levels that cut the envelope, that it never reaches (0)
+// and that it always clears (n, the cap on a run that wraps forever).
+func TestLongestRunAboveMatchesSerial(t *testing.T) {
+	r := rng.New(29)
+	for carriers := 1; carriers <= 10; carriers++ {
+		for _, samples := range bitExactSamples {
+			freqs, coeffs := randomSet(r, carriers, 200)
+			dt := 1.0 / float64(samples)
+			for _, level := range []float64{-1, 0.5, 0.5 * float64(carriers), 1e9} {
+				got := LongestRunAbove(freqs, coeffs, 0, dt, samples, level)
+				if want := serialRunAbove(freqs, coeffs, 0, dt, samples, level); got != want {
+					t.Fatalf("%d carriers, %d samples, level %v: run %d, serial %d", carriers, samples, level, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRecycledBufferIsZeroed poisons the pair the free list hands out
+// next with NaN and checks that a scan drawing it still matches the
+// serial reference: getScratch must clear a recycled pair, since the
+// kernels add into it.
+func TestRecycledBufferIsZeroed(t *testing.T) {
+	re, im := getScratch(4096)
+	for k := range re {
+		re[k], im[k] = math.NaN(), math.NaN()
+	}
+	putScratch(re, im)
+	const n = 1000
+	freqs, coeffs := randomSet(rng.New(41), 6, 200)
+	got, gotArg := peakPowerArg(freqs, coeffs, 0, 1.0/n, n)
+	want, wantArg := serialPeak(freqs, coeffs, 0, 1.0/n, n)
+	if got != want || gotArg != wantArg {
+		t.Fatalf("scan on a recycled pair: peak %v at %d, serial %v at %d", got, gotArg, want, wantArg)
+	}
+}
+
+// TestConcurrentGetPut runs scans of different plans and lengths from
+// several goroutines at once, so they take, grow and return free-list
+// pairs concurrently, and checks each result against its serial run. The
+// race detector guards the free list.
+func TestConcurrentGetPut(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		//ivn:allow goroutinehygiene deliberate raw-goroutine stress of the scratch free list under -race
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(100 + g))
+			for i := 0; i < 40; i++ {
+				n := 1 + (g*131+i*17)%4096
+				freqs, coeffs := randomSet(r, 1+(g+i)%10, 200)
+				dt := 1.0 / float64(n)
+				got, gotArg := peakPowerArg(freqs, coeffs, 0, dt, n)
+				want, wantArg := serialPeak(freqs, coeffs, 0, dt, n)
+				if got != want || gotArg != wantArg {
+					t.Errorf("goroutine %d, scan %d: peak %v at %d, serial %v at %d", g, i, got, gotArg, want, wantArg)
+					return
+				}
+				mag := make([]float64, n)
+				MagnitudeSeries(freqs, coeffs, 0, dt, n, mag)
+				re := make([]float64, n)
+				im := make([]float64, n)
+				sumSeriesSerial(freqs, coeffs, 0, dt, n, re, im)
+				for k := range mag {
+					if w := math.Hypot(re[k], im[k]); mag[k] != w {
+						t.Errorf("goroutine %d, scan %d: magnitude[%d] %v, serial %v", g, i, k, mag[k], w)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // benchSamples is the grid every kernel benchmark scans: the fine grid of

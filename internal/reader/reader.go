@@ -19,7 +19,6 @@ import (
 
 	"ivn/internal/dsp"
 	"ivn/internal/gen2"
-	"ivn/internal/pool"
 	"ivn/internal/radio"
 	"ivn/internal/rng"
 )
@@ -178,6 +177,10 @@ type DecodeResult struct {
 	SNRdB float64 //ivn:unit dB
 }
 
+// noiseBlock is how many capture samples DecodeUplink draws noise for
+// per NormFloat64s call.
+const noiseBlock = 256
+
 // DecodeUplink demodulates a backscatter reply. bs is the tag's
 // modulation waveform (reflection amplitude factors at SamplesPerHalfBit
 // resolution); linkGain is the round-trip complex gain reader→tag→reader
@@ -208,20 +211,25 @@ func (r *Reader) DecodeUplink(bs []float64, linkGain complex128, jamPowers []rad
 	drift := math.Sqrt(CoherentAveragingGain(periods, r.PhaseDriftPerPeriod))
 	effLink := linkGain * complex(drift, 0)
 	sigma := math.Sqrt(noise / 2 / k)
-	// The averaged capture's complex circular Gaussian noise, drawn in
-	// one call: sample i takes normals 2i (real) and 2i+1 (imaginary).
-	normals := pool.Float64(2 * len(bs))
-	defer pool.PutFloat64(normals)
-	rnd.NormFloat64s(normals)
 	// Derotate each averaged sample by the (estimated) link phase and take
 	// the real part. A real reader estimates this from the carrier; we use
 	// the true value, which the DC of the capture would supply.
 	ph := cmplx.Phase(effLink)
 	rot := cmplx.Exp(complex(0, -ph))
 	levels := make([]float64, len(bs))
-	for i, v := range bs {
-		avg := complex(v, 0)*effLink + complex(sigma*normals[2*i], sigma*normals[2*i+1])
-		levels[i] = real(avg * rot)
+	// The averaged capture's complex circular Gaussian noise: sample i
+	// takes normals 2i (real) and 2i+1 (imaginary), drawn noiseBlock
+	// samples at a time into a stack array. NormFloat64s yields the same
+	// stream whatever the block size.
+	var normals [2 * noiseBlock]float64
+	for lo := 0; lo < len(bs); lo += noiseBlock {
+		blk := bs[lo:min(lo+noiseBlock, len(bs))]
+		nv := normals[:2*len(blk)]
+		rnd.NormFloat64s(nv)
+		for i, v := range blk {
+			avg := complex(v, 0)*effLink + complex(sigma*nv[2*i], sigma*nv[2*i+1])
+			levels[lo+i] = real(avg * rot)
+		}
 	}
 	// AC-couple: backscatter rides on a DC reflection level.
 	mean := dsp.Mean(levels)

@@ -84,6 +84,30 @@ func TestDecodeUplinkCleanLink(t *testing.T) {
 	}
 }
 
+// TestDecodeUplinkDrawsTwoNormalsPerSample pins the capture noise, which
+// DecodeUplink draws noiseBlock samples at a time, to exactly two
+// normals per sample: after the decode the generator must stand where
+// one NormFloat64s call over 2·len(bs) values leaves it, for captures on
+// both sides of a block edge.
+func TestDecodeUplinkDrawsTwoNormalsPerSample(t *testing.T) {
+	r := New()
+	_, _, bs := makeReply(t, r.SamplesPerHalfBit)
+	link := RoundTripGain(r.TxAmplitude, complex(1e-2, 0), complex(0, 1e-2))
+	for _, n := range []int{1, noiseBlock - 1, noiseBlock, noiseBlock + 1, 2*noiseBlock + 1} {
+		capture := make([]float64, n)
+		for i := range capture {
+			capture[i] = bs[i%len(bs)]
+		}
+		got := rng.New(uint64(n))
+		_, _ = r.DecodeUplink(capture, link, nil, 16, got)
+		want := rng.New(uint64(n))
+		want.NormFloat64s(make([]float64, 2*n))
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Errorf("%d samples: generator after the decode gives %#x, after %d normals %#x", n, g, 2*n, w)
+		}
+	}
+}
+
 func TestDecodeUplinkFailsWhenWeak(t *testing.T) {
 	r := New()
 	_, _, bs := makeReply(t, r.SamplesPerHalfBit)
