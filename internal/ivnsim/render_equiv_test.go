@@ -3,6 +3,7 @@ package ivnsim
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,6 +30,15 @@ import (
 
 // goldenConfig matches the configuration the goldens were captured with.
 func goldenConfig() Config { return Config{Seed: 11, Quick: true} }
+
+// update regenerates the text, CSV and JSON goldens and the output
+// digests from this build instead of comparing against them:
+//
+//	go test ./internal/ivnsim/ -run 'TestRenderersMatchCommittedGoldens|TestOutputDigests' -update
+//
+// A regeneration is a commit of its own that states why the outputs
+// moved.
+var update = flag.Bool("update", false, "rewrite the goldens and output digests from this build")
 
 // sweep holds one golden-config run of each registered experiment.
 // TestQuickExperimentsAllRun, TestRenderersMatchCommittedGoldens and
@@ -79,13 +89,19 @@ func TestRenderersMatchCommittedGoldens(t *testing.T) {
 				renderers["json"] = engine.RenderJSON
 			}
 			for ext, render := range renderers {
-				want, err := os.ReadFile(filepath.Join("testdata", "golden", e.ID+"."+ext))
-				if err != nil {
-					t.Fatalf("missing golden: %v", err)
-				}
+				path := filepath.Join("testdata", "golden", e.ID+"."+ext)
 				var buf bytes.Buffer
 				if err := render(res, &buf); err != nil {
 					t.Fatal(err)
+				}
+				if *update {
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden: %v", err)
 				}
 				if !bytes.Equal(buf.Bytes(), want) {
 					t.Errorf("%s.%s differs from the committed golden:\ngot:\n%s\nwant:\n%s",
