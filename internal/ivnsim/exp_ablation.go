@@ -14,6 +14,7 @@ import (
 	"ivn/internal/reader"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
+	"ivn/internal/session"
 	"ivn/internal/stats"
 	"ivn/internal/tag"
 )
@@ -123,34 +124,26 @@ func runAblationEqualPower(cfg Config) (*engine.Result, error) {
 		Plan: func(n int) (uint64, string) {
 			return cfg.Seed, fmt.Sprintf("eqp-%d", n)
 		},
-		Measure: func(n int, _, _ any, _ int, r *rng.Rand) (equalPowerSample, error) {
+		NewScratch: newGainKit,
+		// Draw order: placement draws, then the link's "cib" split + PLL
+		// locks.
+		Measure: func(n int, _, scratch any, _ int, r *rng.Rand) (equalPowerSample, error) {
 			var s equalPowerSample
-			p, err := sc.Realize(n, r)
+			k := scratch.(*gainKit)
+			lk, err := k.realize(sc, n, nil, r)
 			if err != nil {
 				return s, err
 			}
-			chans := link.DownlinkCoeffs(p, 915e6)
-			bcfg := core.DefaultConfig()
-			bcfg.Antennas = n
-			bf, err := core.New(bcfg, r.Split("cib"))
+			pe, err := baseline.PeakReceivedPowerRefined(lk.Beamformer.EqualPowerCarriers(), lk.Downlink(), link.ScanDuration, link.ScanCoarse, link.ScanSamples)
 			if err != nil {
 				return s, err
 			}
-			pf, err := baseline.PeakReceivedPowerRefined(bf.Carriers(), chans, link.ScanDuration, link.ScanCoarse, link.ScanSamples)
-			if err != nil {
-				return s, err
-			}
-			pe, err := baseline.PeakReceivedPowerRefined(bf.EqualPowerCarriers(), chans, link.ScanDuration, link.ScanCoarse, link.ScanSamples)
-			if err != nil {
-				return s, err
-			}
-			single := baseline.SingleAntenna(915e6, link.ChainAmplitude())
-			ps, err := baseline.PeakReceivedPower(single, chans[:1], link.ScanDuration, 1)
+			ps, err := k.singlePeak(lk)
 			if err != nil {
 				return s, err
 			}
 			s.Eq = pe / ps
-			s.Full = pf / ps
+			s.Full = lk.PeakPower() / ps
 			return s, nil
 		},
 		Row: func(n int, samples []equalPowerSample) ([]engine.Cell, error) {
@@ -355,53 +348,14 @@ func runAblationAveraging(cfg Config) (*engine.Result, error) {
 		Plan: func(int) (uint64, string) {
 			return cfg.Seed, "avg" // same placements across K
 		},
-		Measure: func(k int, _, _ any, _ int, r *rng.Rand) (bool, error) {
-			p, err := sc.Realize(8, r)
-			if err != nil {
-				return false, err
-			}
-			var tagRand rng.Rand
-			r.SplitInto(&tagRand, "tag")
-			tg, err := tag.New(model, []byte{0xE2, 0x00, 0x12, 0x34}, &tagRand)
-			if err != nil {
-				return false, err
-			}
-			chans := link.DownlinkCoeffs(p, 915e6)
-			bcfg := core.DefaultConfig()
-			bcfg.Antennas = 8
-			bf, err := core.New(bcfg, r.Split("cib"))
-			if err != nil {
-				return false, err
-			}
-			peak, err := baseline.PeakReceivedPowerRefined(bf.Carriers(), chans, link.ScanDuration, link.ScanCoarse, link.ScanSamples)
-			if err != nil {
-				return false, err
-			}
-			tg.UpdatePower(peak)
-			if !tg.Powered() {
-				return false, nil
-			}
-			reply := tg.HandleCommand(&gen2.Query{Q: 0})
-			if reply.Kind != gen2.ReplyRN16 {
-				return false, nil
-			}
+		NewScratch: newLink,
+		Measure: func(k int, _, lk any, _ int, r *rng.Rand) (bool, error) {
 			rd := reader.New()
 			rd.AveragingPeriods = k
 			// Weaken the reader transmit power so the uplink SNR — not
 			// power-up — is the binding constraint the sweep exposes.
 			rd.TxAmplitude = 0.2
-			bs, err := tg.BackscatterWaveform(reply, rd.SamplesPerHalfBit)
-			if err != nil {
-				return false, err
-			}
-			tagG := model.AntennaAmplitudeGain()
-			gain := reader.RoundTripGain(rd.TxAmplitude, p.ReaderDown.Coefficient(rd.TxFreq), p.ReaderUp.Coefficient(rd.TxFreq)) * complex(tagG*tagG, 0)
-			leak := p.CIBLeakPerWatt * 8 * link.ChainAmplitude() * link.ChainAmplitude()
-			jam := []radio.ToneAt{{Freq: 915e6, Power: leak}}
-			if dr, err := rd.DecodeUplink(bs, gain, jam, len(reply.Bits), r.Split(fmt.Sprintf("ul-%d", k))); err == nil && dr.Bits.Equal(reply.Bits) {
-				return true, nil
-			}
-			return false, nil
+			return decodesRN16(lk.(*link.Link), sc, model, rd, fmt.Sprintf("ul-%d", k), r)
 		},
 		Row: func(k int, decoded []bool) ([]engine.Cell, error) {
 			ok := 0
@@ -420,44 +374,83 @@ func runAblationAveraging(cfg Config) (*engine.Result, error) {
 	return res, nil
 }
 
+// newLink is a worker's Link for the trials that realize their own
+// beamformer and reader.
+func newLink() any { return new(link.Link) }
+
+// decodesRN16 is ablation-averaging's and ablation-phasenoise's trial: a
+// default 8-chain CIB session at a fresh placement of sc, realized into
+// lk with the reader rd, whose RN16 is decoded under label. Draw order:
+// placement draws, the "tag" split, the beamformer's "cib" split + PLL
+// locks, then the decode's label split.
+func decodesRN16(lk *link.Link, sc scenario.Scenario, model tag.Model, rd *reader.Reader, label string, r *rng.Rand) (bool, error) {
+	p, err := sc.Realize(8, r)
+	if err != nil {
+		return false, err
+	}
+	var tagRand rng.Rand
+	r.SplitInto(&tagRand, "tag")
+	tg, err := tag.New(model, defaultEPC, &tagRand)
+	if err != nil {
+		return false, err
+	}
+	bcfg := core.DefaultConfig()
+	bcfg.Antennas = 8
+	bf, err := core.New(bcfg, r.Split("cib"))
+	if err != nil {
+		return false, err
+	}
+	if err := link.RealizeInto(lk, bf, rd, p, nil); err != nil {
+		return false, err
+	}
+	x := session.Exchange{Link: lk}
+	if !x.PowerUp(tg, lk.PeakPower()) {
+		return false, nil
+	}
+	reply, err := x.Query(tg, &gen2.Query{Q: 0})
+	if err != nil || reply.Kind != gen2.ReplyRN16 {
+		return false, err
+	}
+	_, ok, err := lk.Decode(tg, reply, label, r)
+	return ok, err
+}
+
 func runAblationOutOfBand(cfg Config) (*engine.Result, error) {
 	res := engine.NewResult("ablation-outofband", "Reader architecture under CIB self-jamming (10 chains at 30 dBm)",
 		engine.Col("reader", ""), engine.Col("saturated", ""), engine.Col("effective interference", "dBm"), engine.Col("decode possible", ""))
-	p, err := scenario.NewTank(0.5, em.Water, 0.10).Realize(10, rng.New(cfg.Seed))
+	r := rng.New(cfg.Seed)
+	p, err := scenario.NewTank(0.5, em.Water, 0.10).Realize(10, r)
 	if err != nil {
 		return nil, err
 	}
-	leak := p.CIBLeakPerWatt * 10 * link.ChainAmplitude() * link.ChainAmplitude()
-	jam := []radio.ToneAt{{Freq: 915e6, Power: leak}}
-	model := tag.StandardTag()
-	tagG := model.AntennaAmplitudeGain()
-	modAmp := reader.ModulationAmplitude(model.BackscatterGain, model.BackscatterDepth)
-
-	mk := func(center float64) *reader.Reader {
-		rd := reader.New()
-		rd.TxFreq = center
-		rd.RX = radio.NewReceiver(center)
-		return rd
+	// The paper's 10 chains, locked after the placement draws; nothing
+	// draws after them.
+	bf, err := core.New(core.DefaultConfig(), r.Split("cib"))
+	if err != nil {
+		return nil, err
 	}
+	model := tag.StandardTag()
+	var lk link.Link
 	for _, row := range []struct {
 		name   string
-		reader *reader.Reader
+		center float64 //ivn:unit Hz
 	}{
-		{"in-band (915 MHz)", mk(915e6)},
-		{"out-of-band (880 MHz)", mk(880e6)},
+		{"in-band (915 MHz)", 915e6},
+		{"out-of-band (880 MHz)", 880e6},
 	} {
-		rd := row.reader
-		gain := reader.RoundTripGain(rd.TxAmplitude, p.ReaderDown.Coefficient(rd.TxFreq), p.ReaderUp.Coefficient(rd.TxFreq)) * complex(tagG*tagG, 0)
-		sat := rd.RX.Saturated(jam)
-		eff := rd.RX.EffectiveInterference(jam)
-		dec := rd.DecodableRN16(gain, modAmp, jam)
+		rd := reader.New()
+		rd.TxFreq = row.center
+		rd.RX = radio.NewReceiver(row.center)
+		if err := link.RealizeInto(&lk, bf, rd, p, nil); err != nil {
+			return nil, err
+		}
 		res.AddRow(
 			engine.Str(row.name),
-			engine.Bool(sat),
-			engine.Number("%.1f", 10*math.Log10(eff)+30),
-			engine.Bool(dec),
+			engine.Bool(rd.RX.Saturated(lk.Jam())),
+			engine.Number("%.1f", 10*math.Log10(rd.RX.EffectiveInterference(lk.Jam()))+30),
+			engine.Bool(lk.DecodableRN16(model)),
 		)
 	}
-	res.AddNote("CIB leak at the reader antenna: %.1f dBm", 10*math.Log10(leak)+30)
+	res.AddNote("CIB leak at the reader antenna: %.1f dBm", 10*math.Log10(lk.Jam()[0].Power)+30)
 	return res, nil
 }

@@ -8,9 +8,7 @@ import (
 	"ivn/internal/core"
 	"ivn/internal/em"
 	"ivn/internal/engine"
-	"ivn/internal/gen2"
 	"ivn/internal/link"
-	"ivn/internal/radio"
 	"ivn/internal/reader"
 	"ivn/internal/rng"
 	"ivn/internal/safety"
@@ -236,52 +234,13 @@ func runAblationPhaseNoise(cfg Config) (*engine.Result, error) {
 		Plan: func(float64) (uint64, string) {
 			return cfg.Seed, "pn" // same placements across rows
 		},
-		Measure: func(drift float64, _, _ any, _ int, r *rng.Rand) (bool, error) {
-			p, err := sc.Realize(8, r)
-			if err != nil {
-				return false, err
-			}
-			var tagRand rng.Rand
-			r.SplitInto(&tagRand, "tag")
-			tg, err := tag.New(model, []byte{0xE2, 0x00, 0x12, 0x34}, &tagRand)
-			if err != nil {
-				return false, err
-			}
-			chans := link.DownlinkCoeffs(p, 915e6)
-			bcfg := core.DefaultConfig()
-			bcfg.Antennas = 8
-			bf, err := core.New(bcfg, r.Split("cib"))
-			if err != nil {
-				return false, err
-			}
-			peak, err := baseline.PeakReceivedPowerRefined(bf.Carriers(), chans, link.ScanDuration, link.ScanCoarse, link.ScanSamples)
-			if err != nil {
-				return false, err
-			}
-			tg.UpdatePower(peak)
-			if !tg.Powered() {
-				return false, nil
-			}
-			replyMsg := tg.HandleCommand(&gen2.Query{Q: 0})
-			if replyMsg.Kind != gen2.ReplyRN16 {
-				return false, nil
-			}
+		NewScratch: newLink,
+		Measure: func(drift float64, _, lk any, _ int, r *rng.Rand) (bool, error) {
 			rd := reader.New()
 			rd.PhaseDriftPerPeriod = drift
 			// Weaken the reader so averaging is the binding constraint.
 			rd.TxAmplitude = 0.2
-			bs, err := tg.BackscatterWaveform(replyMsg, rd.SamplesPerHalfBit)
-			if err != nil {
-				return false, err
-			}
-			tagG := model.AntennaAmplitudeGain()
-			lg := reader.RoundTripGain(rd.TxAmplitude, p.ReaderDown.Coefficient(rd.TxFreq), p.ReaderUp.Coefficient(rd.TxFreq)) * complex(tagG*tagG, 0)
-			leak := p.CIBLeakPerWatt * 8 * link.ChainAmplitude() * link.ChainAmplitude()
-			jam := []radio.ToneAt{{Freq: 915e6, Power: leak}}
-			if dr, err := rd.DecodeUplink(bs, lg, jam, len(replyMsg.Bits), r.Split("ul")); err == nil && dr.Bits.Equal(replyMsg.Bits) {
-				return true, nil
-			}
-			return false, nil
+			return decodesRN16(lk.(*link.Link), sc, model, rd, "ul", r)
 		},
 		Row: func(drift float64, decoded []bool) ([]engine.Cell, error) {
 			ok := 0

@@ -1,10 +1,7 @@
 package ivnsim
 
 import (
-	"math"
-
 	"ivn/internal/baseline"
-	"ivn/internal/core"
 	"ivn/internal/link"
 	"ivn/internal/radio"
 	"ivn/internal/rng"
@@ -23,13 +20,13 @@ import (
 // be shared between concurrently running trials.
 
 // gainKit is one worker's reusable state for gain trials (Fig9-12): the
-// realized placement (channels + ray buffers), the CIB beamformer
-// (relocked, not rebuilt, while the antenna count and carrier are
-// stable), and carrier/coefficient buffers.
+// realized placement (channels + ray buffers), the link layer's trial kit
+// (its beamformer relocked, not rebuilt, while the antenna count and
+// carrier are stable), and the carrier buffer of the same-frequency
+// baselines.
 type gainKit struct {
 	placement scenario.Placement
-	bf        *core.Beamformer
-	chans     []complex128
+	lk        link.TrialKit
 	carr      []radio.Carrier
 	single    [1]radio.Carrier
 	child     rng.Rand
@@ -37,76 +34,54 @@ type gainKit struct {
 
 func newGainKit() any { return new(gainKit) }
 
-// measure realizes the placement into retained storage, then measures
-// the four schemes against identical channels. Draw order: placement
-// draws, "cib" split + PLL locks, "blind" split + phases.
+// realize realizes the placement and its CIB link into retained storage.
+// Draw order: placement draws, then the link's "cib" split + PLL locks.
+func (k *gainKit) realize(sc scenario.Scenario, n int, tr *session.Trace, r *rng.Rand) (*link.Link, error) {
+	if err := scenario.RealizeInto(sc, &k.placement, n, r); err != nil {
+		return nil, err
+	}
+	return k.lk.ForTrial(&k.placement, n, tr, r)
+}
+
+// singlePeak is the peak power of the link's chain 0 alone at its
+// operating point: the single-antenna denominator of every gain.
+func (k *gainKit) singlePeak(lk *link.Link) (float64, error) {
+	k.single[0] = radio.Carrier{Freq: lk.Beamformer.CenterFreq, Phase: 0, Amplitude: link.ChainAmplitude()}
+	return baseline.PeakReceivedPower(k.single[:], lk.Downlink()[:1], link.ScanDuration, 1)
+}
+
+// measure realizes the placement and its link, then measures the four
+// schemes against identical channels. Draw order: placement draws, "cib"
+// split + PLL locks, "blind" split + phases.
 func (k *gainKit) measure(sc scenario.Scenario, n int, tr *session.Trace, r *rng.Rand) (GainSample, error) {
 	var out GainSample
-	if err := scenario.RealizeInto(sc, &k.placement, n, r); err != nil {
+	lk, err := k.realize(sc, n, tr, r)
+	if err != nil {
 		return out, err
 	}
-	p := &k.placement
-	g := p.Geometry()
-	k.chans = link.DownlinkCoeffsInto(k.chans[:0], p, g.CIBFreq)
+	out.CIB = lk.PeakPower()
+	if out.Single, err = k.singlePeak(lk); err != nil {
+		return out, err
+	}
+	chans := lk.Downlink()
+	freq := lk.Beamformer.CenterFreq
 	amp := link.ChainAmplitude()
-
-	// CIB: offset carriers with fresh random PLL phases. core.New's only
-	// randomness is the array lock, so relocking the retained beamformer
-	// reproduces a rebuild's phase stream exactly.
-	r.SplitInto(&k.child, "cib")
-	//ivn:allow floatcmp exact cache-key identity check: any difference must force a rebuild
-	if k.bf == nil || k.bf.N() != n || k.bf.CenterFreq != g.CIBFreq {
-		cfg := core.DefaultConfig()
-		cfg.Antennas = n
-		cfg.CenterFreq = g.CIBFreq
-		bf, err := core.New(cfg, &k.child)
-		if err != nil {
-			return out, err
-		}
-		k.bf = bf
-	} else {
-		k.bf.Relock(&k.child)
-	}
-	k.carr = k.bf.AppendCarriers(k.carr[:0])
-	var err error
-	out.CIB, err = baseline.PeakReceivedPowerRefined(k.carr, k.chans, link.ScanDuration, link.ScanCoarse, link.ScanSamples)
-	if err != nil {
-		return out, err
-	}
-	if tr != nil {
-		// Gain trials realize the CIB downlink without a full Link (no
-		// reader leg); report it with the same event the link layer emits.
-		tr.Emit(session.Event{Kind: session.EvLinkRealized, Value: 10*math.Log10(out.CIB) + 30})
-	}
-
-	// Single antenna: chain 0 alone.
-	k.single[0] = radio.Carrier{Freq: g.CIBFreq, Phase: 0, Amplitude: amp}
-	out.Single, err = baseline.PeakReceivedPower(k.single[:], k.chans[:1], link.ScanDuration, 1)
-	if err != nil {
-		return out, err
-	}
 
 	// Blind same-frequency array.
 	r.SplitInto(&k.child, "blind")
-	blind, err := baseline.BlindArrayInto(k.carr[:0], n, g.CIBFreq, amp, &k.child)
-	if err != nil {
+	if k.carr, err = baseline.BlindArrayInto(k.carr[:0], n, freq, amp, &k.child); err != nil {
 		return out, err
 	}
-	out.Blind, err = baseline.PeakReceivedPower(blind, k.chans, link.ScanDuration, 1)
-	if err != nil {
+	if out.Blind, err = baseline.PeakReceivedPower(k.carr, chans, link.ScanDuration, 1); err != nil {
 		return out, err
 	}
 
 	// Oracle MRT.
-	mrt, err := baseline.OracleMRTInto(k.carr[:0], g.CIBFreq, amp, k.chans)
-	if err != nil {
+	if k.carr, err = baseline.OracleMRTInto(k.carr[:0], freq, amp, chans); err != nil {
 		return out, err
 	}
-	out.MRT, err = baseline.PeakReceivedPower(mrt, k.chans, link.ScanDuration, 1)
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	out.MRT, err = baseline.PeakReceivedPower(k.carr, chans, link.ScanDuration, 1)
+	return out, err
 }
 
 // commKit is one worker's reusable state for communication trials

@@ -7,19 +7,12 @@
 // real physics through it; tests script fakes against the same
 // interface.
 //
-// Links come from two places:
-//
-//   - RealizeInto binds an existing beamformer/reader pair (the
-//     ivn.System path); the leak term sums the array's actual radiated
-//     power.
-//   - TrialKit.ForTrial builds the per-trial chain from the placement's
-//     geometry (the ivnsim measurement path), reusing it across trials;
-//     the leak term uses the nominal n·chainAmplitude² of the experiment
-//     write-ups. The package-level ForTrial is a kit used once.
-//
-// The two leak expressions agree only to ~1 ulp for n ≥ 6, so each path
-// keeps its own arithmetic — collapsing them would silently shift every
-// committed golden table.
+// RealizeInto is the one realizer: it binds a beamformer, a reader and a
+// placement into a Link, scanning the CIB peak and setting the jam tone
+// to CIBLeakPerWatt · n · ChainAmplitude()², the leak of n chains at
+// their 1 W operating point. TrialKit.ForTrial builds or relocks the
+// per-trial chain from the placement's geometry and realizes through it;
+// the package-level ForTrial is a kit used once.
 package link
 
 import (
@@ -86,13 +79,6 @@ func ChainAmplitude() float64 {
 	return pa.Amplify(pa.OperatingDrive())
 }
 
-// PeakDownlink scans one CIB envelope period for its power peak.
-//
-//ivn:unit return W
-func PeakDownlink(bf *core.Beamformer, chans []complex128) (float64, error) {
-	return baseline.PeakReceivedPowerRefined(bf.Carriers(), chans, ScanDuration, ScanCoarse, ScanSamples)
-}
-
 // Link is one placement's realized physical layer: beamformer downlink,
 // out-of-band reader uplink, and the jam tone between them. It
 // implements session.Link. A Link is single-exchange state: realize one
@@ -107,23 +93,29 @@ type Link struct {
 	// Trace observes physical-layer events; nil is free.
 	Trace *session.Trace
 
-	peak float64 //ivn:unit W
-	jam  [1]radio.ToneAt
+	peak  float64 //ivn:unit W
+	jam   [1]radio.ToneAt
+	chans []complex128
+	carr  []radio.Carrier
 }
 
-// RealizeInto binds an existing beamformer/reader pair to a placement —
-// the ivn.System path — into caller-owned storage, so one Link value
-// serves sequential exchanges without allocating per exchange. l is
-// fully overwritten. The CIB→reader jam tone uses the array's actual
-// radiated-power sum.
+// RealizeInto binds a beamformer, a reader and a placement into l: it
+// scans one CIB envelope period of bf's carriers against the placement's
+// downlink for the peak, and sets the CIB→reader jam tone at bf's center
+// to p.CIBLeakPerWatt · n · ChainAmplitude()² for bf's n chains. The
+// coefficient and carrier buffers l keeps between calls are reused, so
+// one Link serves sequential exchanges without allocating; every other
+// field is overwritten.
 func RealizeInto(l *Link, bf *core.Beamformer, rd *reader.Reader, p *scenario.Placement, tr *session.Trace) error {
-	chans := DownlinkCoeffs(p, bf.CenterFreq)
-	peak, err := PeakDownlink(bf, chans)
+	l.chans = DownlinkCoeffsInto(l.chans[:0], p, bf.CenterFreq)
+	l.carr = bf.AppendCarriers(l.carr[:0])
+	peak, err := baseline.PeakReceivedPowerRefined(l.carr, l.chans, ScanDuration, ScanCoarse, ScanSamples)
 	if err != nil {
 		return err
 	}
-	*l = Link{Beamformer: bf, Reader: rd, Placement: p, Trace: tr, peak: peak}
-	l.jam[0] = radio.ToneAt{Freq: bf.CenterFreq, Power: p.CIBLeakPerWatt * bf.Array.TotalRadiatedPower()}
+	l.Beamformer, l.Reader, l.Placement, l.Trace, l.peak = bf, rd, p, tr, peak
+	amp := ChainAmplitude()
+	l.jam[0] = radio.ToneAt{Freq: bf.CenterFreq, Power: p.CIBLeakPerWatt * float64(bf.N()) * amp * amp}
 	if tr != nil {
 		tr.Emit(session.Event{Kind: session.EvLinkRealized, Value: l.PeakPowerDBm()})
 	}
@@ -140,9 +132,9 @@ func ForTrial(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand) (*Li
 // amortized across many trials: the beamformer is relocked instead of
 // rebuilt when the antenna count and carrier are unchanged (core.New's
 // only randomness is the PLL lock, so Relock reproduces its phase stream
-// exactly), the reader and its receiver are reset in place, and
-// coefficient/carrier buffers are retained. A reused kit draws exactly
-// the variate sequence of a fresh one and yields an equivalent Link
+// exactly), the reader and its receiver are reset in place, and the
+// Link's buffers are retained. A reused kit draws exactly the variate
+// sequence of a fresh one and yields an equivalent Link
 // (TestTrialKitMatchesForTrial); the returned Link aliases kit storage,
 // so it is valid until the next ForTrial call and a kit must not be
 // shared between concurrent trials.
@@ -150,15 +142,14 @@ type TrialKit struct {
 	bf    *core.Beamformer
 	rd    *reader.Reader
 	link  Link
-	chans []complex128
-	carr  []radio.Carrier
 	child rng.Rand
 }
 
-// ForTrial realizes the chain at the placement's geometry: a default
-// n-antenna beamformer locked from r.Split("cib") at the geometry's CIB
-// carrier, and a default reader at the geometry's out-of-band carrier
-// carrying the placement's motion-induced phase drift.
+// ForTrial realizes the chain at the placement's geometry through
+// RealizeInto: a default n-antenna beamformer locked from
+// r.Split("cib") at the geometry's CIB carrier, and a default reader at
+// the geometry's out-of-band carrier carrying the placement's
+// motion-induced phase drift.
 func (k *TrialKit) ForTrial(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand) (*Link, error) {
 	g := p.Geometry()
 	r.SplitInto(&k.child, "cib")
@@ -184,17 +175,8 @@ func (k *TrialKit) ForTrial(p *scenario.Placement, n int, tr *session.Trace, r *
 		k.rd.RX = radio.NewReceiver(g.ReaderFreq)
 	}
 	k.rd.PhaseDriftPerPeriod = p.UplinkPhaseDriftPerPeriod
-	k.chans = DownlinkCoeffsInto(k.chans[:0], p, g.CIBFreq)
-	k.carr = k.bf.AppendCarriers(k.carr[:0])
-	peak, err := baseline.PeakReceivedPowerRefined(k.carr, k.chans, ScanDuration, ScanCoarse, ScanSamples)
-	if err != nil {
+	if err := RealizeInto(&k.link, k.bf, k.rd, p, tr); err != nil {
 		return nil, err
-	}
-	k.link = Link{Beamformer: k.bf, Reader: k.rd, Placement: p, Trace: tr, peak: peak}
-	amp := ChainAmplitude()
-	k.link.jam[0] = radio.ToneAt{Freq: g.CIBFreq, Power: p.CIBLeakPerWatt * float64(n) * amp * amp}
-	if tr != nil {
-		tr.Emit(session.Event{Kind: session.EvLinkRealized, Value: k.link.PeakPowerDBm()})
 	}
 	return &k.link, nil
 }
@@ -210,9 +192,12 @@ func (l *Link) PeakPower() float64 { return l.peak }
 func (l *Link) PeakPowerDBm() float64 { return 10*math.Log10(l.peak) + 30 }
 
 // Jam returns the CIB→reader leakage tone set.
-//
-//ivn:allow unreached the benchmark in _perfbench decodes the uplink against it
 func (l *Link) Jam() []radio.ToneAt { return l.jam[:] }
+
+// Downlink returns the downlink channel coefficients at the CIB carrier,
+// one per chain, that the peak was scanned against. It aliases the
+// Link's buffer and is valid until the next RealizeInto into this Link.
+func (l *Link) Downlink() []complex128 { return l.chans }
 
 // RoundTrip is the reader→tag→reader amplitude gain for a tag model at
 // this placement; the tag's antenna gain applies twice (receiving the

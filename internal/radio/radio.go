@@ -315,15 +315,3 @@ func (a *Array) PerturbedCarriers(f CarrierFault) []Carrier {
 	}
 	return out
 }
-
-// TotalRadiatedPower returns Σ amplitude².
-//
-//ivn:unit return W
-func (a *Array) TotalRadiatedPower() float64 {
-	var p float64 //ivn:unit W
-	for _, c := range a.Chains {
-		amp := c.Carrier().Amplitude
-		p += amp * amp
-	}
-	return p
-}

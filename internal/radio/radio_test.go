@@ -135,9 +135,6 @@ func TestArrayLockAndCarriers(t *testing.T) {
 	if cs[0].Phase == cs[1].Phase && cs[1].Phase == cs[2].Phase {
 		t.Fatal("all PLLs locked at the same phase")
 	}
-	if p := arr.TotalRadiatedPower(); p <= 0 {
-		t.Fatalf("total power %v", p)
-	}
 }
 
 func TestArrayLockDeterministicPerSeed(t *testing.T) {

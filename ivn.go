@@ -74,9 +74,10 @@ type System struct {
 	Observer session.Observer
 
 	root *rng.Rand
-	// lk is scratch storage for the per-exchange physical link; reused
-	// across sequential exchanges so the hot path allocates nothing for
-	// it (a System is single-goroutine by contract).
+	// lk is scratch storage for the physical link of each exchange and
+	// survey trial; reused across sequential calls so the hot path
+	// allocates nothing for it (a System is single-goroutine by
+	// contract).
 	lk link.Link
 }
 
@@ -529,18 +530,16 @@ func (s *System) SurveyGain(sc scenario.Scenario, trials int) (stats.Summary, er
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		chans := link.DownlinkCoeffs(p, s.Beamformer.CenterFreq)
 		s.Beamformer.Relock(r.Split("pll"))
-		peak, err := link.PeakDownlink(s.Beamformer, chans)
-		if err != nil {
+		if err := link.RealizeInto(&s.lk, s.Beamformer, s.Reader, p, nil); err != nil {
 			return stats.Summary{}, err
 		}
 		amp := s.Beamformer.Carriers()[0].Amplitude
-		single, err := baseline.PeakReceivedPower(baseline.SingleAntenna(s.Beamformer.CenterFreq, amp), chans[:1], link.ScanDuration, 1)
+		single, err := baseline.PeakReceivedPower(baseline.SingleAntenna(s.Beamformer.CenterFreq, amp), s.lk.Downlink()[:1], link.ScanDuration, 1)
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		gains = append(gains, peak/single)
+		gains = append(gains, s.lk.PeakPower()/single)
 	}
 	return stats.Summarize(gains)
 }
