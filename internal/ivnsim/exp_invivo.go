@@ -7,11 +7,9 @@ import (
 
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
-	"ivn/internal/link"
-	"ivn/internal/radio"
-	"ivn/internal/reader"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
+	"ivn/internal/session"
 	"ivn/internal/tag"
 )
 
@@ -122,35 +120,46 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 		if !(tr.Powered && tr.Decoded) {
 			continue
 		}
-		// Re-synthesize the same session's waveform for display: the same
-		// stream realizes the same placement again, into the kit's storage.
-		r2 := parent.SplitIndexed("fig15", attempt)
-		if err := scenario.RealizeInto(sc, &k.placement, 8, r2); err != nil {
+		// Replay the found session for display in commKit.trial's order:
+		// the same stream realizes the same placement and link ("cib")
+		// into the kit, then the tag draws from the same "tag" split, so
+		// the tag sends the session's RN16 and the kit's reader, which
+		// carries the placement's breathing drift, decodes it against the
+		// link's jam.
+		r = parent.SplitIndexed("fig15", attempt)
+		if err := scenario.RealizeInto(sc, &k.placement, 8, r); err != nil {
 			return nil, err
 		}
-		p := &k.placement
+		lk, err := k.lk.ForTrial(&k.placement, 8, nil, r)
+		if err != nil {
+			return nil, err
+		}
 		var tagRand rng.Rand
-		r2.SplitInto(&tagRand, "tag")
+		r.SplitInto(&tagRand, "tag")
 		tg, err := tag.New(model, defaultEPC, &tagRand)
 		if err != nil {
 			return nil, err
 		}
-		tg.UpdatePower(tr.PeakPower)
-		reply := tg.HandleCommand(&gen2.Query{Q: 0})
-		rd := reader.New()
+		x := session.Exchange{Link: lk}
+		x.PowerUp(tg, lk.PeakPower())
+		reply, err := x.Query(tg, &gen2.Query{Q: 0, Session: gen2.S0})
+		if err != nil {
+			return nil, err
+		}
+		rd := lk.Reader
 		bs, err := tg.BackscatterWaveform(reply, rd.SamplesPerHalfBit)
 		if err != nil {
 			return nil, err
 		}
-		down := p.ReaderDown.Coefficient(rd.TxFreq)
-		up := p.ReaderUp.Coefficient(rd.TxFreq)
-		tagG := model.AntennaAmplitudeGain()
-		gain := reader.RoundTripGain(rd.TxAmplitude, down, up) * complex(tagG*tagG, 0)
-		leak := p.CIBLeakPerWatt * 8 * link.ChainAmplitude() * link.ChainAmplitude()
-		jam := []radio.ToneAt{{Freq: 915e6, Power: leak}}
-		dr, err := rd.DecodeUplink(bs, gain, jam, len(reply.Bits), r2.Split("uplink"))
+		gain := lk.RoundTrip(model)
+		jam := lk.Jam()
+		dr, err := rd.DecodeUplink(bs, gain, jam, len(reply.Bits), r.Split("uplink"))
 		if err != nil {
-			continue
+			return nil, err
+		}
+		//ivn:allow floatcmp the replay draws the session's own streams, so any difference is a replay fault
+		if dr.Correlation != tr.Correlation {
+			return nil, fmt.Errorf("ivnsim: %s: replay of attempt %d correlates %v, the session %v", id, attempt+1, dr.Correlation, tr.Correlation)
 		}
 		// Render the post-averaging received waveform the decoder saw:
 		// backscatter levels through the link plus residual noise.
@@ -159,7 +168,7 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 		sigma := mathSqrt(noise / 2 / float64(rd.AveragingPeriods))
 		halfBits := len(bs) / sp
 		dispNoise := make([]float64, halfBits*sp)
-		r2.Split("display-noise").NormFloat64s(dispNoise)
+		r.Split("display-noise").NormFloat64s(dispNoise)
 		for hb := 0; hb < halfBits; hb++ {
 			var mean float64
 			for k := 0; k < sp; k++ {

@@ -1,6 +1,8 @@
 package ivnsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ivn/internal/em"
@@ -135,6 +137,73 @@ func TestCommTrialTagDrawsItsOwnStream(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: %+v, replayed with the trial's own tag stream %+v", i, got, want)
+		}
+	}
+}
+
+// TestFig15ShowsTheFoundSession pins fig15's notes to the session its
+// search found, the first attempt whose comm trial powers up and
+// decodes: the RN16 printed is the one that session's tag sent, drawn
+// from the trial's "tag" split after the link's "cib" split, and the
+// correlation printed is the session's own.
+func TestFig15ShowsTheFoundSession(t *testing.T) {
+	for _, c := range []struct {
+		id    string
+		sc    scenario.Scenario
+		model tag.Model
+	}{
+		{"fig15a", scenario.NewSwine(scenario.Gastric), tag.StandardTag()},
+		{"fig15b", scenario.NewSwine(scenario.Subcutaneous), tag.MiniatureTag()},
+	} {
+		e, err := ByID(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := goldenConfig()
+		res, err := e.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		parent := rng.New(cfg.Seed)
+		attempt, found := 0, CommTrial{}
+		for ; attempt < 40 && !(found.Powered && found.Decoded); attempt++ {
+			if found, err = RunCommTrial(c.sc, 8, c.model, CommOptions{Waveform: true}, parent.SplitIndexed("fig15", attempt)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !(found.Powered && found.Decoded) {
+			t.Fatalf("%s: no session found", c.id)
+		}
+		r := parent.SplitIndexed("fig15", attempt-1)
+		p, err := c.sc.Realize(8, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := link.ForTrial(p, 8, nil, r); err != nil {
+			t.Fatal(err)
+		}
+		var tagRand rng.Rand
+		r.SplitInto(&tagRand, "tag")
+		tg, err := tag.New(c.model, defaultEPC, &tagRand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg.UpdatePower(found.PeakPower)
+		reply := tg.HandleCommand(&gen2.Query{Q: 0})
+
+		want := []string{
+			fmt.Sprintf("decoded RN16 bits: %s", reply.Bits),
+			fmt.Sprintf("preamble correlation %.3f ", found.Correlation),
+			fmt.Sprintf("session found on attempt %d;", attempt),
+		}
+		if len(res.Notes) != len(want) {
+			t.Fatalf("%s: notes %q", c.id, res.Notes)
+		}
+		for i, w := range want {
+			if !strings.HasPrefix(res.Notes[i], w) {
+				t.Errorf("%s: note %q, want it to start %q", c.id, res.Notes[i], w)
+			}
 		}
 	}
 }
