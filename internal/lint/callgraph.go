@@ -42,7 +42,7 @@ type CallEdge struct {
 // declaring function's node: a literal's calls and allocation sites are
 // attributed to the encloser, which over-approximates (the literal might
 // never run) but never misses behavior — the right direction for every
-// fact this engine feeds.
+// analysis this graph feeds.
 type Node struct {
 	ID   FuncID
 	Fn   *types.Func
@@ -265,4 +265,15 @@ func Chain(root, id FuncID, parent map[FuncID]CallEdge) []FuncID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
+}
+
+// sortedNodeIDs returns the graph's node IDs in lexical order, so the
+// walks over them run deterministically.
+func sortedNodeIDs(g *CallGraph) []FuncID {
+	ids := make([]FuncID, 0, len(g.Nodes))
+	for id := range g.Nodes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

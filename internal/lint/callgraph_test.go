@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// writeTree materializes a throwaway module for graph and fact tests.
+// writeTree materializes a throwaway module for graph and analyzer tests.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -168,56 +168,6 @@ func Mut2(n int) int { return Mut1(n) }
 	chain := Chain(mut1, mut2, parent)
 	if len(chain) != 2 || chain[0] != mut1 || chain[1] != mut2 {
 		t.Errorf("chain = %v", chain)
-	}
-}
-
-// TestFactsFixpoint checks the direct facts and their transitive taints
-// through a two-deep helper chain.
-func TestFactsFixpoint(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"go.mod": "module example.com/m\n",
-		"k/k.go": `package k
-
-import (
-	"math/rand"
-	"time"
-)
-
-func clocky() int64 { return time.Now().UnixNano() }
-
-func viaClock() int64 { return clocky() }
-
-func viaClock2() int64 { return viaClock() }
-
-func randy() float64 { return rand.Float64() }
-
-func pure(x int) int { return x * 2 }
-`,
-	})
-	prog := loadProgram(t, root, "k", "example.com/m/k")
-	facts := prog.Facts
-	ff := func(name string) *FuncFacts {
-		t.Helper()
-		f := facts.Per[FuncID("example.com/m/k."+name)]
-		if f == nil {
-			t.Fatalf("no facts for %s", name)
-		}
-		return f
-	}
-	if len(ff("clocky").WallClock) != 1 {
-		t.Errorf("clocky.WallClock = %v", ff("clocky").WallClock)
-	}
-	for _, name := range []string{"viaClock", "viaClock2"} {
-		if !ff(name).MayReadClock {
-			t.Errorf("%s: transitive wall-clock taint missing", name)
-		}
-	}
-	if !ff("randy").MayUseGlobalRand {
-		t.Error("randy: global-rand taint missing")
-	}
-	p := ff("pure")
-	if p.MayAlloc || p.MayReadClock || p.MayUseGlobalRand {
-		t.Errorf("pure tainted: %+v", p)
 	}
 }
 

@@ -5,58 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// This file computes the per-function fact store the interprocedural
-// analyzers share. Facts come in two flavors:
-//
-//   - direct facts, read straight off a function body: allocation sites,
-//     wall-clock reads, global-rand usage;
-//   - transitive facts, propagated over the call graph to fixpoint:
-//     "may allocate anywhere in its closure", "may read the wall clock",
-//     "may consume global rand".
-//
-// The lattices are finite and monotone (bool taints ordered
-// false < true), so the worklist terminates.
+// This file reads the one per-function fact the hotpath analyzer checks
+// off a function body: its heap-allocation sites.
 
-// FactSite is one body-level occurrence of a fact: a position plus a
+// allocSite is one allocation site in a body: a position plus a
 // human-readable description used verbatim in findings.
-type FactSite struct {
-	Pos  token.Pos
-	What string
-}
-
-// FuncFacts holds the computed facts for one call-graph node.
-type FuncFacts struct {
-	// Allocs lists the direct heap-allocation sites in the body:
-	// make/new, growing append, slice/map composite literals, &literal,
-	// string concatenation and conversions, capturing closures, method
-	// values, interface boxing of non-pointer values, go statements,
-	// and map writes. The `append(x[:0], ...)` reuse idiom is exempt
-	// (growth amortizes into recycled capacity), as are constants boxed
-	// into interfaces (the compiler materializes those statically).
-	Allocs []FactSite
-	// WallClock lists direct reads of the wall clock (time.Now & co).
-	WallClock []FactSite
-	// GlobalRand lists direct uses of the process-global math/rand state.
-	GlobalRand []FactSite
-
-	// MayAlloc / MayReadClock / MayUseGlobalRand are the transitive
-	// closures: true when the function or anything reachable from it over
-	// static call edges exhibits the fact. Dynamic calls and calls into
-	// packages outside the graph (other than the allocation-free
-	// assumption set) taint MayAlloc conservatively.
-	MayAlloc         bool
-	MayReadClock     bool
-	MayUseGlobalRand bool
-}
-
-// Facts is the module-wide fact store, keyed like the call graph.
-type Facts struct {
-	Graph *CallGraph
-	Per   map[FuncID]*FuncFacts
+type allocSite struct {
+	pos  token.Pos
+	what string
 }
 
 // allocFreeExternPkgs are packages outside the graph whose functions are
@@ -68,94 +27,18 @@ var allocFreeExternPkgs = map[string]bool{
 	"math/cmplx": true,
 }
 
-// sortedNodeIDs returns the graph's node IDs in lexical order, so the
-// walks over them run deterministically.
-func sortedNodeIDs(g *CallGraph) []FuncID {
-	ids := make([]FuncID, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// computeFacts builds the fact store for g and runs the transitive
-// taints to fixpoint.
-func computeFacts(g *CallGraph) *Facts {
-	fc := &Facts{Graph: g, Per: make(map[FuncID]*FuncFacts, len(g.Nodes))}
-	for id, n := range g.Nodes {
-		ff := &FuncFacts{}
-		collectDirectFacts(g, n, ff)
-		fc.Per[id] = ff
-	}
-	fc.fixpointTaints()
-	return fc
-}
-
-// fixpointTaints propagates MayAlloc / MayReadClock / MayUseGlobalRand
-// backwards over the reverse call edges until nothing changes.
-func (fc *Facts) fixpointTaints() {
-	var work []FuncID
-	for _, id := range sortedNodeIDs(fc.Graph) {
-		n := fc.Graph.Nodes[id]
-		ff := fc.Per[id]
-		ff.MayAlloc = len(ff.Allocs) > 0 || len(n.Dynamic) > 0
-		ff.MayReadClock = len(ff.WallClock) > 0
-		ff.MayUseGlobalRand = len(ff.GlobalRand) > 0
-		for _, e := range n.Calls {
-			if fc.Graph.Nodes[e.Callee] == nil && !allocFreeExternPkgs[e.CalleePkg] {
-				ff.MayAlloc = true
-			}
-		}
-		if ff.MayAlloc || ff.MayReadClock || ff.MayUseGlobalRand {
-			work = append(work, id)
-		}
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		src := fc.Per[id]
-		for _, caller := range fc.Graph.Callers[id] {
-			dst := fc.Per[caller]
-			changed := false
-			if src.MayAlloc && !dst.MayAlloc {
-				dst.MayAlloc, changed = true, true
-			}
-			if src.MayReadClock && !dst.MayReadClock {
-				dst.MayReadClock, changed = true, true
-			}
-			if src.MayUseGlobalRand && !dst.MayUseGlobalRand {
-				dst.MayUseGlobalRand, changed = true, true
-			}
-			if changed {
-				work = append(work, caller)
-			}
-		}
-	}
-}
-
-// collectDirectFacts scans n's body for the direct fact sites.
-func collectDirectFacts(g *CallGraph, n *Node, ff *FuncFacts) {
+// allocSites lists the direct heap-allocation sites in n's body, in
+// source order: make/new, growing append, slice/map composite literals,
+// &literal, string concatenation and conversions, capturing closures,
+// method values, interface boxing of non-pointer values, go statements,
+// and map writes. The `append(x[:0], ...)` reuse idiom is exempt
+// (growth amortizes into recycled capacity), as are constants boxed
+// into interfaces (the compiler materializes those statically).
+func allocSites(g *CallGraph, n *Node) []allocSite {
 	info := n.Pkg.Info
-
-	// Calls into time and global math/rand, read off the resolved edges.
-	for _, e := range n.Calls {
-		name := shortFuncName(e.Callee)
-		switch e.CalleePkg {
-		case "time":
-			switch name {
-			case "Now", "Since", "Until", "Tick", "After", "NewTicker", "NewTimer":
-				ff.WallClock = append(ff.WallClock, FactSite{e.Pos, "time." + name})
-			}
-		case "math/rand", "math/rand/v2":
-			if !strings.Contains(string(e.Callee), ")") { // package-level, not a *Rand method
-				ff.GlobalRand = append(ff.GlobalRand, FactSite{e.Pos, e.CalleePkg + "." + name})
-			}
-		}
-	}
-
+	var sites []allocSite
 	report := func(pos token.Pos, format string, args ...any) {
-		ff.Allocs = append(ff.Allocs, FactSite{pos, fmt.Sprintf(format, args...)})
+		sites = append(sites, allocSite{pos, fmt.Sprintf(format, args...)})
 	}
 
 	// Selectors and identifiers consumed as a call's Fun: method CALLS,
@@ -255,6 +138,7 @@ func collectDirectFacts(g *CallGraph, n *Node, ff *FuncFacts) {
 		}
 		return true
 	})
+	return sites
 }
 
 // constValue returns the constant value of e, or nil if e is not
@@ -489,13 +373,4 @@ func writeTypeExpr(b *strings.Builder, e ast.Expr) {
 	default:
 		b.WriteString("T")
 	}
-}
-
-// shortFuncName extracts the bare function/method name from a FuncID.
-func shortFuncName(id FuncID) string {
-	s := string(id)
-	if i := strings.LastIndex(s, "."); i >= 0 {
-		return s[i+1:]
-	}
-	return s
 }

@@ -13,8 +13,9 @@ import (
 //	//ivn:hotpath
 //	func MaxDwellAbove(...) ... { ... }
 //
-// has its entire static call-graph closure checked against the fact
-// store: any reachable allocation site — make/new, growing append,
+// has its entire static call-graph closure checked, each function's
+// body scanned when the walk first reaches it: any reachable allocation
+// site — make/new, growing append,
 // slice/map literals, &literal, string concatenation or conversion,
 // capturing closure, method value, interface boxing, go statement, map
 // write — is reported, as is any call the graph cannot see through
@@ -67,7 +68,7 @@ func runHotpath(pass *Pass) {
 }
 
 // checkHotRoot walks root's closure over static call edges and reports
-// every fact that breaks the allocation-freedom proof. Findings are
+// every site that breaks the allocation-freedom proof. Findings are
 // deduplicated by position across roots: the first root to reach a site
 // reports it.
 func checkHotRoot(pass *Pass, root FuncID) {
@@ -100,11 +101,8 @@ func checkHotRoot(pass *Pass, root FuncID) {
 		if id != root {
 			suffix = " (path: " + chainString(root, id, parent) + ")"
 		}
-		ff := prog.Facts.Per[id]
-		if ff != nil {
-			for _, site := range ff.Allocs {
-				emit(site.Pos, "hot path %s: %s%s", shortID(root), site.What, suffix)
-			}
+		for _, site := range allocSites(g, n) {
+			emit(site.pos, "hot path %s: %s%s", shortID(root), site.what, suffix)
 		}
 		for _, pos := range n.Dynamic {
 			emit(pos, "hot path %s: dynamic call (function value or interface method) cannot be proven allocation-free%s", shortID(root), suffix)

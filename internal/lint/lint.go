@@ -77,9 +77,9 @@ type Pass struct {
 	Files []*ast.File
 	// Info is the package's type-checking result.
 	Info *types.Info
-	// Prog is the module-wide interprocedural view: call graph, fact
-	// store and unit-annotation index over every package of the run
-	// (analyzed packages plus their loaded dependencies).
+	// Prog is the module-wide interprocedural view: call graph and
+	// unit-annotation index over every package of the run (analyzed
+	// packages plus their loaded dependencies).
 	Prog *Program
 
 	analyzer *Analyzer
@@ -112,16 +112,15 @@ func Analyzers() []*Analyzer {
 }
 
 // Program is the interprocedural view shared by every pass of one run:
-// the module-wide call graph, the fixpointed fact store, and the
-// unit-annotation index. Analyzed packages contribute findings; support
-// packages (dependencies the loader pulled in) contribute bodies, facts
-// and annotations but are never reported on directly.
+// the module-wide call graph and the unit-annotation index. Analyzed
+// packages contribute findings; support packages (dependencies the
+// loader pulled in) contribute bodies and annotations but are never
+// reported on directly.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // analyzed
-	Support  []*Package // facts-only dependencies (deduplicated by path)
+	Support  []*Package // dependencies in view, never reported on (deduplicated by path)
 	Graph    *CallGraph
-	Facts    *Facts
 	Units    *unitIndex
 
 	// Whole reports that the analyzed packages are the whole program, so
@@ -174,7 +173,6 @@ func BuildProgram(analyzed, support []*Package) *Program {
 		Packages:    analyzed,
 		Support:     kept,
 		Graph:       graph,
-		Facts:       computeFacts(graph),
 		Units:       buildUnitIndex(all),
 		hotReported: map[string]bool{},
 	}
@@ -262,7 +260,7 @@ func fileSuppressions(fset *token.FileSet, f *ast.File) ([]*suppSite, []Finding)
 }
 
 // Run executes every analyzer over every analyzed package, with the
-// support packages' bodies and facts in view, applies the //ivn:allow
+// support packages' bodies in view, applies the //ivn:allow
 // suppressions, reports stale ones, and returns the surviving findings
 // sorted by file, line, column and analyzer. Suppressions are
 // module-wide: a finding located in another package's file is silenced
