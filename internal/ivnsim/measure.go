@@ -8,7 +8,6 @@ import (
 	"ivn/internal/engine"
 	"ivn/internal/gen2"
 	"ivn/internal/link"
-	"ivn/internal/reader"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
 	"ivn/internal/session"
@@ -80,18 +79,7 @@ type CommOptions struct {
 	// Trace, when non-nil, observes the trial as a typed event stream on
 	// the simulated air clock. Nil is free.
 	Trace *session.Trace
-	// DecodeFault corrupts waveform captures (reader seam of the fault
-	// layer); with Retries it exercises the bounded capture-retry path.
-	// Leave both zero for the historical single-capture decode (the
-	// retry path draws its noise from a different deterministic stream).
-	DecodeFault reader.DecodeFault
-	// Retries is the extra capture budget when DecodeFault fires.
-	Retries int
 }
-
-// faultAware reports whether the trial must route decodes through the
-// capture-retry path.
-func (o CommOptions) faultAware() bool { return o.DecodeFault != nil || o.Retries > 0 }
 
 // defaultEPC is the EPC programmed into every simulated tag. Shared
 // safely across trials: gen2.NewTagLogic copies the bytes it is given.
@@ -137,13 +125,7 @@ func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts Comm
 	// Uplink through the out-of-band reader; subject motion dephases the
 	// averaged periods.
 	if opts.Waveform {
-		var dec session.Decode
-		var ok bool
-		if opts.faultAware() {
-			dec, ok, err = lk.DecodeWithRetry(tg, reply, 0, opts.Retries, opts.DecodeFault, "uplink", r)
-		} else {
-			dec, ok, err = lk.Decode(tg, reply, "uplink", r)
-		}
+		dec, ok, err := lk.Decode(tg, reply, "uplink", r)
 		if err != nil {
 			return res, err
 		}

@@ -12,7 +12,10 @@
 // to CIBLeakPerWatt · n · ChainAmplitude()², the leak of n chains at
 // their 1 W operating point. TrialKit.ForTrial builds or relocks the
 // per-trial chain from the placement's geometry and realizes through it;
-// the package-level ForTrial is a kit used once.
+// the package-level ForTrial is a kit used once. Link.Decode is the one
+// uplink decode, a single capture per reply: the fault-matrix experiment,
+// the only user of bounded capture retries, calls
+// reader.DecodeUplinkWithRetry itself.
 package link
 
 import (
@@ -281,40 +284,4 @@ func (l *Link) Decode(tg *tag.Tag, reply gen2.Reply, label string, r *rng.Rand) 
 		return session.Decode{}, false, nil
 	}
 	return session.Decode{Bits: dr.Bits, Correlation: dr.Correlation}, true, nil
-}
-
-// DecodeWithRetry is Decode through the reader's bounded capture-retry
-// path (PR 3 recovery): up to 1+retries attempts, each a fresh noise
-// realization, with fault deciding per-attempt capture corruption.
-// exchange identifies this decode for the fault layer. Note the retry
-// path derives its noise as r.Split(label).Split("attempt-<i>") — a
-// different stream than plain Decode — so callers switch paths only
-// when retry/fault behavior is actually requested.
-func (l *Link) DecodeWithRetry(tg *tag.Tag, reply gen2.Reply, exchange, retries int, fault reader.DecodeFault, label string, r *rng.Rand) (session.Decode, bool, error) {
-	bs, err := tg.BackscatterWaveform(reply, l.Reader.SamplesPerHalfBit)
-	if err != nil {
-		return session.Decode{}, false, err
-	}
-	rr, err := l.Reader.DecodeUplinkWithRetry(exchange, retries, fault, bs, l.RoundTrip(tg.Model), l.jam[:], len(reply.Bits), r.Split(label))
-	if err != nil {
-		return session.Decode{}, false, err
-	}
-	ok := rr.Succeeded() && rr.Result.Bits.Equal(reply.Bits)
-	if l.Trace != nil {
-		for i, att := range rr.Attempts {
-			l.Trace.Advance(float64(l.averagingPeriods()) * ScanDuration)
-			if i > 0 {
-				l.Trace.Emit(session.Event{Kind: session.EvRetryTaken, Cmd: "decode", Attempt: i, Outcome: att.String()})
-			}
-		}
-		e := session.Event{Kind: session.EvReplyDecoded, Label: label, OK: ok}
-		if ok {
-			e.Value = rr.Result.Correlation
-		}
-		l.Trace.Emit(e)
-	}
-	if !ok {
-		return session.Decode{}, false, nil
-	}
-	return session.Decode{Bits: rr.Result.Bits, Correlation: rr.Result.Correlation}, true, nil
 }

@@ -40,8 +40,8 @@ var ErrInventoryIncomplete = errors.New("session: inventory incomplete")
 // RecoveryPolicy enables the reader-side recovery stack: the Gen2 Annex-D
 // style floating-Q adaptation (QueryAdjust mid-sweep), a bounded re-ACK
 // budget on EPC decode failure, and bounded re-query with slot-space
-// backoff across rounds. A nil policy reproduces the pre-recovery
-// controller exactly.
+// backoff across rounds. A nil policy runs none of them: Schoute sizing
+// between sweeps, one ACK per singulation, no re-query.
 type RecoveryPolicy struct {
 	// MaxACKRetries is the per-singulation re-ACK budget: when an EPC
 	// reply is lost or fails its CRC, the controller re-issues the ACK up
@@ -128,17 +128,17 @@ func (f *floatQ) step(cur byte) (next byte, up, moved bool) {
 
 // InventoryController is the reader-side inventory engine: it runs
 // slotted-ALOHA sweeps against a tag population, re-sizing the Q
-// parameter between sweeps from a collision-based backlog estimate.
-// IVN's multi-sensor story (§3.7) rides on this machinery:
+// parameter between sweeps from a collision-based backlog estimate or,
+// with Recovery, mid-sweep by floating-Q adaptation; one sweep loop
+// serves both. IVN's multi-sensor story (§3.7) rides on this machinery:
 // "In order to avoid collision between multiple sensors, IVN can leverage
 // a variety of techniques from standard backscatter communications."
 //
 // With a non-nil Fault the controller sees a degraded channel (truncated
 // commands, browned-out tags, corrupted uplinks); with a non-nil Recovery
-// it fights back (floating-Q adaptation, re-ACK, re-query backoff). Both
-// nil reproduces the historical clean-channel controller command for
-// command. A non-nil Trace receives the typed event stream of every
-// round, timestamped by the commands' PIE frame durations.
+// it fights back (floating-Q adaptation, re-ACK, re-query backoff). A
+// non-nil Trace receives the typed event stream of every round,
+// timestamped by the commands' PIE frame durations.
 type InventoryController struct {
 	// Session is the inventory session to run rounds in.
 	Session gen2.Session
@@ -366,9 +366,9 @@ func (m *medium) corrupt(cmd int, reply gen2.Reply) gen2.Reply {
 // Query with the current Q and walks all 2^Q slots with QueryReps, ACKing
 // singles; after the sweep the backlog is estimated from the collision
 // count (Schoute's 2.39·c estimator) and Q is re-sized for the next sweep.
-// With Recovery set, the Annex-D floating-Q algorithm additionally adjusts
-// Q mid-sweep via QueryAdjust. The round ends when a sweep drains (no
-// replies) or MaxCommands is hit.
+// With Recovery set, the Annex-D floating-Q algorithm sizes Q instead,
+// mid-sweep via QueryAdjust and between sweeps. The round ends when a
+// sweep drains (no replies) or MaxCommands is spent.
 func (ic *InventoryController) RunRound(tags []*gen2.TagLogic, r *rng.Rand) (*RoundStats, error) {
 	return ic.runRound(tags, ic.InitialQ&0xF, r)
 }
@@ -393,10 +393,7 @@ func (ic *InventoryController) runRound(tags []*gen2.TagLogic, q byte, r *rng.Ra
 		m.pop.Reset(tags)
 		defer m.pop.Reset(nil)
 	}
-	if ic.Recovery != nil {
-		return ic.runAdaptive(m, stats, q, maxCmds, r)
-	}
-	return ic.runFixed(m, stats, q, maxCmds, r)
+	return ic.sweep(m, stats, q, maxCmds, r)
 }
 
 // issuer issues one command, charging the round's command budget and
@@ -462,81 +459,27 @@ func (ic *InventoryController) channelDecode(tagIndex int, reply gen2.Reply, exc
 	return dec, nil
 }
 
-// runFixed is the historical sweep structure: fixed Q per sweep, Schoute
-// backlog estimation between sweeps. With Fault == nil it issues exactly
-// the command sequence of the pre-fault controller.
-func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
+// sweep runs RunRound's sweeps until one drains or the budget is spent:
+// no Query, QueryRep or QueryAdjust goes out past MaxCommands. Without
+// Recovery, Q is re-sized between sweeps (Schoute). With it, the Annex-D
+// floating-Q accumulator moves Q: each collision adds C, each empty slot
+// subtracts C, and when the rounded value moves the controller issues a
+// QueryAdjust, every arbitrating tag redraws its slot and the sweep
+// restarts at the new size. That tracks the backlog much faster than
+// per-sweep estimation when faults churn protocol state mid-round. Each
+// QueryAdjust steps Q by exactly the ±1 it carries (see floatQ).
+func (ic *InventoryController) sweep(m *medium, stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
 	issue := ic.issuer(m, stats)
-	for stats.Commands < maxCmds {
-		// One sweep: Query opens slot 0; QueryReps advance.
-		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
-		sweepSingles, sweepCollisions := 0, 0
-		slots := 1 << uint(q)
-		for slot := 0; slot < slots && stats.Commands < maxCmds; slot++ {
-			stats.Slots++
-			if ic.Trace != nil {
-				ic.traceSlot(outcome)
-			}
-			switch outcome {
-			case SlotSingle, SlotCapture:
-				if outcome == SlotCapture {
-					stats.Captures++
-				} else {
-					stats.Singles++
-				}
-				sweepSingles++
-				if err := ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r); err != nil {
-					return nil, err
-				}
-			case SlotCollision:
-				stats.Collisions++
-				sweepCollisions++
-			case SlotEmpty:
-				stats.Empties++
-			}
-			if slot < slots-1 {
-				outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
-			}
-		}
-		if sweepSingles == 0 && sweepCollisions == 0 {
-			break // drained
-		}
-		// Schoute backlog estimate: ≈2.39 tags per colliding slot (the
-		// conversion keeps the product from fusing into the sum on arm64).
-		backlog := int(float64(2.39*float64(sweepCollisions)) + 0.5)
-		if backlog == 0 {
-			// Singles only: one more tight sweep catches stragglers that
-			// were mid-handshake.
-			q = 1
-			continue
-		}
-		nq := byte(0)
-		for 1<<uint(nq) < backlog && nq < 15 {
-			nq++
-		}
-		q = nq
+	var fq floatQ // step 0 without Recovery: it never moves and is not read
+	if ic.Recovery != nil {
+		fq = newFloatQ(q, ic.Recovery.qStep())
 	}
-	stats.FinalQ = float64(q)
-	return stats, nil
-}
-
-// runAdaptive is the recovery-side round: the Gen2 Annex-D floating-Q
-// algorithm. Each collision adds C to the floating Q, each empty slot
-// subtracts C; when the rounded value moves, the controller issues a
-// QueryAdjust, every arbitrating tag redraws its slot, and the sweep
-// restarts at the new size. This tracks the true backlog much faster than
-// per-sweep estimation when faults churn protocol state mid-round. The
-// accumulator is clamped to the spec's [0,15] and each QueryAdjust steps
-// the commanded Q by exactly the ±1 the command carries (see floatQ).
-func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
-	issue := ic.issuer(m, stats)
-	fq := newFloatQ(q, ic.Recovery.qStep())
 	for stats.Commands < maxCmds {
 		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
 		sweepSingles, sweepCollisions := 0, 0
 		slots := 1 << uint(q)
 		slot := 0
-		for slot < slots && stats.Commands < maxCmds {
+		for stats.Commands < maxCmds {
 			stats.Slots++
 			if ic.Trace != nil {
 				ic.traceSlot(outcome)
@@ -564,30 +507,53 @@ func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte,
 			if slot >= slots || stats.Commands >= maxCmds {
 				break
 			}
-			if nq, up, moved := fq.step(q); moved {
-				// Mid-sweep re-size: QueryAdjust redraws every arbitrating
-				// tag into the new slot space, stepping Q by the single ±1
-				// the command encodes — the reader and every tag stay in
-				// lockstep for any C, and Q never leaves [0,15].
-				stats.QueryAdjusts++
-				upDn := gen2.QUp
-				if !up {
-					upDn = gen2.QDown
+			if ic.Recovery != nil {
+				if nq, up, moved := fq.step(q); moved {
+					// Mid-sweep re-size: QueryAdjust redraws every arbitrating
+					// tag into the new slot space, stepping Q by the single ±1
+					// the command encodes — the reader and every tag stay in
+					// lockstep for any C, and Q never leaves [0,15].
+					stats.QueryAdjusts++
+					upDn := gen2.QUp
+					if !up {
+						upDn = gen2.QDown
+					}
+					q = nq
+					slots = 1 << uint(q)
+					slot = 0
+					outcome, reply, resp = issue(&gen2.QueryAdjust{Session: ic.Session, UpDn: upDn})
+					continue
 				}
-				q = nq
-				slots = 1 << uint(q)
-				slot = 0
-				outcome, reply, resp = issue(&gen2.QueryAdjust{Session: ic.Session, UpDn: upDn})
-				continue
 			}
 			outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
 		}
 		if sweepSingles == 0 && sweepCollisions == 0 {
 			break // drained
 		}
-		q = fq.target()
+		if ic.Recovery != nil {
+			q = fq.target()
+			continue
+		}
+		// Schoute backlog estimate: ≈2.39 tags per colliding slot (the
+		// conversion keeps the product from fusing into the sum on arm64).
+		backlog := int(float64(2.39*float64(sweepCollisions)) + 0.5)
+		if backlog == 0 {
+			// Singles only: one more tight sweep catches stragglers that
+			// were mid-handshake.
+			q = 1
+			continue
+		}
+		nq := byte(0)
+		for 1<<uint(nq) < backlog && nq < 15 {
+			nq++
+		}
+		q = nq
 	}
-	stats.FinalQ = fq.v
+	if ic.Recovery != nil {
+		stats.FinalQ = fq.v
+	} else {
+		stats.FinalQ = float64(q)
+	}
 	return stats, nil
 }
 
@@ -641,61 +607,52 @@ func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Comm
 		}
 		return nil
 	}
-	ackOutcome, epcReply, epcResp := issue(&gen2.ACK{RN16: rn.RN16})
-	if ackOutcome == SlotSingle && epcReply.Kind == gen2.ReplyEPC {
-		chOK := true
+	// The tag, still in Acknowledged, re-backscatters its EPC on every ACK
+	// carrying its handshake RN16. A failed exchange — the reply lost,
+	// collided, failing its decode draw or its CRC — leaves the tag
+	// believing it was acknowledged: it flips its inventoried flag at the
+	// next Query/QueryRep and, without a re-ACK, is stranded for the rest
+	// of the inventory. Recovery buys MaxACKRetries more attempts.
+	retries := 0
+	if ic.Recovery != nil {
+		retries = max(0, ic.Recovery.MaxACKRetries)
+	}
+	for attempt := 0; attempt <= retries; attempt++ {
+		if attempt > 0 {
+			stats.ACKRetries++
+			if ic.Trace != nil {
+				ic.Trace.Emit(Event{Kind: EvRetryTaken, Cmd: "ACK", Attempt: attempt})
+			}
+		}
+		outcome, rep, rresp := issue(&gen2.ACK{RN16: rn.RN16})
+		if outcome != SlotSingle || rep.Kind != gen2.ReplyEPC {
+			continue
+		}
 		if ic.Channel != nil {
-			dec, err := ic.channelDecode(epcResp, epcReply, "epc", r)
+			dec, err := ic.channelDecode(rresp, rep, "epc", r)
 			if err != nil {
 				return err
 			}
-			chOK = dec.OK
-		}
-		if chOK {
-			var er gen2.EPCReply
-			if err := er.DecodeFromBits(epcReply.Bits); err == nil {
-				stats.EPCs = append(stats.EPCs, er.EPC)
-				if ic.Trace != nil {
-					ic.Trace.Emit(Event{Kind: EvEPCRead, EPC: fmt.Sprintf("%x", er.EPC)})
-				}
-				return nil
-			}
-		}
-	}
-	// The EPC exchange failed: the reply was lost, collided, failed its
-	// decode draw, or failed its CRC. The tag meanwhile believes it was
-	// acknowledged and will flip its inventoried flag at the next
-	// Query/QueryRep — without recovery it is stranded for the rest of
-	// the inventory. Re-ACK while it still holds the handshake RN16.
-	if rec := ic.Recovery; rec != nil {
-		for attempt := 0; attempt < rec.MaxACKRetries; attempt++ {
-			stats.ACKRetries++
-			if ic.Trace != nil {
-				ic.Trace.Emit(Event{Kind: EvRetryTaken, Cmd: "ACK", Attempt: attempt + 1})
-			}
-			outcome, rep, rresp := issue(&gen2.ACK{RN16: rn.RN16})
-			if outcome != SlotSingle || rep.Kind != gen2.ReplyEPC {
+			if !dec.OK {
 				continue
 			}
-			if ic.Channel != nil {
-				dec, err := ic.channelDecode(rresp, rep, "epc", r)
-				if err != nil {
-					return err
-				}
-				if !dec.OK {
-					continue
-				}
-			}
-			var er gen2.EPCReply
-			if err := er.DecodeFromBits(rep.Bits); err == nil {
-				stats.EPCs = append(stats.EPCs, er.EPC)
-				stats.Recovered++
-				if ic.Trace != nil {
-					ic.Trace.Emit(Event{Kind: EvEPCRecovered, EPC: fmt.Sprintf("%x", er.EPC), Attempt: attempt + 1})
-				}
-				return nil
-			}
 		}
+		var er gen2.EPCReply
+		if err := er.DecodeFromBits(rep.Bits); err != nil {
+			continue
+		}
+		stats.EPCs = append(stats.EPCs, er.EPC)
+		if attempt > 0 {
+			stats.Recovered++
+		}
+		if ic.Trace != nil {
+			ev := Event{Kind: EvEPCRead, EPC: fmt.Sprintf("%x", er.EPC)}
+			if attempt > 0 {
+				ev.Kind, ev.Attempt = EvEPCRecovered, attempt
+			}
+			ic.Trace.Emit(ev)
+		}
+		return nil
 	}
 	stats.LostSlots++
 	if ic.Trace != nil {

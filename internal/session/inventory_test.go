@@ -142,6 +142,36 @@ func TestRoundEfficiencyReasonable(t *testing.T) {
 	}
 }
 
+// TestRunRoundKeepsCommandBudget: on a clean channel a round issues no
+// command once MaxCommands is spent, under either Q policy, whatever the
+// population size and budget.
+func TestRunRoundKeepsCommandBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  *RecoveryPolicy
+	}{{"schoute", nil}, {"floating", DefaultRecovery()}} {
+		over := 0
+		for n := 1; n <= 12; n++ {
+			for budget := 1; budget <= 60; budget++ {
+				ic := NewInventoryController(gen2.S0)
+				ic.MaxCommands = budget
+				ic.Recovery = tc.rec
+				stats, err := ic.RunRound(makePopulation(t, n, uint64(n)), rng.New(uint64(budget)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Commands > budget {
+					over++
+					t.Logf("%s: %d tags, budget %d: %d commands", tc.name, n, budget, stats.Commands)
+				}
+			}
+		}
+		if over > 0 {
+			t.Errorf("%s: %d of 720 rounds exceeded MaxCommands", tc.name, over)
+		}
+	}
+}
+
 func TestRunRoundValidation(t *testing.T) {
 	ic := NewInventoryController(gen2.S0)
 	if _, err := ic.RunRound(nil, rng.New(1)); err == nil {
