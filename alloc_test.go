@@ -112,6 +112,28 @@ func TestMillerBytesBudget(t *testing.T) {
 	}
 }
 
+// TestFlatnessBytesBudget pins ablation-flatness's trials by bytes: each
+// trial samples its ≈3 000-point frame envelope into the worker's
+// peak-series buffer, so a quick run allocates ≈0.24 MB where a fresh
+// envelope per trial cost ≈1.5 MB.
+func TestFlatnessBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation; budget holds without -race")
+	}
+	runExperimentQuick(t, "ablation-flatness") // warm pools and lazy state
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runExperimentQuick(t, "ablation-flatness")
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perRun > 0.5e6 {
+		t.Fatalf("quick ablation-flatness allocates %.2f MB per run, budget 0.5 MB", perRun/1e6)
+	}
+}
+
 // TestPopulationBytesBudget pins the clean inventory path by bytes: the
 // round-member broadcast (gen2.Population), the round's reused reply and
 // responder buffers and reply encoders that grow their bits once leave a

@@ -255,9 +255,11 @@ func runAblationFlatness(cfg Config) (*engine.Result, error) {
 			}
 			// Align the envelope peak with the command start (the beamformer
 			// times commands near peaks); sample the beat envelope across
-			// the frame, one point per PIE sample.
-			_, peakT := peakIndex(offsets, betas, scratch.(*[peakGrid]float64))
-			combined := core.EnvelopeSeries(offsets, betas, peakT, 1/pie.SampleRate, len(env), nil)
+			// the frame, one point per PIE sample, into the series buffer
+			// peakIndex is done with (the frame is shorter than peakGrid).
+			buf := scratch.(*[peakGrid]float64)
+			_, peakT := peakIndex(offsets, betas, buf)
+			combined := core.EnvelopeSeries(offsets, betas, peakT, 1/pie.SampleRate, len(env), buf[:0])
 			var lo, hi float64 = math.Inf(1), 0
 			for k, b := range combined {
 				combined[k] = env[k] * b
