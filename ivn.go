@@ -172,52 +172,53 @@ func (s Session) String() string {
 // out-of-band reader, then ACK and EPC decode. Each call realizes a fresh
 // placement (position/orientation/multipath draw).
 func (s *System) Inventory(sc scenario.Scenario, model tag.Model) (*Session, error) {
-	r := s.root.Split("inventory")
-	epc := []byte{0xE2, 0x00, 0x68, 0x10, 0x00, 0x01}
-	return s.inventoryEPC(sc, model, epc, r)
-}
-
-func (s *System) inventoryEPC(sc scenario.Scenario, model tag.Model, epc []byte, r *rng.Rand) (*Session, error) {
-	lk, tr, err := s.realizeLink(sc, r)
-	if err != nil {
+	out := &Session{}
+	if _, _, _, err := s.handshake(s.root.Split("inventory"), sc, model, nil, out); err != nil {
 		return nil, err
 	}
-	out := &Session{PeakPowerDBm: lk.PeakPowerDBm()}
+	return out, nil
+}
+
+// handshake realizes sc from r and runs the single-sensor handshake into
+// out: a sensor of the given model (commissioned by provision, when
+// non-nil) is powered by the CIB peak, singulated (Query → RN16 under
+// "rn16") and acknowledged (ACK → EPC under "epc"). ok reports that the
+// EPC was read; the exchange and the sensor then carry on to access
+// commands.
+func (s *System) handshake(r *rng.Rand, sc scenario.Scenario, model tag.Model, provision func(*gen2.TagLogic), out *Session) (x session.Exchange, tg *tag.Tag, ok bool, err error) {
+	lk, tr, err := s.realizeLink(sc, r)
+	if err != nil {
+		return x, nil, false, err
+	}
+	out.PeakPowerDBm = lk.PeakPowerDBm()
 
 	var tagRand rng.Rand
 	r.SplitInto(&tagRand, "tag")
-	tg, err := tag.New(model, epc, &tagRand)
+	tg, err = tag.New(model, []byte{0xE2, 0x00, 0x68, 0x10, 0x00, 0x01}, &tagRand)
 	if err != nil {
-		return nil, err
+		return x, nil, false, err
 	}
-	x := session.Exchange{Link: lk, Trace: tr}
+	if provision != nil {
+		provision(tg.Logic)
+	}
+	x = session.Exchange{Link: lk, Trace: tr}
 	out.Powered = x.PowerUp(tg, lk.PeakPower())
 	if !out.Powered {
-		return out, nil
+		return x, tg, false, nil
 	}
 
 	// Query (flatness-checked) → RN16 through the out-of-band reader.
 	sr, err := x.Singulate(tg, &gen2.Query{Q: 0, Session: gen2.S0}, "rn16", r)
-	if err != nil {
-		return nil, err
-	}
-	if !sr.Decoded {
-		return out, nil
+	if err != nil || !sr.Decoded {
+		return x, tg, false, err
 	}
 	out.Decoded = true
 	out.Correlation = sr.Correlation
 	out.RN16 = sr.RN16
 
-	// ACK → EPC.
-	epcBytes, ok, err := x.AckEPC(tg, sr.RN16, "epc", r)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return out, nil
-	}
-	out.EPC = epcBytes
-	return out, nil
+	// ACK → EPC (the reply also confirms the handshake took).
+	out.EPC, ok, err = x.AckEPC(tg, sr.RN16, "epc", r)
+	return x, tg, ok, err
 }
 
 // InventorySelect addresses one sensor among several by EPC prefix using
@@ -310,49 +311,17 @@ func (s *System) access(sc scenario.Scenario, model tag.Model, mk func(handle ui
 // non-silent replies that decode over the uplink.
 func (s *System) accessWith(sc scenario.Scenario, model tag.Model, provision func(*gen2.TagLogic), mk func(handle uint16) []gen2.Command, wantKind gen2.ReplyKind) (*AccessResult, gen2.Bits, error) {
 	r := s.root.Split("access")
-	lk, tr, err := s.realizeLink(sc, r)
+	out := &AccessResult{}
+	x, tg, ok, err := s.handshake(r, sc, model, provision, &out.Session)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &AccessResult{Session: Session{PeakPowerDBm: lk.PeakPowerDBm()}}
-
-	var tagRand rng.Rand
-	r.SplitInto(&tagRand, "tag")
-	tg, err := tag.New(model, []byte{0xE2, 0x00, 0x68, 0x10, 0x00, 0x01}, &tagRand)
-	if err != nil {
-		return nil, nil, err
-	}
-	if provision != nil {
-		provision(tg.Logic)
-	}
-	x := session.Exchange{Link: lk, Trace: tr}
-	out.Powered = x.PowerUp(tg, lk.PeakPower())
-	if !out.Powered {
+	if !ok {
 		return out, nil, nil
 	}
-
-	// Query → RN16.
-	sr, err := x.Singulate(tg, &gen2.Query{Q: 0}, "rn16", r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !sr.Decoded {
-		return out, nil, nil
-	}
-	out.Decoded = true
-	out.Correlation = sr.Correlation
-	out.RN16 = sr.RN16
-
-	// ACK → EPC (the reply also confirms the handshake took).
-	if _, ok, err := x.AckEPC(tg, sr.RN16, "epc", r); err != nil {
-		return nil, nil, err
-	} else if !ok {
-		return out, nil, nil
-	}
-	out.EPC = tg.Logic.EPC()
 
 	// ReqRN → handle.
-	handle, ok, err := x.ReqRNHandle(tg, sr.RN16, "handle", r)
+	handle, ok, err := x.ReqRNHandle(tg, out.RN16, "handle", r)
 	if err != nil {
 		return nil, nil, err
 	}
