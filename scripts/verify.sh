@@ -42,8 +42,12 @@
 #                              and the event channel's bit-identity; this
 #                              is a codegen check, nothing here runs arm64
 #                              code), and the rng, phasor, core, baseline,
-#                              gen2 and session tests must pass as
-#                              GOARCH=386 (runs natively on amd64 Linux)
+#                              gen2, session, ivnsim, link and reader tests
+#                              must pass as GOARCH=386 (runs natively on
+#                              amd64 Linux; ivnsim's golden test then pins
+#                              the text and CSV goldens on a second
+#                              architecture, while its JSON goldens and
+#                              output digests stay amd64-only)
 # 6. benchmark self-test     — `(cd _perfbench && go test .)`: every
 #                              workload of the repository's benchmark at
 #                              its smallest size (outputs checked against
@@ -126,7 +130,7 @@ cross_arch_kernel() {
     no_fused_arm64 gen2 'gen2\.MillerDecoder\.DecodePayload' &&
     no_fused_arm64 session 'session\.DecodeProbability' &&
     GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/ \
-      ./internal/gen2/ ./internal/session/
+      ./internal/gen2/ ./internal/session/ ./internal/ivnsim/ ./internal/link/ ./internal/reader/
 }
 stage "cross-arch kernel (arm64 codegen, 386 tests)" cross_arch_kernel
 
