@@ -607,12 +607,12 @@ func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Comm
 		}
 		return nil
 	}
-	// The tag, still in Acknowledged, re-backscatters its EPC on every ACK
-	// carrying its handshake RN16. A failed exchange — the reply lost,
-	// collided, failing its decode draw or its CRC — leaves the tag
-	// believing it was acknowledged: it flips its inventoried flag at the
-	// next Query/QueryRep and, without a re-ACK, is stranded for the rest
-	// of the inventory. Recovery buys MaxACKRetries more attempts.
+	// Each ACK carrying the handshake RN16 draws the tag's EPC; a tag
+	// already in Acknowledged re-backscatters it. A failed exchange — the
+	// reply lost, collided, failing its decode draw or its CRC — leaves the
+	// tag believing it was acknowledged: it flips its inventoried flag at
+	// the next Query/QueryRep and, without a re-ACK, is stranded for the
+	// rest of the inventory. Recovery buys MaxACKRetries more attempts.
 	retries := 0
 	if ic.Recovery != nil {
 		retries = max(0, ic.Recovery.MaxACKRetries)
