@@ -66,6 +66,25 @@ func TestFig9AllocBudget(t *testing.T) {
 	}
 }
 
+// TestPairedUplinkAllocBudget pins ablation-averaging's and
+// ablation-phasenoise's trials: each realizes its placement, locks its
+// beamformer and scans its CIB peak once on the worker's comm kit, then
+// decodes the one RN16 once per row. Realizing again per row (7 and 5
+// rows, 8 Quick trials) cost 3 956 and 2 871 allocations per run; the
+// shared realization needs ≈520 and ≈480.
+func TestPairedUplinkAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; budget holds without -race")
+	}
+	for _, id := range []string{"ablation-averaging", "ablation-phasenoise"} {
+		runExperimentQuick(t, id) // warm pools and lazy state
+		allocs := testing.AllocsPerRun(3, func() { runExperimentQuick(t, id) })
+		if allocs > 1000 {
+			t.Errorf("quick %s allocates %.0f times per run, budget 1000", id, allocs)
+		}
+	}
+}
+
 // TestFig13BytesBudget pins the batched range-search path by bytes: the
 // duration-only command path plus comm kits keep a quick Fig13(c) run
 // within single-digit megabytes where it previously synthesized ≈15 MB of

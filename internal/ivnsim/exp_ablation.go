@@ -14,7 +14,6 @@ import (
 	"ivn/internal/reader"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
-	"ivn/internal/session"
 	"ivn/internal/stats"
 	"ivn/internal/tag"
 )
@@ -343,78 +342,56 @@ func runAblationAveraging(cfg Config) (*engine.Result, error) {
 	res := engine.NewResult("ablation-averaging", "Gastric uplink decode success vs coherent averaging periods",
 		engine.Col("averaging periods K", ""), engine.Col("decoded", ""))
 	trials := cfg.trials(20, 8)
-	sc := scenario.NewSwine(scenario.Gastric)
-	model := tag.StandardTag()
-	sweep := engine.Sweep[int, bool]{
-		Trials: trials,
-		Plan: func(int) (uint64, string) {
-			return cfg.Seed, "avg" // same placements across K
-		},
-		NewScratch: newLink,
-		Measure: func(k int, _, lk any, _ int, r *rng.Rand) (bool, error) {
-			rd := reader.New()
-			rd.AveragingPeriods = k
-			// Weaken the reader transmit power so the uplink SNR — not
-			// power-up — is the binding constraint the sweep exposes.
-			rd.TxAmplitude = 0.2
-			return decodesRN16(lk.(*link.Link), sc, model, rd, fmt.Sprintf("ul-%d", k), r)
-		},
-		Row: func(k int, decoded []bool) ([]engine.Cell, error) {
-			ok := 0
-			for _, d := range decoded {
-				if d {
-					ok++
-				}
-			}
-			return []engine.Cell{engine.Int(k), engine.Counts(ok, trials)}, nil
-		},
-	}
-	if err := sweep.RunIntoCtx(cfg.Context(), cfg.Limits, res, []int{1, 2, 4, 8, 16, 32, 64}); err != nil {
+	ks := []int{1, 2, 4, 8, 16, 32, 64}
+	decoded, err := pairedUplink(cfg, "avg", trials, len(ks), func(j int, rd *reader.Reader) string {
+		rd.AveragingPeriods = ks[j]
+		return fmt.Sprintf("ul-%d", ks[j])
+	})
+	if err != nil {
 		return nil, err
+	}
+	for j, k := range ks {
+		res.AddRow(engine.Int(k), engine.Counts(decoded[j], trials))
 	}
 	res.AddNote("identical placements across rows; only the averaging depth changes")
 	return res, nil
 }
 
-// newLink is a worker's Link for the trials that realize their own
-// beamformer and reader.
-func newLink() any { return new(link.Link) }
-
-// decodesRN16 is ablation-averaging's and ablation-phasenoise's trial: a
-// default 8-chain CIB session at a fresh placement of sc, realized into
-// lk with the reader rd, whose RN16 is decoded under label. Draw order:
-// placement draws, the "tag" split, the beamformer's "cib" split + PLL
-// locks, then the decode's label split.
-func decodesRN16(lk *link.Link, sc scenario.Scenario, model tag.Model, rd *reader.Reader, label string, r *rng.Rand) (bool, error) {
-	p, err := sc.Realize(8, r)
+// pairedUplink runs the trials of a paired uplink ablation in one engine
+// call on label: each trial realizes one gastric standard-tag session
+// and decodes its RN16 once per row. row(j, rd) sets up row j's reader
+// and returns its decode label; it runs on each worker, so it must write
+// no shared state. It returns each row's decode count.
+func pairedUplink(cfg Config, label string, trials, rows int, row func(j int, rd *reader.Reader) string) ([]int, error) {
+	sc := scenario.NewSwine(scenario.Gastric)
+	model := tag.StandardTag()
+	scratches := engine.NewScratches(func() any {
+		k := &pairedKit{readers: make([]*reader.Reader, rows), labels: make([]string, rows)}
+		for j := range k.readers {
+			k.readers[j] = reader.New()
+			// Weaken the reader transmit power so the uplink SNR — not
+			// power-up — is the binding constraint the rows expose.
+			k.readers[j].TxAmplitude = 0.2
+			k.labels[j] = row(j, k.readers[j])
+		}
+		return k
+	})
+	samples, err := engine.TrialsScratchCtx(cfg.Context(), cfg.Limits, cfg.Seed, label, trials, scratches, func(_ int, scratch any, r *rng.Rand) ([]bool, error) {
+		return scratch.(*pairedKit).decodes(sc, model, r)
+	})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	var tagRand rng.Rand
-	r.SplitInto(&tagRand, "tag")
-	tg, err := tag.New(model, defaultEPC, &tagRand)
-	if err != nil {
-		return false, err
+	counts := make([]int, rows)
+	for _, decoded := range samples {
+		// A shard fragment leaves the trials it does not own nil.
+		for j, ok := range decoded {
+			if ok {
+				counts[j]++
+			}
+		}
 	}
-	bcfg := core.DefaultConfig()
-	bcfg.Antennas = 8
-	bf, err := core.New(bcfg, r.Split("cib"))
-	if err != nil {
-		return false, err
-	}
-	if err := link.RealizeInto(lk, bf, rd, p, nil); err != nil {
-		return false, err
-	}
-	x := session.Exchange{Link: lk}
-	if !x.PowerUp(tg, lk.PeakPower()) {
-		return false, nil
-	}
-	reply, err := x.Query(tg, &gen2.Query{Q: 0})
-	if err != nil || reply.Kind != gen2.ReplyRN16 {
-		return false, err
-	}
-	_, ok, err := lk.Decode(tg, reply, label, r)
-	return ok, err
+	return counts, nil
 }
 
 func runAblationOutOfBand(cfg Config) (*engine.Result, error) {

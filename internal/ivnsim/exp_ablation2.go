@@ -14,7 +14,6 @@ import (
 	"ivn/internal/safety"
 	"ivn/internal/scenario"
 	"ivn/internal/stats"
-	"ivn/internal/tag"
 )
 
 // Second ablation group: exposure safety, oscillator imperfections,
@@ -227,37 +226,20 @@ func runAblationPhaseNoise(cfg Config) (*engine.Result, error) {
 	res := engine.NewResult("ablation-phasenoise", "Effective coherent-averaging gain and gastric decode vs phase drift (K=32)",
 		engine.Col("drift", "rad²/period"), engine.Col("averaging gain retained", ""), engine.Col("gastric decodes", ""))
 	trials := cfg.trials(20, 8)
-	sc := scenario.NewSwine(scenario.Gastric)
-	model := tag.StandardTag()
-	sweep := engine.Sweep[float64, bool]{
-		Trials: trials,
-		Plan: func(float64) (uint64, string) {
-			return cfg.Seed, "pn" // same placements across rows
-		},
-		NewScratch: newLink,
-		Measure: func(drift float64, _, lk any, _ int, r *rng.Rand) (bool, error) {
-			rd := reader.New()
-			rd.PhaseDriftPerPeriod = drift
-			// Weaken the reader so averaging is the binding constraint.
-			rd.TxAmplitude = 0.2
-			return decodesRN16(lk.(*link.Link), sc, model, rd, "ul", r)
-		},
-		Row: func(drift float64, decoded []bool) ([]engine.Cell, error) {
-			ok := 0
-			for _, d := range decoded {
-				if d {
-					ok++
-				}
-			}
-			return []engine.Cell{
-				engine.Number("%.2f", drift),
-				engine.Number("%.3f", reader.CoherentAveragingGain(32, drift)),
-				engine.Counts(ok, trials),
-			}, nil
-		},
-	}
-	if err := sweep.RunIntoCtx(cfg.Context(), cfg.Limits, res, []float64{0, 0.05, 0.2, 0.5, 2}); err != nil {
+	drifts := []float64{0, 0.05, 0.2, 0.5, 2}
+	decoded, err := pairedUplink(cfg, "pn", trials, len(drifts), func(j int, rd *reader.Reader) string {
+		rd.PhaseDriftPerPeriod = drifts[j]
+		return "ul"
+	})
+	if err != nil {
 		return nil, err
+	}
+	for j, drift := range drifts {
+		res.AddRow(
+			engine.Number("%.2f", drift),
+			engine.Number("%.3f", reader.CoherentAveragingGain(32, drift)),
+			engine.Counts(decoded[j], trials),
+		)
 	}
 	res.AddNote("drift 0 models the shared Octoclock reference; free-running oscillators forfeit most of the K=32 averaging gain")
 	return res, nil

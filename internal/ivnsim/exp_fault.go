@@ -202,15 +202,11 @@ func runFaultTrial(scale float64, recovery bool, tr *session.Trace, r *rng.Rand)
 	if err != nil {
 		return res, err
 	}
-	down := p.ReaderDown.Coefficient(rd.TxFreq)
-	up := p.ReaderUp.Coefficient(rd.TxFreq)
-	tagG := model.AntennaAmplitudeGain()
-	link := reader.RoundTripGain(rd.TxAmplitude, down, up) * complex(tagG*tagG, 0)
 	retries := 0
 	if recovery {
 		retries = 2
 	}
-	rr, err := rd.DecodeUplinkWithRetry(0, retries, inj, bs, link, nil, len(reply.Bits), r.Split("capture"))
+	rr, err := rd.DecodeUplinkWithRetry(0, retries, inj, bs, link.RoundTrip(rd, p, model), nil, len(reply.Bits), r.Split("capture"))
 	if err != nil {
 		return res, err
 	}

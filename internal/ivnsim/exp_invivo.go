@@ -6,10 +6,8 @@ import (
 	"math/cmplx"
 
 	"ivn/internal/engine"
-	"ivn/internal/gen2"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
-	"ivn/internal/session"
 	"ivn/internal/tag"
 )
 
@@ -120,47 +118,18 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 		if !(tr.Powered && tr.Decoded) {
 			continue
 		}
-		// Replay the found session for display in commKit.trial's order:
-		// the same stream realizes the same placement and link ("cib")
-		// into the kit, then the tag draws from the same "tag" split, so
-		// the tag sends the session's RN16 and the kit's reader, which
-		// carries the placement's breathing drift, decodes it against the
-		// link's jam.
-		r = parent.SplitIndexed("fig15", attempt)
-		if err := scenario.RealizeInto(sc, &k.placement, 8, r); err != nil {
-			return nil, err
-		}
-		lk, err := k.lk.ForTrial(&k.placement, 8, nil, r)
-		if err != nil {
-			return nil, err
-		}
-		var tagRand rng.Rand
-		r.SplitInto(&tagRand, "tag")
-		tg, err := tag.New(model, defaultEPC, &tagRand)
-		if err != nil {
-			return nil, err
-		}
-		x := session.Exchange{Link: lk}
-		x.PowerUp(tg, lk.PeakPower())
-		reply, err := x.Query(tg, &gen2.Query{Q: 0, Session: gen2.S0})
-		if err != nil {
-			return nil, err
-		}
+		// The kit holds the session just found: its link, whose reader
+		// carries the placement's breathing drift, its tag and the RN16
+		// that tag sent, and the decode. r stands where the session's
+		// decode left it.
+		lk := k.link
 		rd := lk.Reader
-		bs, err := tg.BackscatterWaveform(reply, rd.SamplesPerHalfBit)
+		bs, err := k.tag.BackscatterWaveform(k.reply, rd.SamplesPerHalfBit)
 		if err != nil {
 			return nil, err
 		}
 		gain := lk.RoundTrip(model)
 		jam := lk.Jam()
-		dr, err := rd.DecodeUplink(bs, gain, jam, len(reply.Bits), r.Split("uplink"))
-		if err != nil {
-			return nil, err
-		}
-		//ivn:allow floatcmp the replay draws the session's own streams, so any difference is a replay fault
-		if dr.Correlation != tr.Correlation {
-			return nil, fmt.Errorf("ivnsim: %s: replay of attempt %d correlates %v, the session %v", id, attempt+1, dr.Correlation, tr.Correlation)
-		}
 		// Render the post-averaging received waveform the decoder saw:
 		// backscatter levels through the link plus residual noise.
 		sp := rd.SamplesPerHalfBit
@@ -171,14 +140,14 @@ func runFig15(cfg Config, id string, sc *scenario.Swine, model tag.Model) (*engi
 		r.Split("display-noise").NormFloat64s(dispNoise)
 		for hb := 0; hb < halfBits; hb++ {
 			var mean float64
-			for k := 0; k < sp; k++ {
-				mean += bs[hb*sp+k]*absC(gain) + sigma*dispNoise[hb*sp+k]
+			for i := 0; i < sp; i++ {
+				mean += bs[hb*sp+i]*absC(gain) + sigma*dispNoise[hb*sp+i]
 			}
 			mean /= float64(sp)
 			res.AddRow(engine.Int(hb), engine.Number("%.4f", mean*1e6))
 		}
-		res.AddNote("decoded RN16 bits: %s", dr.Bits)
-		res.AddNote("preamble correlation %.3f (threshold 0.8); post-averaging SNR %.1f dB", dr.Correlation, dr.SNRdB)
+		res.AddNote("decoded RN16 bits: %s", k.dec.Bits)
+		res.AddNote("preamble correlation %.3f (threshold 0.8); post-averaging SNR %.1f dB", k.dec.Correlation, k.dec.SNRdB)
 		res.AddNote("session found on attempt %d; CIB peak at sensor %.2e W", attempt+1, tr.PeakPower)
 		return res, nil
 	}

@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"ivn/internal/engine"
-	"ivn/internal/gen2"
-	"ivn/internal/link"
 	"ivn/internal/rng"
 	"ivn/internal/scenario"
 	"ivn/internal/session"
@@ -92,51 +90,6 @@ var defaultEPC = []byte{0xE2, 0x00, 0x12, 0x34}
 //ivn:allow unreached the benchmark in _perfbench checks its own comm trials against it
 func RunCommTrial(sc scenario.Scenario, n int, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
 	return new(commKit).trial(sc, n, model, opts, r)
-}
-
-// commExchangeAt runs the power-up + inventory exchange over an already
-// realized link. tagRand seeds the tag's RN16 stream; the tag draws from
-// its own copy.
-func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts CommOptions, r *rng.Rand) (CommTrial, error) {
-	var res CommTrial
-	res.PeakPower = lk.PeakPower()
-
-	tg, err := tag.New(model, defaultEPC, tagRand)
-	if err != nil {
-		return res, err
-	}
-	x := session.Exchange{Link: lk, Trace: opts.Trace}
-	res.Powered = x.PowerUp(tg, res.PeakPower)
-	if !res.Powered {
-		return res, nil
-	}
-
-	// Inventory: the synchronized Query arrives intact by construction
-	// (the flatness constraint is enforced by the beamformer's
-	// CommandAirTime); drive the state machine to an RN16 reply.
-	reply, err := x.Query(tg, &gen2.Query{Q: 0, Session: gen2.S0})
-	if err != nil {
-		return res, fmt.Errorf("ivnsim: downlink: %w", err)
-	}
-	if reply.Kind != gen2.ReplyRN16 {
-		return res, nil
-	}
-
-	// Uplink through the out-of-band reader; subject motion dephases the
-	// averaged periods.
-	if opts.Waveform {
-		dec, ok, err := lk.Decode(tg, reply, "uplink", r)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			res.Decoded = true
-			res.Correlation = dec.Correlation
-		}
-		return res, nil
-	}
-	res.Decoded = lk.DecodableRN16(model)
-	return res, nil
 }
 
 // MaxOperatingDistanceCtx finds the largest distance at which

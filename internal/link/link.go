@@ -1,8 +1,9 @@
 // Package link owns physical-link realization for one placement: the
 // CIB downlink (offset carriers × channel coefficients → peak delivered
 // power via the phasor kernel), the out-of-band reader round-trip
-// (down/up coefficients with the tag antenna gain applied twice), and
-// the CIB→reader leakage that self-jams the uplink. A Link implements
+// (down/up coefficients with the tag antenna gain applied twice, one
+// expression, RoundTrip, that a Link and a bare reader share), and the
+// CIB→reader leakage that self-jams the uplink. A Link implements
 // session.Link, so the Gen2 state machine in ivn/internal/session drives
 // real physics through it; tests script fakes against the same
 // interface.
@@ -202,15 +203,18 @@ func (l *Link) Jam() []radio.ToneAt { return l.jam[:] }
 // Link's buffer and is valid until the next RealizeInto into this Link.
 func (l *Link) Downlink() []complex128 { return l.chans }
 
-// RoundTrip is the reader→tag→reader amplitude gain for a tag model at
-// this placement; the tag's antenna gain applies twice (receiving the
-// reader carrier and re-radiating the modulated reflection).
-func (l *Link) RoundTrip(m tag.Model) complex128 {
+// RoundTrip is reader rd's reader→tag→reader amplitude gain for a tag
+// model at placement p; the tag's antenna gain applies twice (receiving
+// the reader carrier and re-radiating the modulated reflection).
+func RoundTrip(rd *reader.Reader, p *scenario.Placement, m tag.Model) complex128 {
 	tagG := m.AntennaAmplitudeGain()
-	return reader.RoundTripGain(l.Reader.TxAmplitude,
-		l.Placement.ReaderDown.Coefficient(l.Reader.TxFreq),
-		l.Placement.ReaderUp.Coefficient(l.Reader.TxFreq)) * complex(tagG*tagG, 0)
+	return reader.RoundTripGain(rd.TxAmplitude,
+		p.ReaderDown.Coefficient(rd.TxFreq),
+		p.ReaderUp.Coefficient(rd.TxFreq)) * complex(tagG*tagG, 0)
 }
+
+// RoundTrip is RoundTrip for the Link's reader and placement.
+func (l *Link) RoundTrip(m tag.Model) complex128 { return RoundTrip(l.Reader, l.Placement, m) }
 
 // DecodableRN16 is the fast link-budget predicate: whether a model's
 // RN16 backscatter closes the uplink budget at this placement without
@@ -283,5 +287,5 @@ func (l *Link) Decode(tg *tag.Tag, reply gen2.Reply, label string, r *rng.Rand) 
 	if !ok {
 		return session.Decode{}, false, nil
 	}
-	return session.Decode{Bits: dr.Bits, Correlation: dr.Correlation}, true, nil
+	return session.Decode{Bits: dr.Bits, Correlation: dr.Correlation, SNRdB: dr.SNRdB}, true, nil
 }

@@ -14,6 +14,8 @@ type Decode struct {
 	Bits gen2.Bits
 	// Correlation is the preamble correlation of the decode.
 	Correlation float64
+	// SNRdB is the post-averaging per-sample SNR the decode estimated.
+	SNRdB float64 //ivn:unit dB
 }
 
 // Link is the physical layer the session state machine drives: command
