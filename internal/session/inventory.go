@@ -492,7 +492,7 @@ func (ic *InventoryController) sweep(m *medium, stats *RoundStats, q byte, maxCm
 					stats.Singles++
 				}
 				sweepSingles++
-				if err := ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r); err != nil {
+				if err := ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, maxCmds, r); err != nil {
 					return nil, err
 				}
 			case SlotCollision:
@@ -564,8 +564,9 @@ func (ic *InventoryController) sweep(m *medium, stats *RoundStats, q byte, maxCm
 // non-nil Channel the RN16 and EPC captures must additionally clear
 // their budget-derived decode draws; a captured slot (captured=true)
 // arrives with its RN16 already decoded under the losers' interference,
-// inside Channel.Capture.
-func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Command) (SlotOutcome, gen2.Reply, int), reply gen2.Reply, responder int, captured bool, r *rng.Rand) error {
+// inside Channel.Capture. Re-ACKs are charged against the round's
+// budget: none goes out once maxCmds commands have.
+func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Command) (SlotOutcome, gen2.Reply, int), reply gen2.Reply, responder int, captured bool, maxCmds int, r *rng.Rand) error {
 	if ic.Channel != nil {
 		if captured {
 			// Capture already drew the interference-degraded RN16 decode;
@@ -619,6 +620,9 @@ func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Comm
 	}
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
+			if stats.Commands >= maxCmds {
+				break // the budget is spent: the tag is stranded below
+			}
 			stats.ACKRetries++
 			if ic.Trace != nil {
 				ic.Trace.Emit(Event{Kind: EvRetryTaken, Cmd: "ACK", Attempt: attempt})

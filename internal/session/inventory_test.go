@@ -142,20 +142,36 @@ func TestRoundEfficiencyReasonable(t *testing.T) {
 	}
 }
 
-// TestRunRoundKeepsCommandBudget: on a clean channel a round issues no
-// command once MaxCommands is spent, under either Q policy, whatever the
-// population size and budget.
+// TestRunRoundKeepsCommandBudget: a round issues no command once
+// MaxCommands is spent, under either Q policy, whatever the population
+// size and budget — on a clean channel, and with recovery on a channel
+// that flips one bit of every reply longer than an RN16 (every EPC), so
+// every ACK is followed by re-ACKs.
 func TestRunRoundKeepsCommandBudget(t *testing.T) {
+	corruptEPCs := &stubFault{corrupt: func(_ int, bits gen2.Bits) (gen2.Bits, bool) {
+		if len(bits) <= 16 {
+			return bits, false
+		}
+		out := append(gen2.Bits(nil), bits...)
+		out[len(out)/2] ^= 1
+		return out, true
+	}}
 	for _, tc := range []struct {
-		name string
-		rec  *RecoveryPolicy
-	}{{"schoute", nil}, {"floating", DefaultRecovery()}} {
+		name  string
+		rec   *RecoveryPolicy
+		fault ChannelFault
+	}{
+		{"schoute", nil, nil},
+		{"floating", DefaultRecovery(), nil},
+		{"floating, EPCs corrupted", DefaultRecovery(), corruptEPCs},
+	} {
 		over := 0
 		for n := 1; n <= 12; n++ {
 			for budget := 1; budget <= 60; budget++ {
 				ic := NewInventoryController(gen2.S0)
 				ic.MaxCommands = budget
 				ic.Recovery = tc.rec
+				ic.Fault = tc.fault
 				stats, err := ic.RunRound(makePopulation(t, n, uint64(n)), rng.New(uint64(budget)))
 				if err != nil {
 					t.Fatal(err)
