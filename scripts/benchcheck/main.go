@@ -4,7 +4,9 @@
 // undiffable from its neighbors), and list at least one benchmark with a
 // name, a positive iteration count, and a positive ns/op figure.
 // Duplicate benchmark names are rejected — the awk best-of-N fold is
-// supposed to collapse repetitions.
+// supposed to collapse repetitions. A best_of field, when present, must
+// be at least 1; snapshots written before bench.sh recorded it carry
+// none and are checked as that older schema.
 //
 // Usage: go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
 package main
@@ -18,7 +20,7 @@ import (
 type benchFile struct {
 	Date       string  `json:"date"`
 	Label      string  `json:"label"`
-	BestOf     int     `json:"best_of"`
+	BestOf     *int    `json:"best_of"` // nil in the schema before best-of-N
 	Benchmarks []bench `json:"benchmarks"`
 }
 
@@ -45,8 +47,8 @@ func check(path string) error {
 	if f.Label == "" {
 		return fmt.Errorf("%s: empty label (bench.sh defaults to the git short SHA; pass one explicitly)", path)
 	}
-	if f.BestOf < 1 {
-		return fmt.Errorf("%s: best_of %d, want >= 1", path, f.BestOf)
+	if f.BestOf != nil && *f.BestOf < 1 {
+		return fmt.Errorf("%s: best_of %d, want >= 1", path, *f.BestOf)
 	}
 	if len(f.Benchmarks) == 0 {
 		return fmt.Errorf("%s: no benchmarks recorded", path)
