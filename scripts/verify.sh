@@ -42,12 +42,19 @@
 #                              and the event channel's bit-identity; this
 #                              is a codegen check, nothing here runs arm64
 #                              code), and the rng, phasor, core, baseline,
-#                              gen2, session, ivnsim, link and reader tests
-#                              must pass as GOARCH=386 (runs natively on
-#                              amd64 Linux; ivnsim's golden test then pins
-#                              the text and CSV goldens on a second
+#                              gen2, session, ivnsim, link, reader and lint
+#                              tests must pass as GOARCH=386 (runs natively
+#                              on amd64 Linux; ivnsim's golden test then
+#                              pins the text and CSV goldens on a second
 #                              architecture, while its JSON goldens and
-#                              output digests stay amd64-only)
+#                              output digests stay amd64-only). The run
+#                              sets CGO_ENABLED=0: without a 386 C
+#                              toolchain the go command builds 386 with
+#                              cgo off anyway, but a 386 test binary's
+#                              go/build context turns cgo on, and the lint
+#                              loader's type-check of net (imported by
+#                              cmd/ivnsimd) then runs `go tool cgo` and
+#                              fails. The module has no cgo code
 # 6. benchmark self-test     — `(cd _perfbench && go test .)`: every
 #                              workload of the repository's benchmark at
 #                              its smallest size (outputs checked against
@@ -129,8 +136,8 @@ cross_arch_kernel() {
     no_fused_arm64 rng 'rng\.(\*Rand)\.NormFloat64s' &&
     no_fused_arm64 gen2 'gen2\.MillerDecoder\.DecodePayload' &&
     no_fused_arm64 session 'session\.DecodeProbability' &&
-    GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/ \
-      ./internal/gen2/ ./internal/session/ ./internal/ivnsim/ ./internal/link/ ./internal/reader/
+    CGO_ENABLED=0 GOARCH=386 go test ./internal/rng/ ./internal/phasor/ ./internal/core/ ./internal/baseline/ \
+      ./internal/gen2/ ./internal/session/ ./internal/ivnsim/ ./internal/link/ ./internal/reader/ ./internal/lint/
 }
 stage "cross-arch kernel (arm64 codegen, 386 tests)" cross_arch_kernel
 
