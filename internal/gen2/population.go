@@ -1,7 +1,5 @@
 package gen2
 
-import "slices"
-
 // Population broadcasts reader commands to a tag population one round at
 // a time. Its result is exactly that of calling HandleCommand on every
 // tag in index order, but it visits only the tags that can react.
@@ -19,18 +17,23 @@ import "slices"
 // Most members sit in Arbitrate counting down a slot counter, and only
 // the tag whose counter reaches zero answers a QueryRep. So a member
 // that draws a nonzero counter in a Query or QueryAdjust is parked on a
-// slot calendar: one bucket per counter value, each in ascending index,
-// fired by the QueryRep that takes those counters to zero. The other
-// members (Reply, Acknowledged, Open and Secured tags, zero counters,
-// tags of another session) stay on a short live list and get their
-// per-tag handler on every QueryRep; ACK goes to the live list only. A
-// zero counter that a QueryRep rolls over to 0x7FFF joins a FIFO that
-// is due after every bucket. A parked tag's own counter is stale: the
-// calendar writes due − clock back into it before any command can reach
-// the tag by another route (a pass over all tags, a QueryAdjust of
-// another session) and in Reset, so between rounds every TagLogic is
-// exact. A QueryAdjust of the calendar's session redraws its parked tags
-// without one: the redraw overwrites the counter.
+// slot calendar: its due time on the session's QueryRep clock, with the
+// due times of a window of clock values filed into one ascending bucket
+// per value, fired by the QueryRep that takes those counters to zero. A
+// fresh calendar files only the counters below a small constant window;
+// when the clock reaches a window's end, the next window, twice as wide,
+// is filed from the members' due times, so a QueryAdjust that the next
+// few QueryReps follow files almost nothing. The other members (Reply,
+// Acknowledged, Open and Secured tags, zero counters, tags of another
+// session) stay on a short live list and get their per-tag handler on
+// every QueryRep; ACK goes to the live list only. A zero counter that a
+// QueryRep rolls over to 0x7FFF joins a FIFO that is due after every
+// bucket. A parked tag's own counter is stale: the calendar writes
+// due − clock back into it before any command can reach the tag by
+// another route (a pass over all tags, a QueryAdjust of another session)
+// and in Reset, so between rounds every TagLogic is exact. A QueryAdjust
+// of the calendar's session redraws its parked tags without one: the
+// redraw overwrites the counter.
 //
 // Replies and responder indices come out in ascending tag order, as the
 // per-tag loop produces them, so callers that fold over responders (a
@@ -46,24 +49,33 @@ type Population struct {
 	members []int
 	live    []int
 	spare   []int // the live list's second buffer, swapped in by QueryRep
+	side    []int // the QueryAdjust pass's members off its inline path
 
 	// The calendar holds the parked tags of session, whose counters
 	// were drawn when clock was 0. clock counts that session's QueryReps
 	// since; due[i] is the clock value at which tag i's counter reaches
-	// zero, 0 when tag i is not parked. Bucket c, the tags that drew
-	// counter c, is chained from head[c] through next in descending
-	// index (entries are index+1, 0 ends a chain). rolled[first:] is the
-	// rollover FIFO in due order; fire collects one QueryRep's tags.
+	// zero, 0 when tag i is not parked. The due times in [lo, hi) are
+	// filed: bucket[d-lo] holds the tags due at d in ascending index.
+	// rolled[first:] is the rollover FIFO in due order.
 	calendar bool
 	session  Session
 	clock    int
 	due      []int
-	head     []int
-	next     []int
+	lo, hi   int
+	bucket   [][]int
 	rolled   []int
 	first    int
-	fire     []int
 }
+
+// window is the width of a fresh calendar's filed window: the floating-Q
+// controller follows a QueryAdjust with three QueryReps on average, so
+// the counters it files are the ones those QueryReps fire.
+const window = 8
+
+// drawLimit bounds the due times of drawn counters (Q ≤ 15). A counter
+// rolled over at clock c ≥ 1 is due at c + 0x7FFF ≥ drawLimit, after
+// every drawn one, so the windows end at drawLimit and the FIFO begins.
+const drawLimit = 1 << 15
 
 // Reset writes the calendar's counters back into the current tags, then
 // points the population at tags and rebuilds the member list from their
@@ -78,12 +90,9 @@ func (p *Population) Reset(tags []*TagLogic) {
 	p.tags = tags
 	if cap(p.due) < len(tags) {
 		p.due = make([]int, len(tags))
+		p.side = make([]int, len(tags))
 	}
-	p.due = p.due[:len(tags)]
-	if cap(p.next) < len(tags) {
-		p.next = make([]int, len(tags))
-	}
-	p.next = p.next[:len(tags)]
+	p.due, p.side = p.due[:len(tags)], p.side[:len(tags)]
 	p.members, p.live = p.members[:0], p.live[:0]
 	for i, t := range tags {
 		if t.state != StateReady {
@@ -137,7 +146,7 @@ func (p *Population) Broadcast(c Command, replies []Reply, who []int) ([]Reply, 
 
 // pass delivers cmd to every tag, writing each parked counter back
 // first, and rebuilds the member and live lists. When cmd is a Query, the
-// tags that drew a nonzero counter in its session are filed on a fresh
+// tags that drew a nonzero counter in its session are parked on a fresh
 // calendar; otherwise the calendar ends empty.
 func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []int) {
 	q, draws := cmd.(*Query)
@@ -158,7 +167,8 @@ func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []i
 	}
 	// Filing is a loop of its own: without a call in its body it keeps
 	// its slices in registers.
-	live, head := p.live[:0], p.head[:0]
+	p.restart(s)
+	bucket, live := p.firstWindow(), p.live[:0]
 	for _, i := range members {
 		t := p.tags[i]
 		if !draws || t.state != StateArbitrate || t.session != s || t.slot == 0 {
@@ -166,70 +176,107 @@ func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []i
 			continue
 		}
 		c := int(t.slot)
-		if c >= len(head) {
-			n := len(head)
-			head = slices.Grow(head, c+1-n)[:c+1]
-			clear(head[n:])
-		}
 		p.due[i] = c
-		p.next[i], head[c] = head[c], i+1
+		if c < window {
+			bucket[c] = append(bucket[c], i)
+		}
 	}
-	p.members, p.live, p.head = members, live, head
-	p.calendar, p.session, p.clock = draws, s, 0
-	p.rolled, p.first = p.rolled[:0], 0
+	p.members, p.live, p.calendar = members, live, draws
 	return replies, who
 }
 
-// queryAdjust delivers a QueryAdjust to the members and files the
-// counters it draws on a fresh calendar of its session. Most members
-// arbitrate in that session; for them the handler is the Q step, the
-// draw and, on a zero counter, entering the slot, and the parked counter
-// it overwrites is dead, so due[i] is only cleared. That common path runs
-// inline, with no call but the generator's step, and the tag is filed in
-// the same iteration while its line is hot. Every other member gets
-// writeBack and the handler.
+// firstWindow empties the buckets of a fresh calendar's window and
+// returns them.
+func (p *Population) firstWindow() [][]int {
+	if len(p.bucket) < window {
+		p.bucket = make([][]int, window)
+	}
+	bucket := p.bucket[:window:window]
+	for c := range bucket {
+		bucket[c] = bucket[c][:0]
+	}
+	return bucket
+}
+
+// restart points the calendar at session s, its clock at 0 and its
+// filed window at the first, and empties the FIFO.
+func (p *Population) restart(s Session) {
+	p.calendar, p.session, p.clock = true, s, 0
+	p.lo, p.hi = 0, window
+	p.rolled, p.first = p.rolled[:0], 0
+}
+
+// queryAdjust delivers a QueryAdjust to the members and parks the
+// counters it draws on a fresh calendar of its session.
+//
+// Most members are in Arbitrate or Reply in that session. For them the
+// handler is the Q step, the draw and entering the slot, and a parked
+// counter is dead (the draw overwrites it). The first loop runs that
+// inline: a nonzero counter parks the tag, and the generator's step is
+// the loop's only call. It drops a Ready member as writeBack would, and
+// puts every other member, and every zero counter, on the side list in
+// ascending order. The second loop walks the side list: a zero counter
+// enters its slot, any other member gets writeBack and the handler. It
+// alone builds the replies and the live list.
 func (p *Population) queryAdjust(q *QueryAdjust, replies []Reply, who []int) ([]Reply, []int) {
-	s := q.Session
-	members, live, head := p.members[:0], p.live[:0], p.head[:0]
-	for _, i := range p.members {
-		t := p.tags[i]
-		if t.state == StateArbitrate && t.session == s {
-			p.due[i] = 0
-			t.stepQ(q.UpDn)
+	s, upDn := q.Session, q.UpDn
+	tags, due, side, bucket := p.tags, p.due, p.side, p.firstWindow()
+	members := p.members
+	kept, n := 0, 0
+	for _, i := range members {
+		t := tags[i]
+		st := t.state
+		if (st == StateArbitrate || st == StateReply) && t.session == s {
+			t.stepQ(upDn)
 			t.drawSlot()
-			if t.slot == 0 {
-				replies = append(replies, t.enterSlot())
-				who = append(who, i)
-			}
-		} else {
-			p.writeBack(i)
-			if r := t.handleQueryAdjust(q); r.Kind != ReplyNone {
-				replies = append(replies, r)
-				who = append(who, i)
-			}
-			if t.state == StateReady {
+			c := t.slot
+			due[i] = int(c)
+			members[kept] = i
+			kept++
+			if c == 0 {
+				side[n] = i
+				n++
 				continue
 			}
+			t.state = StateArbitrate
+			if c < window {
+				bucket[c] = append(bucket[c], i)
+			}
+			continue
 		}
-		members = append(members, i)
-		// A tag left arbitrating in session s drew a nonzero counter: a
-		// zero one entered its slot.
-		if t.state != StateArbitrate || t.session != s {
+		if st == StateReady {
+			due[i] = 0
+			continue
+		}
+		members[kept] = i
+		kept++
+		side[n] = i
+		n++
+	}
+	p.members = members[:kept]
+	live := p.live[:0]
+	for _, i := range side[:n] {
+		t := tags[i]
+		if st := t.state; (st == StateArbitrate || st == StateReply) && t.session == s {
+			// A zero counter from the first loop.
+			replies = append(replies, t.enterSlot())
+			who = append(who, i)
 			live = append(live, i)
 			continue
 		}
-		c := int(t.slot)
-		if c >= len(head) {
-			n := len(head)
-			head = slices.Grow(head, c+1-n)[:c+1]
-			clear(head[n:])
+		p.writeBack(i)
+		if r := t.handleQueryAdjust(q); r.Kind != ReplyNone {
+			replies = append(replies, r)
+			who = append(who, i)
 		}
-		p.due[i] = c
-		p.next[i], head[c] = head[c], i+1
+		if t.state != StateReady {
+			live = append(live, i)
+		}
 	}
-	p.members, p.live, p.head = members, live, head
-	p.calendar, p.session, p.clock = true, s, 0
-	p.rolled, p.first = p.rolled[:0], 0
+	// The old calendar's clock stays until the side loop has written its
+	// counters back.
+	p.live = live
+	p.restart(s)
 	return replies, who
 }
 
@@ -281,17 +328,16 @@ func (p *Population) queryRep(q *QueryRep, replies []Reply, who []int) ([]Reply,
 }
 
 // fired returns the parked tags whose counters reach zero at the current
-// clock, in ascending index: a bucket while the clock is within them,
-// then the rollover FIFO's due head.
+// clock, in ascending index: a bucket while the clock is below
+// drawLimit, filing the next window when the clock reaches the filed
+// one's end, then the rollover FIFO's due head.
 func (p *Population) fired() []int {
-	if p.clock < len(p.head) {
-		fire := p.fire[:0]
-		for e := p.head[p.clock]; e != 0; e = p.next[e-1] {
-			fire = append(fire, e-1)
-		}
-		slices.Reverse(fire)
-		p.fire = fire
-		return fire
+	if p.clock < p.hi {
+		return p.bucket[p.clock-p.lo]
+	}
+	if p.hi < drawLimit {
+		p.refile()
+		return p.bucket[p.clock-p.lo]
 	}
 	if p.first == len(p.rolled) {
 		p.rolled, p.first = p.rolled[:0], 0
@@ -301,4 +347,26 @@ func (p *Population) fired() []int {
 		p.first++
 	}
 	return p.rolled[from:p.first]
+}
+
+// refile files the window after the current one, twice as wide and
+// ending at drawLimit at most, from the members' due times. Members are
+// ascending, so each bucket is too; a fired or rolled-over tag's due
+// time lies outside the window.
+func (p *Population) refile() {
+	lo := p.hi
+	hi := min(lo+2*(lo-p.lo), drawLimit)
+	if len(p.bucket) < hi-lo {
+		p.bucket = append(p.bucket, make([][]int, hi-lo-len(p.bucket))...)
+	}
+	bucket := p.bucket[:hi-lo]
+	for c := range bucket {
+		bucket[c] = bucket[c][:0]
+	}
+	for _, i := range p.members {
+		if d := p.due[i]; lo <= d && d < hi {
+			bucket[d-lo] = append(bucket[d-lo], i)
+		}
+	}
+	p.lo, p.hi = lo, hi
 }

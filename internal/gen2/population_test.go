@@ -2,6 +2,7 @@ package gen2
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ivn/internal/rng"
@@ -231,8 +232,9 @@ func TestBroadcastMatchesPerTagLoop(t *testing.T) {
 
 // TestCalendarMatchesPerTagLoop drives the slot calendar through the
 // paths random command mixes rarely reach, against the per-tag loop on a
-// twin population: a Q=15 draw, a QueryRep run long enough for rolled-over
-// counters to come due, QueryReps and QueryAdjusts of a session other than
+// twin population: a Q=15 draw, counters beyond the first filed window
+// firing, a QueryRep run long enough for rolled-over counters to come
+// due, QueryReps and QueryAdjusts of a session other than
 // the parked one, a QueryAdjust of the parked session redrawing parked
 // tags in place and meeting parked tags that lost power, parked tags
 // losing power with and without a Reset, and a second Reset mid-round.
@@ -257,14 +259,18 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 				if pop.calendar && c.Session != pop.session {
 					seen["QueryRep of another session"]++
 				}
-				if pop.calendar && c.Session == pop.session && pop.clock+1 >= len(pop.head) &&
+				if pop.calendar && c.Session == pop.session &&
 					pop.first < len(pop.rolled) && pop.due[pop.rolled[pop.first]] == pop.clock+1 {
 					seen["rolled-over counter fires"]++
 				}
-				if pop.calendar && c.Session == pop.session && pop.clock+1 < len(pop.head) {
-					for e := pop.head[pop.clock+1]; e != 0; e = pop.next[e-1] {
-						if a[e-1].state != StateArbitrate {
+				if pop.calendar && c.Session == pop.session && pop.clock+1 < drawLimit {
+					for i, d := range pop.due {
+						switch {
+						case d != pop.clock+1:
+						case a[i].state != StateArbitrate:
 							seen["bucket skips a tag that lost power"]++
+						case d >= window:
+							seen["counter beyond the first window fires"]++
 						}
 					}
 				}
@@ -322,7 +328,7 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 		}
 
 		send(&Query{Session: S2, Q: 15})
-		if len(pop.head) > 1<<14 {
+		if slices.Max(pop.due) > 1<<14 {
 			seen["Q=15 draw"]++
 		}
 		sweep(S2, S1, 64, 2*rolloverSlot+4096)
@@ -384,6 +390,7 @@ func TestCalendarMatchesPerTagLoop(t *testing.T) {
 		"parked tag loses power, then Reset", "bucket skips a tag that lost power",
 		"second Reset mid-round", "QueryAdjust of the calendar's session redraws parked tags",
 		"QueryAdjust of the calendar's session meets a parked tag that lost power",
+		"counter beyond the first window fires",
 	} {
 		if seen[k] == 0 {
 			t.Errorf("path never reached: %s (%v)", k, seen)
