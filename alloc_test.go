@@ -71,7 +71,9 @@ func TestFig9AllocBudget(t *testing.T) {
 // beamformer and scans its CIB peak once on the worker's comm kit, then
 // decodes the one RN16 once per row. Realizing again per row (7 and 5
 // rows, 8 Quick trials) cost 3 956 and 2 871 allocations per run; the
-// shared realization needs ≈520 and ≈480.
+// shared realization needed 430 and 397. A decode's stream is split onto
+// the stack and a capture below the sync threshold returns a typed error
+// instead of formatting one, which leaves 338 and 277.
 func TestPairedUplinkAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; budget holds without -race")
@@ -79,8 +81,8 @@ func TestPairedUplinkAllocBudget(t *testing.T) {
 	for _, id := range []string{"ablation-averaging", "ablation-phasenoise"} {
 		runExperimentQuick(t, id) // warm pools and lazy state
 		allocs := testing.AllocsPerRun(3, func() { runExperimentQuick(t, id) })
-		if allocs > 1000 {
-			t.Errorf("quick %s allocates %.0f times per run, budget 1000", id, allocs)
+		if allocs > 400 {
+			t.Errorf("quick %s allocates %.0f times per run, budget 400", id, allocs)
 		}
 	}
 }

@@ -212,7 +212,7 @@ func (d FM0Decoder) DecodeFrame(samples []float64, nbits int) (*FrameResult, err
 		best, lag = bestInv, lagInv
 	}
 	if best < th {
-		return nil, fmt.Errorf("gen2: preamble correlation %.3f below threshold %.3f", best, th)
+		return nil, &thresholdError{sync: "preamble", correlation: best, threshold: th}
 	}
 	payloadStart := lag + len(tmpl)
 	payload, err := d.DecodePayload(samples[payloadStart:], nbits)
@@ -220,6 +220,18 @@ func (d FM0Decoder) DecodeFrame(samples []float64, nbits int) (*FrameResult, err
 		return nil, err
 	}
 	return &FrameResult{Payload: payload, Correlation: best, Offset: lag}, nil
+}
+
+// thresholdError reports a capture whose sync correlation falls below
+// the decoder's threshold. Most such captures are counted and dropped,
+// so its text is formatted only when someone reads it.
+type thresholdError struct {
+	sync                   string // the template: "preamble" or "Miller prefix"
+	correlation, threshold float64
+}
+
+func (e *thresholdError) Error() string {
+	return fmt.Sprintf("gen2: %s correlation %.3f below threshold %.3f", e.sync, e.correlation, e.threshold)
 }
 
 func mean(xs []float64) float64 {

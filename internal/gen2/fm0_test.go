@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ivn/internal/dsp"
 	"ivn/internal/rng"
 )
 
@@ -119,6 +120,36 @@ func TestFM0RejectsPureNoise(t *testing.T) {
 	dec := FM0Decoder{SamplesPerHalfBit: 10, CorrelationThreshold: 0.8}
 	if _, err := dec.DecodeFrame(noise, 16); err == nil {
 		t.Fatal("decoder accepted pure noise")
+	}
+}
+
+// TestBelowThresholdErrorText pins the text of a capture rejected at the
+// sync search, for both decoders, to the message built from the
+// correlation the search found.
+func TestBelowThresholdErrorText(t *testing.T) {
+	r := rng.New(4)
+	noise := make([]float64, 4000)
+	for i := range noise {
+		noise[i] = r.NormFloat64()
+	}
+	fm0 := FM0Decoder{SamplesPerHalfBit: 10, CorrelationThreshold: 0.8}
+	tmpl, inv := preambleTemplates(fm0.SamplesPerHalfBit)
+	best, _ := dsp.MaxCorrelation(noise, tmpl)
+	bestInv, _ := dsp.MaxCorrelation(noise, inv)
+	want := fmt.Sprintf("gen2: preamble correlation %.3f below threshold %.3f", max(best, bestInv), 0.8)
+	if _, err := fm0.DecodeFrame(noise, 16); err == nil || err.Error() != want {
+		t.Errorf("FM0 error %v, want %q", err, want)
+	}
+
+	miller := MillerDecoder{M: 4, SamplesPerCycle: 4}
+	prefix, err := MillerPrefixTemplate(miller.M, miller.SamplesPerCycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _ = dsp.MaxCorrelation(noise, prefix)
+	want = fmt.Sprintf("gen2: Miller prefix correlation %.3f below threshold %.3f", best, 0.95)
+	if _, err := miller.DecodeFrame(noise, 16, 0.95); err == nil || err.Error() != want {
+		t.Errorf("Miller error %v, want %q", err, want)
 	}
 }
 

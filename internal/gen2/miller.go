@@ -174,7 +174,7 @@ func (d MillerDecoder) DecodeFrame(samples []float64, nbits int, threshold float
 		return nil, fmt.Errorf("%w: capture shorter than Miller prefix", ErrShortFrame)
 	}
 	if best < threshold {
-		return nil, fmt.Errorf("gen2: Miller prefix correlation %.3f below threshold %.3f", best, threshold)
+		return nil, &thresholdError{sync: "Miller prefix", correlation: best, threshold: threshold}
 	}
 	payload, err := d.DecodePayload(samples[lag+len(tmpl):], nbits)
 	if err != nil {

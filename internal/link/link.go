@@ -274,7 +274,9 @@ func (l *Link) Decode(tg *tag.Tag, reply gen2.Reply, label string, r *rng.Rand) 
 	if err != nil {
 		return session.Decode{}, false, err
 	}
-	dr, err := l.Reader.DecodeUplink(bs, l.RoundTrip(tg.Model), l.jam[:], len(reply.Bits), r.Split(label))
+	var dec rng.Rand
+	r.SplitInto(&dec, label)
+	dr, err := l.Reader.DecodeUplink(bs, l.RoundTrip(tg.Model), l.jam[:], len(reply.Bits), &dec)
 	ok := err == nil && dr.Bits.Equal(reply.Bits)
 	if l.Trace != nil {
 		l.Trace.Advance(float64(l.averagingPeriods()) * ScanDuration)

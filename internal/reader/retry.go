@@ -2,6 +2,7 @@ package reader
 
 import (
 	"fmt"
+	"strconv"
 
 	"ivn/internal/radio"
 	"ivn/internal/rng"
@@ -76,12 +77,17 @@ func (r *Reader) DecodeUplinkWithRetry(exchange, retries int, fault DecodeFault,
 		return nil, err
 	}
 	out := &RetryResult{}
+	// Each attempt's stream is Split("attempt-<n>"), split into a stack
+	// value over a stack label.
+	var attemptRand rng.Rand
+	var label [24]byte
 	for attempt := 0; attempt <= retries; attempt++ {
 		if fault != nil && fault.CaptureCorrupted(exchange, attempt) {
 			out.Attempts = append(out.Attempts, AttemptCorrupted)
 			continue
 		}
-		res, err := r.DecodeUplink(bs, linkGain, jamPowers, nbits, rnd.Split(fmt.Sprintf("attempt-%d", attempt)))
+		rnd.SplitBytesInto(&attemptRand, strconv.AppendInt(append(label[:0], "attempt-"...), int64(attempt), 10))
+		res, err := r.DecodeUplink(bs, linkGain, jamPowers, nbits, &attemptRand)
 		if err != nil {
 			out.Attempts = append(out.Attempts, AttemptDecodeFailed)
 			continue
