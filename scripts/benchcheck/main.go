@@ -3,10 +3,19 @@
 // label (an empty label once shipped in a committed snapshot and made it
 // undiffable from its neighbors), and list at least one benchmark with a
 // name, a positive iteration count, and a positive ns/op figure.
-// Duplicate benchmark names are rejected — the awk best-of-N fold is
+// Duplicate benchmark names are rejected — the best-of-N fold is
 // supposed to collapse repetitions. A best_of field, when present, must
 // be at least 1; snapshots written before bench.sh recorded it carry
 // none and are checked as that older schema.
+//
+// A snapshot recorded through the repository's benchmark also carries
+// runs: each names its workload and trace flag (0 or 1, once per pair)
+// and holds the run's result line, which must be correct, with no failed
+// operation, at least one attempted, and finite, non-negative metrics.
+// Every workload needs an untraced run, and an untraced run must report
+// every end-to-end metric, with a positive run_ms. Snapshots without
+// runs are the older schema, whose benchmarks were the experiment-level
+// Go benchmarks.
 //
 // Usage: go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
 package main
@@ -14,7 +23,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 )
 
 type benchFile struct {
@@ -22,7 +33,29 @@ type benchFile struct {
 	Label      string  `json:"label"`
 	BestOf     *int    `json:"best_of"` // nil in the schema before best-of-N
 	Benchmarks []bench `json:"benchmarks"`
+	Runs       []run   `json:"runs"` // nil in the schema before the benchmark's runs
 }
+
+type run struct {
+	Workload string `json:"workload"`
+	Trace    int    `json:"trace"`
+	Result   struct {
+		Correct   bool `json:"correct"`
+		Attempted int  `json:"attempted"`
+		Failed    int  `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+			Unit  string  `json:"unit"`
+		} `json:"metrics"`
+	} `json:"result"`
+}
+
+// workloads and endToEnd are BENCHMARK.json's workloads and end-to-end
+// metrics (TestNamesMatchBenchmark keeps them in step).
+var (
+	workloads = []string{"figures", "population", "service"}
+	endToEnd  = []string{"setup_s", "run_ms", "alloc_mb_per_run", "peak_rss_mb"}
+)
 
 type bench struct {
 	Name        string  `json:"name"`
@@ -69,7 +102,55 @@ func check(path string) error {
 		}
 		seen[b.Name] = true
 	}
-	fmt.Printf("benchcheck: %s OK (%d benchmarks, label %q)\n", path, len(f.Benchmarks), f.Label)
+	if f.Runs != nil {
+		if err := checkRuns(f.Runs); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+	}
+	fmt.Printf("benchcheck: %s OK (%d runs, %d benchmarks, label %q)\n", path, len(f.Runs), len(f.Benchmarks), f.Label)
+	return nil
+}
+
+func checkRuns(runs []run) error {
+	seen := map[string]bool{}
+	for _, r := range runs {
+		key := fmt.Sprintf("%s --trace %d", r.Workload, r.Trace)
+		res := r.Result
+		switch {
+		case !slices.Contains(workloads, r.Workload):
+			return fmt.Errorf("run of unknown workload %q", r.Workload)
+		case r.Trace != 0 && r.Trace != 1:
+			return fmt.Errorf("%s: trace must be 0 or 1", key)
+		case seen[key]:
+			return fmt.Errorf("%s: recorded twice", key)
+		case !res.Correct || res.Failed != 0 || res.Attempted < 1:
+			return fmt.Errorf("%s: correct %v, %d of %d operations failed", key, res.Correct, res.Failed, res.Attempted)
+		case len(res.Metrics) == 0:
+			return fmt.Errorf("%s: no metrics", key)
+		}
+		seen[key] = true
+		for name, m := range res.Metrics {
+			if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) || m.Value < 0 {
+				return fmt.Errorf("%s: %s = %g", key, name, m.Value)
+			}
+		}
+		if r.Trace == 1 {
+			continue
+		}
+		for _, name := range endToEnd {
+			if _, ok := res.Metrics[name]; !ok {
+				return fmt.Errorf("%s: no %s", key, name)
+			}
+		}
+		if !(res.Metrics["run_ms"].Value > 0) {
+			return fmt.Errorf("%s: run_ms %g, want > 0", key, res.Metrics["run_ms"].Value)
+		}
+	}
+	for _, w := range workloads {
+		if !seen[w+" --trace 0"] {
+			return fmt.Errorf("no untraced run of %s", w)
+		}
+	}
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,74 @@ func TestBestOfRule(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "best_of") {
 			t.Errorf("%q: error %v does not name best_of", c.field, err)
+		}
+	}
+}
+
+// TestNamesMatchBenchmark keeps the workloads and end-to-end metrics a
+// run must report in step with BENCHMARK.json.
+func TestNamesMatchBenchmark(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	var ws, es []string
+	for _, w := range decl.Workloads {
+		ws = append(ws, w.Name)
+	}
+	for _, e := range decl.EndToEnd {
+		es = append(es, e.Name)
+	}
+	if !slices.Equal(ws, workloads) || !slices.Equal(es, endToEnd) {
+		t.Errorf("BENCHMARK.json declares workloads %v and end-to-end metrics %v; benchcheck checks %v and %v", ws, es, workloads, endToEnd)
+	}
+}
+
+// TestRunsRules: a snapshot with runs needs a correct untraced run of
+// every workload carrying every end-to-end metric; each rule is broken
+// once.
+func TestRunsRules(t *testing.T) {
+	const e2e = `{"setup_s": {"value": 0.5, "unit": "s"}, "run_ms": {"value": 500, "unit": "ms"}, "alloc_mb_per_run": {"value": 10, "unit": "MiB"}, "peak_rss_mb": {"value": 14, "unit": "MiB"}}`
+	good := func(w string) string {
+		return `{"workload": "` + w + `", "trace": 0, "result": {"correct": true, "attempted": 3, "failed": 0, "metrics": ` + e2e + `}}`
+	}
+	traced := `{"workload": "population", "trace": 1, "result": {"correct": true, "attempted": 2, "failed": 0, "metrics": {"session.slots": {"value": 314671, "unit": "count"}}}}`
+	base := []string{good("figures"), good("population"), good("service"), traced}
+	for _, c := range []struct {
+		name string
+		runs []string
+		want string // "" for ok, else a fragment of the error
+	}{
+		{"all workloads", base, ""},
+		{"no untraced service run", base[:2], "no untraced run of service"},
+		{"unknown workload", append(slices.Clone(base), good("other")), "unknown workload"},
+		{"duplicate", append(slices.Clone(base), good("figures")), "recorded twice"},
+		{"trace 2", append(slices.Clone(base), strings.Replace(traced, `"trace": 1`, `"trace": 2`, 1)), "trace must be 0 or 1"},
+		{"incorrect", append([]string{strings.Replace(good("figures"), `"correct": true`, `"correct": false`, 1)}, base[1:]...), "correct false"},
+		{"failed operation", append([]string{strings.Replace(good("figures"), `"failed": 0`, `"failed": 1`, 1)}, base[1:]...), "1 of 3 operations failed"},
+		{"missing metric", append([]string{strings.Replace(good("figures"), `"peak_rss_mb"`, `"rss"`, 1)}, base[1:]...), "no peak_rss_mb"},
+		{"zero run_ms", append([]string{strings.Replace(good("figures"), `"value": 500`, `"value": 0`, 1)}, base[1:]...), "run_ms 0"},
+		{"negative metric", append([]string{strings.Replace(good("figures"), `"value": 10`, `"value": -1`, 1)}, base[1:]...), "alloc_mb_per_run = -1"},
+	} {
+		path := filepath.Join(t.TempDir(), "BENCH_test.json")
+		doc := `{"date": "2026-01-01", "label": "x", "best_of": 1, "runs": [` + strings.Join(c.runs, ", ") +
+			`], "benchmarks": [{"name": "BenchmarkX", "iters": 1, "ns_per_op": 2}]}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := check(path)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 }
