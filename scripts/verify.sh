@@ -33,6 +33,14 @@
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              phasor's shared scan-scratch free list,
 #                              under the race detector
+# 5a. fuzz                   — 20 s of coverage-guided fuzzing of
+#                              gen2's FuzzBroadcastMatchesPerTagLoop:
+#                              command programs through the round-member
+#                              broadcaster and its slot calendar against
+#                              the per-tag loop (stage 4 replays the
+#                              committed corpus under
+#                              internal/gen2/testdata/fuzz; a failing
+#                              input found here is written there)
 # 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
 #                              internal/phasor, internal/rng, internal/gen2
 #                              and internal/session must list no fused
@@ -115,6 +123,9 @@ stage "go test" go test ./...
 stage "go test -race (parallel trial paths)" \
   go test -race . ./internal/engine/ ./internal/ivnsim/ ./internal/phasor/ ./internal/dsp/ \
   ./internal/fault/ ./internal/gen2/ ./internal/session/ ./internal/link/ ./internal/service/
+
+stage "fuzz (Population against the per-tag loop)" \
+  go test -run '^$' -fuzz '^FuzzBroadcastMatchesPerTagLoop$' -fuzztime 20s ./internal/gen2/
 
 # no_fused_arm64 PKG SYMBOL: the arm64 listing of PKG must name SYMBOL (an
 # empty listing would pass the grep below vacuously) and hold no fused
