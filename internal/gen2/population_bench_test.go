@@ -41,6 +41,13 @@ func BenchmarkQueryAdjustPass(b *testing.B) {
 			send(&Query{Session: S0, Q: 7})
 		}
 		refill()
+		// The commands are built once, so the loop allocates only what
+		// the population does.
+		adjust := [2][2]*QueryAdjust{
+			{{Session: S0, UpDn: QUp}, {Session: S0, UpDn: QDown}},
+			{{Session: S1, UpDn: QUp}, {Session: S1, UpDn: QDown}},
+		}
+		rep, ack := &QueryRep{Session: S0}, &ACK{}
 		var visits int
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -50,18 +57,19 @@ func BenchmarkQueryAdjustPass(b *testing.B) {
 				refill()
 				b.StartTimer()
 			}
-			s, upDn := S0, []byte{QUp, QDown}[k&1]
+			other := 0
 			if mixed && k%4 == 3 {
-				s = S1
+				other = 1
 			}
 			visits += len(pop.members)
-			send(&QueryAdjust{Session: s, UpDn: upDn})
+			send(adjust[other][k&1])
 			if mixed && len(replies) == 1 && replies[0].Kind == ReplyRN16 {
 				rn, _ := replies[0].Bits.Uint(0, 16)
-				send(&ACK{RN16: uint16(rn)})
+				ack.RN16 = uint16(rn)
+				send(ack)
 			}
-			send(&QueryRep{Session: S0})
-			send(&QueryRep{Session: S0})
+			send(rep)
+			send(rep)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visits), "ns/visit")
 	}
