@@ -103,8 +103,9 @@ func TestRunsRules(t *testing.T) {
 		{"incorrect", append([]string{strings.Replace(good("figures"), `"correct": true`, `"correct": false`, 1)}, base[1:]...), "correct false"},
 		{"failed operation", append([]string{strings.Replace(good("figures"), `"failed": 0`, `"failed": 1`, 1)}, base[1:]...), "1 of 3 operations failed"},
 		{"missing metric", append([]string{strings.Replace(good("figures"), `"peak_rss_mb"`, `"rss"`, 1)}, base[1:]...), "no peak_rss_mb"},
-		{"zero run_ms", append([]string{strings.Replace(good("figures"), `"value": 500`, `"value": 0`, 1)}, base[1:]...), "run_ms 0"},
-		{"negative metric", append([]string{strings.Replace(good("figures"), `"value": 10`, `"value": -1`, 1)}, base[1:]...), "alloc_mb_per_run = -1"},
+		{"zero run_ms", append([]string{strings.Replace(good("figures"), `"value": 500`, `"value": 0`, 1)}, base[1:]...), "run_ms 0, want > 0"},
+		{"negative end-to-end metric", append([]string{strings.Replace(good("figures"), `"value": 10`, `"value": -1`, 1)}, base[1:]...), "alloc_mb_per_run -1, want > 0"},
+		{"negative traced overhead", append(slices.Clone(base[:3]), strings.Replace(traced, `"value": 314671`, `"value": -0.7`, 1)), ""},
 	} {
 		path := filepath.Join(t.TempDir(), "BENCH_test.json")
 		doc := `{"date": "2026-01-01", "label": "x", "best_of": 1, "runs": [` + strings.Join(c.runs, ", ") +

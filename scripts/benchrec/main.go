@@ -98,55 +98,42 @@ func main() {
 // snapshots diff line by line.
 func encode(s snapshot) ([]byte, error) {
 	var b bytes.Buffer
-	field := func(name string, v any, last bool) error {
-		j, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(&b, "  %q: %s", name, j)
-		if !last {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-		return nil
-	}
-	list := func(name string, n int, item func(int) any, last bool) error {
-		fmt.Fprintf(&b, "  %q: [\n", name)
-		for i := 0; i < n; i++ {
-			j, err := json.Marshal(item(i))
-			if err != nil {
-				return err
-			}
-			b.WriteString("    ")
-			b.Write(j)
-			if i < n-1 {
-				b.WriteByte(',')
-			}
-			b.WriteByte('\n')
-		}
-		b.WriteString("  ]")
-		if !last {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-		return nil
-	}
 	b.WriteString("{\n")
-	for _, err := range []error{
-		field("date", s.Date, false),
-		field("label", s.Label, false),
-		field("revision", s.Revision, false),
-		field("machine", s.Machine, false),
-		field("best_of", s.BestOf, false),
-		list("runs", len(s.Runs), func(i int) any { return s.Runs[i] }, false),
-		list("benchmarks", len(s.Benchmarks), func(i int) any { return s.Benchmarks[i] }, true),
-	} {
+	for _, f := range []struct {
+		name string
+		v    any
+	}{{"date", s.Date}, {"label", s.Label}, {"revision", s.Revision}, {"machine", s.Machine}, {"best_of", s.BestOf}} {
+		j, err := json.Marshal(f.v)
 		if err != nil {
 			return nil, err
 		}
+		fmt.Fprintf(&b, "  %q: %s,\n", f.name, j)
+	}
+	if err := writeRows(&b, "runs", s.Runs, ","); err != nil {
+		return nil, err
+	}
+	if err := writeRows(&b, "benchmarks", s.Benchmarks, ""); err != nil {
+		return nil, err
 	}
 	b.WriteString("}\n")
 	return b.Bytes(), nil
+}
+
+// writeRows writes the array field name with one element per line.
+func writeRows[T any](b *bytes.Buffer, name string, rows []T, comma string) error {
+	fmt.Fprintf(b, "  %q: [", name)
+	for i, r := range rows {
+		j, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, "\n    %s", j)
+	}
+	fmt.Fprintf(b, "\n  ]%s\n", comma)
+	return nil
 }
 
 func thisMachine() machine {
