@@ -168,7 +168,7 @@ func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []i
 	// Filing is a loop of its own: without a call in its body it keeps
 	// its slices in registers.
 	p.restart(s)
-	bucket, live := p.firstWindow(), p.live[:0]
+	bucket, live := p.buckets(window), p.live[:0]
 	for _, i := range members {
 		t := p.tags[i]
 		if !draws || t.state != StateArbitrate || t.session != s || t.slot == 0 {
@@ -185,13 +185,12 @@ func (p *Population) pass(cmd Command, replies []Reply, who []int) ([]Reply, []i
 	return replies, who
 }
 
-// firstWindow empties the buckets of a fresh calendar's window and
-// returns them.
-func (p *Population) firstWindow() [][]int {
-	if len(p.bucket) < window {
-		p.bucket = make([][]int, window)
+// buckets returns the first n buckets, emptied for filing.
+func (p *Population) buckets(n int) [][]int {
+	if len(p.bucket) < n {
+		p.bucket = append(p.bucket, make([][]int, n-len(p.bucket))...)
 	}
-	bucket := p.bucket[:window:window]
+	bucket := p.bucket[:n:n]
 	for c := range bucket {
 		bucket[c] = bucket[c][:0]
 	}
@@ -220,7 +219,7 @@ func (p *Population) restart(s Session) {
 // alone builds the replies and the live list.
 func (p *Population) queryAdjust(q *QueryAdjust, replies []Reply, who []int) ([]Reply, []int) {
 	s, upDn := q.Session, q.UpDn
-	tags, due, side, bucket := p.tags, p.due, p.side, p.firstWindow()
+	tags, due, side, bucket := p.tags, p.due, p.side, p.buckets(window)
 	members := p.members
 	kept, n := 0, 0
 	for _, i := range members {
@@ -356,13 +355,7 @@ func (p *Population) fired() []int {
 func (p *Population) refile() {
 	lo := p.hi
 	hi := min(lo+2*(lo-p.lo), drawLimit)
-	if len(p.bucket) < hi-lo {
-		p.bucket = append(p.bucket, make([][]int, hi-lo-len(p.bucket))...)
-	}
-	bucket := p.bucket[:hi-lo]
-	for c := range bucket {
-		bucket[c] = bucket[c][:0]
-	}
+	bucket := p.buckets(hi - lo)
 	for _, i := range p.members {
 		if d := p.due[i]; lo <= d && d < hi {
 			bucket[d-lo] = append(bucket[d-lo], i)
