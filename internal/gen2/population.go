@@ -67,9 +67,9 @@ type Population struct {
 	first    int
 }
 
-// window is the width of a fresh calendar's filed window: the floating-Q
-// controller follows a QueryAdjust with three QueryReps on average, so
-// the counters it files are the ones those QueryReps fire.
+// window is the width of a fresh calendar's filed window: the dense
+// inventories issue three QueryReps per QueryAdjust, so the counters it
+// files are the ones those QueryReps fire.
 const window = 8
 
 // drawLimit bounds the due times of drawn counters (Q ≤ 15). A counter
