@@ -14,9 +14,8 @@
 // operation, at least one attempted, and finite metrics (a traced run's
 // overhead may read below zero). Every workload needs an untraced run,
 // and an untraced run must report every end-to-end metric, each above
-// zero. Snapshots without
-// runs are the older schema, whose benchmarks were the experiment-level
-// Go benchmarks.
+// zero. Snapshots without runs are the older schema, whose benchmarks
+// were the experiment-level Go benchmarks.
 //
 // Usage: go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
 package main
@@ -46,7 +45,6 @@ type run struct {
 		Failed    int  `json:"failed"`
 		Metrics   map[string]struct {
 			Value float64 `json:"value"`
-			Unit  string  `json:"unit"`
 		} `json:"metrics"`
 	} `json:"result"`
 }
