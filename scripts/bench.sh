@@ -6,9 +6,10 @@
 # figures and population traced (--trace 1: the per-layer split), plus
 # the kernel micro-benchmarks, and writes BENCH_<date>_<label>.json: each
 # benchmark run's last stdout line (its JSON result) beside the kernel
-# rows, assembled by scripts/benchrec and validated by scripts/benchcheck.
-# Each kernel benchmark runs BENCHCOUNT times and keeps its fastest
-# repetition.
+# rows, assembled and validated by scripts/benchcheck. Each kernel
+# benchmark runs BENCHCOUNT times and keeps its fastest repetition. Every
+# benchmark run uses seed 11, the one at which _perfbench checks each
+# output against the committed goldens.
 #
 # Compare two builds by recording both on one machine, one after the
 # other; a single benchmark run is one sample, so a speed claim still
@@ -16,20 +17,20 @@
 #
 # Usage:
 #   scripts/bench.sh [label]
-#   BENCH_SECONDS=30 BENCH_SEED=11 BENCHTIME_MICRO=2s BENCHCOUNT=5 scripts/bench.sh label
+#   BENCH_SECONDS=30 BENCHTIME_MICRO=2s BENCHCOUNT=5 scripts/bench.sh label
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # A label is required in the JSON (an unlabeled snapshot once shipped as
 # `"label": ""` and was undiffable from its neighbors); default to the
-# git short SHA so ad-hoc runs stay attributable.
-REVISION="${BENCH_REVISION:-$(git describe --always --dirty 2>/dev/null || echo unknown)}"
+# git revision so ad-hoc runs stay attributable.
+REVISION="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 LABEL="${1:-$REVISION}"
 DATE="$(date +%F)"
 OUT="BENCH_${DATE}_${LABEL}.json"
 
 SECONDS_PER_RUN="${BENCH_SECONDS:-10}"
-SEED="${BENCH_SEED:-11}"
+SEED=11
 MICRO_TIME="${BENCHTIME_MICRO:-1s}"
 COUNT="${BENCHCOUNT:-3}"
 
@@ -51,10 +52,10 @@ for w in figures population; do
   run_workload "$w" 1
 done
 
-# kernels PKG PATTERN: the package's micro-benchmarks as go test -json
-# events.
+# kernels PKG PATTERN: the package's micro-benchmarks, as go test
+# prints them.
 kernels() {
-  go test -run '^$' -bench "$2" -benchmem -benchtime "$MICRO_TIME" -count "$COUNT" -json "$1" >> "$TMP/kernels.json"
+  go test -run '^$' -bench "$2" -benchmem -benchtime "$MICRO_TIME" -count "$COUNT" "$1" | tee -a "$TMP/kernels.txt"
 }
 kernels ./internal/phasor 'SumSeries$|PeakPower$'
 kernels ./internal/core 'EnvelopeSeries10Carriers$|ExpectedPeak$'
@@ -63,12 +64,8 @@ kernels ./internal/dsp 'MaxCorrelation4096x96$'
 kernels ./internal/gen2 'QueryAdjustPass'
 kernels ./internal/session 'InventoryRound/event-channel'
 
-go run ./scripts/benchrec -label "$LABEL" -date "$DATE" -revision "$REVISION" -best-of "$COUNT" \
-  -runs "$TMP/runs.jsonl" -kernels "$TMP/kernels.json" > "$OUT"
-
-# Validate what was just written: parseable JSON, non-empty label, every
-# run correct with its metrics, sane kernel figures. A malformed snapshot
-# is worse than none.
-go run ./scripts/benchcheck "$OUT"
-
-echo "wrote $OUT"
+# benchcheck writes the snapshot only if it validates: parseable JSON,
+# non-empty label, every run correct with its metrics, sane kernel
+# figures. A malformed snapshot is worse than none.
+go run ./scripts/benchcheck -record "$OUT" -label "$LABEL" -date "$DATE" -revision "$REVISION" -best-of "$COUNT" \
+  -runs "$TMP/runs.jsonl" -kernels "$TMP/kernels.txt"

@@ -1,122 +1,199 @@
-// Command benchcheck validates a BENCH_*.json file written by
-// scripts/bench.sh: the document must parse, carry a non-empty date and
-// label (an empty label once shipped in a committed snapshot and made it
-// undiffable from its neighbors), and list at least one benchmark with a
-// name, a positive iteration count, and a positive ns/op figure.
-// Duplicate benchmark names are rejected — the best-of-N fold is
-// supposed to collapse repetitions. A best_of field, when present, must
-// be at least 1; snapshots written before bench.sh recorded it carry
-// none and are checked as that older schema.
+// Command benchcheck records and validates the BENCH_*.json snapshots
+// that scripts/bench.sh writes.
+//
+// benchcheck FILE... validates each snapshot. The document must parse,
+// carry a non-empty date and label (an empty label once shipped in a
+// committed snapshot and made it undiffable from its neighbors), and
+// list at least one benchmark with a name, a positive iteration count,
+// and a positive ns/op figure. Duplicate benchmark names are rejected —
+// the best-of-N fold is supposed to collapse repetitions. A best_of
+// field, when present, must be at least 1; snapshots written before
+// bench.sh recorded it carry none and are checked as that older schema.
 //
 // A snapshot recorded through the repository's benchmark also carries
-// runs: each names its workload and trace flag (0 or 1, once per pair)
-// and holds the run's result line, which must be correct, with no failed
-// operation, at least one attempted, and finite metrics (a traced run's
-// overhead may read below zero). Every workload needs an untraced run,
-// and an untraced run must report every end-to-end metric, each above
-// zero. Snapshots without runs are the older schema, whose benchmarks
-// were the experiment-level Go benchmarks.
+// runs: each names a workload of BENCHMARK.json and its trace flag (0 or
+// 1, once per pair) and holds the run's result line, which must be
+// correct, with no failed operation, at least one attempted, and finite
+// metrics (a traced run's overhead may read below zero). Every workload
+// needs an untraced run, and an untraced run must report every
+// end-to-end metric of BENCHMARK.json, each above zero. Snapshots without
+// runs are the older schema, whose benchmarks were the experiment-level
+// Go benchmarks.
 //
-// Usage: go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
+// benchcheck -record OUT assembles a snapshot and writes it to OUT only
+// if it passes the same checks. Its runs are the JSON objects of the
+// -runs file, one per line (the workload, its trace flag, seed and
+// window, and the run's result line as _perfbench printed it). Its
+// benchmarks are the result lines of the plain `go test -bench` output
+// in the -kernels file, whose `pkg:` lines name each one's package. A
+// benchmark repeated with -count keeps its fastest repetition (lowest
+// ns/op, with that repetition's memory and custom metrics): on a shared
+// machine one-off scheduler hiccups only ever push a timing up. The
+// document holds one run or benchmark per line, so two snapshots diff
+// line by line.
+//
+// Usage:
+//
+//	go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
+//	go run ./scripts/benchcheck -record BENCH_<date>_<label>.json -label L -date YYYY-MM-DD \
+//		-revision R -best-of N -runs runs.jsonl -kernels kernels.txt
+//
+// Both read BENCHMARK.json from the working directory, the repository
+// root.
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"slices"
+	"runtime"
+	"strconv"
+	"strings"
 )
 
-type benchFile struct {
-	Date       string  `json:"date"`
-	Label      string  `json:"label"`
-	BestOf     *int    `json:"best_of"` // nil in the schema before best-of-N
-	Benchmarks []bench `json:"benchmarks"`
-	Runs       []run   `json:"runs"` // nil in the schema before the benchmark's runs
+// snapshot is one BENCH_*.json document.
+type snapshot struct {
+	Date       string   `json:"date"`
+	Label      string   `json:"label"`
+	Revision   string   `json:"revision,omitempty"`
+	Machine    *machine `json:"machine,omitempty"`
+	BestOf     *int     `json:"best_of"` // nil in the schema before best-of-N
+	Runs       []run    `json:"runs"`    // nil in the schema before the benchmark's runs
+	Benchmarks []bench  `json:"benchmarks"`
 }
 
+type machine struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPUs   int    `json:"cpus"`
+	CPU    string `json:"cpu,omitempty"`
+	Go     string `json:"go"`
+}
+
+// run is one run of the repository's benchmark; Result is its last
+// stdout line as _perfbench printed it.
 type run struct {
-	Workload string `json:"workload"`
-	Trace    int    `json:"trace"`
-	Result   struct {
-		Correct   bool `json:"correct"`
-		Attempted int  `json:"attempted"`
-		Failed    int  `json:"failed"`
-		Metrics   map[string]struct {
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	} `json:"result"`
+	Workload string          `json:"workload"`
+	Trace    int             `json:"trace"`
+	Seed     int             `json:"seed"`
+	Seconds  float64         `json:"seconds"`
+	Result   json.RawMessage `json:"result"`
 }
 
-// workloads and endToEnd are BENCHMARK.json's workloads and end-to-end
-// metrics (TestNamesMatchBenchmark keeps them in step).
-var (
-	workloads = []string{"figures", "population", "service"}
-	endToEnd  = []string{"setup_s", "run_ms", "alloc_mb_per_run", "peak_rss_mb"}
-)
+// result is the part of a run's result line that the checks read.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
 
 type bench struct {
-	Name        string  `json:"name"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Name        string             `json:"name"`
+	Package     string             `json:"package,omitempty"`
+	Iters       int                `json:"iters"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-func check(path string) error {
+// declared is what BENCHMARK.json declares that runs must cover: its
+// workloads and its end-to-end metrics.
+type declared struct {
+	Workloads []struct{ Name string } `json:"workloads"`
+	EndToEnd  []struct{ Name string } `json:"end_to_end"`
+}
+
+func readDeclared(path string) (declared, error) {
+	var d declared
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &d)
+	}
+	if err == nil && (len(d.Workloads) == 0 || len(d.EndToEnd) == 0) {
+		err = errors.New("no workloads or no end-to-end metrics")
+	}
+	if err != nil {
+		return d, fmt.Errorf("%s: %v", path, err)
+	}
+	return d, nil
+}
+
+func check(path string, d declared) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var f benchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
+	s, err := validate(raw, d)
+	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
-	if f.Date == "" {
-		return fmt.Errorf("%s: empty date", path)
-	}
-	if f.Label == "" {
-		return fmt.Errorf("%s: empty label (bench.sh defaults to the git short SHA; pass one explicitly)", path)
-	}
-	if f.BestOf != nil && *f.BestOf < 1 {
-		return fmt.Errorf("%s: best_of %d, want >= 1", path, *f.BestOf)
-	}
-	if len(f.Benchmarks) == 0 {
-		return fmt.Errorf("%s: no benchmarks recorded", path)
-	}
-	seen := map[string]bool{}
-	for i, b := range f.Benchmarks {
-		switch {
-		case b.Name == "":
-			return fmt.Errorf("%s: benchmark %d has no name", path, i)
-		case seen[b.Name]:
-			return fmt.Errorf("%s: duplicate benchmark %q", path, b.Name)
-		case b.Iters < 1:
-			return fmt.Errorf("%s: %s: iters %d, want >= 1", path, b.Name, b.Iters)
-		case !(b.NsPerOp > 0):
-			return fmt.Errorf("%s: %s: ns_per_op %g, want > 0", path, b.Name, b.NsPerOp)
-		case b.BytesPerOp < 0 || b.AllocsPerOp < 0:
-			return fmt.Errorf("%s: %s: negative memory figures", path, b.Name)
-		}
-		seen[b.Name] = true
-	}
-	if f.Runs != nil {
-		if err := checkRuns(f.Runs); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	}
-	fmt.Printf("benchcheck: %s OK (%d runs, %d benchmarks, label %q)\n", path, len(f.Runs), len(f.Benchmarks), f.Label)
+	fmt.Printf("benchcheck: %s OK (%d runs, %d benchmarks, label %q)\n", path, len(s.Runs), len(s.Benchmarks), s.Label)
 	return nil
 }
 
-func checkRuns(runs []run) error {
+func validate(raw []byte, d declared) (snapshot, error) {
+	var s snapshot
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return s, err
+	}
+	if s.Date == "" {
+		return s, errors.New("empty date")
+	}
+	if s.Label == "" {
+		return s, errors.New("empty label (bench.sh defaults to the git revision; pass one explicitly)")
+	}
+	if s.BestOf != nil && *s.BestOf < 1 {
+		return s, fmt.Errorf("best_of %d, want >= 1", *s.BestOf)
+	}
+	if len(s.Benchmarks) == 0 {
+		return s, errors.New("no benchmarks recorded")
+	}
+	seen := map[string]bool{}
+	for i, b := range s.Benchmarks {
+		switch {
+		case b.Name == "":
+			return s, fmt.Errorf("benchmark %d has no name", i)
+		case seen[b.Name]:
+			return s, fmt.Errorf("duplicate benchmark %q", b.Name)
+		case b.Iters < 1:
+			return s, fmt.Errorf("%s: iters %d, want >= 1", b.Name, b.Iters)
+		case !(b.NsPerOp > 0):
+			return s, fmt.Errorf("%s: ns_per_op %g, want > 0", b.Name, b.NsPerOp)
+		case b.BytesPerOp < 0 || b.AllocsPerOp < 0:
+			return s, fmt.Errorf("%s: negative memory figures", b.Name)
+		}
+		seen[b.Name] = true
+	}
+	if s.Runs != nil {
+		return s, checkRuns(s.Runs, d)
+	}
+	return s, nil
+}
+
+func checkRuns(runs []run, d declared) error {
+	known := map[string]bool{}
+	for _, w := range d.Workloads {
+		known[w.Name] = true
+	}
 	seen := map[string]bool{}
 	for _, r := range runs {
 		key := fmt.Sprintf("%s --trace %d", r.Workload, r.Trace)
-		res := r.Result
+		var res result
+		if err := json.Unmarshal(r.Result, &res); err != nil {
+			return fmt.Errorf("%s: result: %v", key, err)
+		}
 		switch {
-		case !slices.Contains(workloads, r.Workload):
+		case !known[r.Workload]:
 			return fmt.Errorf("run of unknown workload %q", r.Workload)
 		case r.Trace != 0 && r.Trace != 1:
 			return fmt.Errorf("%s: trace must be 0 or 1", key)
@@ -136,31 +213,224 @@ func checkRuns(runs []run) error {
 		if r.Trace == 1 {
 			continue
 		}
-		for _, name := range endToEnd {
-			if m, ok := res.Metrics[name]; !ok {
-				return fmt.Errorf("%s: no %s", key, name)
+		for _, e := range d.EndToEnd {
+			if m, ok := res.Metrics[e.Name]; !ok {
+				return fmt.Errorf("%s: no %s", key, e.Name)
 			} else if !(m.Value > 0) {
-				return fmt.Errorf("%s: %s %g, want > 0", key, name, m.Value)
+				return fmt.Errorf("%s: %s %g, want > 0", key, e.Name, m.Value)
 			}
 		}
 	}
-	for _, w := range workloads {
-		if !seen[w+" --trace 0"] {
-			return fmt.Errorf("no untraced run of %s", w)
+	for _, w := range d.Workloads {
+		if !seen[w.Name+" --trace 0"] {
+			return fmt.Errorf("no untraced run of %s", w.Name)
 		}
 	}
 	return nil
 }
 
+// record assembles the snapshot's runs and benchmarks from the two
+// files and writes it to out if it validates.
+func record(out string, s snapshot, runsPath, kernelsPath string, d declared) error {
+	runs, err := os.ReadFile(runsPath)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(runs))
+	for {
+		var r run
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("%s: %v", runsPath, err)
+		}
+		s.Runs = append(s.Runs, r)
+	}
+	f, err := os.Open(kernelsPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	// The benchmarks ran in this process's environment, so with its
+	// GOMAXPROCS.
+	if s.Benchmarks, err = readKernels(f, runtime.GOMAXPROCS(0)); err != nil {
+		return fmt.Errorf("%s: %v", kernelsPath, err)
+	}
+	doc, err := encode(s)
+	if err != nil {
+		return err
+	}
+	if _, err := validate(doc, d); err != nil {
+		return fmt.Errorf("%s: %v", out, err)
+	}
+	if err := os.WriteFile(out, doc, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("benchcheck: wrote %s (%d runs, %d benchmarks, label %q)\n", out, len(s.Runs), len(s.Benchmarks), s.Label)
+	return nil
+}
+
+// readKernels reads go test -bench output and keeps the fastest
+// repetition of every benchmark; procs is the GOMAXPROCS it ran with.
+func readKernels(r io.Reader, procs int) ([]bench, error) {
+	var rows []bench
+	index := map[string]int{}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+			continue
+		}
+		k, ok := parseBenchLine(line, procs)
+		if !ok {
+			continue
+		}
+		k.Package = pkg
+		if j, seen := index[k.Name]; !seen {
+			index[k.Name] = len(rows)
+			rows = append(rows, k)
+		} else if k.NsPerOp < rows[j].NsPerOp {
+			rows[j] = k
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return nil, errors.New("no benchmark results")
+	}
+	return rows, nil
+}
+
+// parseBenchLine reads one result line of the testing package:
+// "BenchmarkName-P  iters  v ns/op  v B/op  v allocs/op  v unit…". The
+// testing package appends -P only when GOMAXPROCS P is not 1, so a name
+// keeps a trailing number of its own (event-channel-1000) at P = 1.
+func parseBenchLine(line string, procs int) (bench, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
+		return bench{}, false
+	}
+	iters, err := strconv.Atoi(f[1])
+	if err != nil {
+		return bench{}, false
+	}
+	name := f[0]
+	if procs != 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+	}
+	k := bench{Name: name, Iters: iters}
+	for j := 2; j+1 < len(f); j += 2 {
+		v, err := strconv.ParseFloat(f[j], 64)
+		if err != nil {
+			return bench{}, false
+		}
+		switch unit := f[j+1]; unit {
+		case "ns/op":
+			k.NsPerOp = v
+		case "B/op":
+			k.BytesPerOp = v
+		case "allocs/op":
+			k.AllocsPerOp = v
+		default:
+			if k.Metrics == nil {
+				k.Metrics = map[string]float64{}
+			}
+			k.Metrics[unit] = v
+		}
+	}
+	return k, k.NsPerOp > 0
+}
+
+// encode writes the snapshot with one run or benchmark per line.
+func encode(s snapshot) ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteString("{\n")
+	for _, f := range []struct {
+		name string
+		v    any
+	}{{"date", s.Date}, {"label", s.Label}, {"revision", s.Revision}, {"machine", s.Machine}, {"best_of", s.BestOf}} {
+		j, err := json.Marshal(f.v)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(&b, "  %q: %s,\n", f.name, j)
+	}
+	if err := writeRows(&b, "runs", s.Runs, ","); err != nil {
+		return nil, err
+	}
+	if err := writeRows(&b, "benchmarks", s.Benchmarks, ""); err != nil {
+		return nil, err
+	}
+	b.WriteString("}\n")
+	return b.Bytes(), nil
+}
+
+// writeRows writes the array field name with one element per line.
+func writeRows[T any](b *bytes.Buffer, name string, rows []T, comma string) error {
+	fmt.Fprintf(b, "  %q: [", name)
+	for i, r := range rows {
+		j, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, "\n    %s", j)
+	}
+	fmt.Fprintf(b, "\n  ]%s\n", comma)
+	return nil
+}
+
+func thisMachine() *machine {
+	m := &machine{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(), Go: runtime.Version()}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return m
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_*.json...")
+	out := flag.String("record", "", "assemble a snapshot and write it to this file")
+	label := flag.String("label", "", "with -record: the snapshot's label (required)")
+	date := flag.String("date", "", "with -record: the snapshot's date, YYYY-MM-DD (required)")
+	revision := flag.String("revision", "", "with -record: the source revision the snapshot measures")
+	bestOf := flag.Int("best-of", 1, "with -record: repetitions of each kernel benchmark")
+	runsPath := flag.String("runs", "", "with -record: file of run lines, one JSON object each (required)")
+	kernelsPath := flag.String("kernels", "", "with -record: go test -bench output of the kernel benchmarks (required)")
+	flag.Parse()
+	recording := *out != ""
+	if recording && (*label == "" || *date == "" || *runsPath == "" || *kernelsPath == "" || flag.NArg() > 0) ||
+		!recording && flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_*.json...\n       benchcheck -record OUT -label L -date D -runs RUNS -kernels KERNELS [-revision R] [-best-of N]")
+		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	for _, path := range os.Args[1:] {
-		if err := check(path); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
+		os.Exit(1)
+	}
+	d, err := readDeclared("BENCHMARK.json")
+	if err != nil {
+		fail(err)
+	}
+	if recording {
+		s := snapshot{Date: *date, Label: *label, Revision: *revision, Machine: thisMachine(), BestOf: bestOf}
+		if err := record(*out, s, *runsPath, *kernelsPath, d); err != nil {
+			fail(err)
+		}
+	}
+	for _, path := range flag.Args() {
+		if err := check(path, d); err != nil {
+			fail(err)
 		}
 	}
 }
