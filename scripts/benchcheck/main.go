@@ -43,7 +43,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -246,16 +245,13 @@ func record(out string, s snapshot, runsPath, kernelsPath string, d declared) er
 		}
 		s.Runs = append(s.Runs, r)
 	}
-	f, err := os.Open(kernelsPath)
+	kernels, err := os.ReadFile(kernelsPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	// The benchmarks ran in this process's environment, so with its
 	// GOMAXPROCS.
-	if s.Benchmarks, err = readKernels(f, runtime.GOMAXPROCS(0)); err != nil {
-		return fmt.Errorf("%s: %v", kernelsPath, err)
-	}
+	s.Benchmarks = readKernels(string(kernels), runtime.GOMAXPROCS(0))
 	doc, err := encode(s)
 	if err != nil {
 		return err
@@ -272,13 +268,11 @@ func record(out string, s snapshot, runsPath, kernelsPath string, d declared) er
 
 // readKernels reads go test -bench output and keeps the fastest
 // repetition of every benchmark; procs is the GOMAXPROCS it ran with.
-func readKernels(r io.Reader, procs int) ([]bench, error) {
+func readKernels(out string, procs int) []bench {
 	var rows []bench
 	index := map[string]int{}
 	pkg := ""
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(out, "\n") {
 		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = p
 			continue
@@ -295,13 +289,7 @@ func readKernels(r io.Reader, procs int) ([]bench, error) {
 			rows[j] = k
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("no benchmark results")
-	}
-	return rows, nil
+	return rows
 }
 
 // parseBenchLine reads one result line of the testing package:

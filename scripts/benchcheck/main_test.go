@@ -161,10 +161,7 @@ func TestReadKernels(t *testing.T) {
 		"pkg: ivn/internal/gen2",
 		"BenchmarkB/x-2 \t 10\t 50 ns/op\t 2.5 ns/visit",
 	}, "\n")
-	rows, err := readKernels(strings.NewReader(out), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readKernels(out, 2)
 	if len(rows) != 2 || rows[0].Name != "BenchmarkA" || rows[0].NsPerOp != 700 || rows[0].Package != "ivn/internal/dsp" ||
 		rows[1].Name != "BenchmarkB/x" || rows[1].Package != "ivn/internal/gen2" || rows[1].Metrics["ns/visit"] != 2.5 {
 		t.Errorf("rows %+v", rows)
