@@ -396,7 +396,7 @@ func main() {
 	kernelsPath := flag.String("kernels", "", "with -record: go test -bench output of the kernel benchmarks (required)")
 	flag.Parse()
 	recording := *out != ""
-	if recording && (*label == "" || *date == "" || *runsPath == "" || *kernelsPath == "" || flag.NArg() > 0) ||
+	if recording && (*label == "" || *date == "" || *runsPath == "" || *kernelsPath == "") ||
 		!recording && flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_*.json...\n       benchcheck -record OUT -label L -date D -runs RUNS -kernels KERNELS [-revision R] [-best-of N]")
 		flag.PrintDefaults()
