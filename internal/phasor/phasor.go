@@ -18,6 +18,12 @@
 // carrier-sample (the complex rotation and the two accumulations),
 // matching the naive evaluation to ~1e-12 relative error.
 //
+// On amd64 CPUs with AVX, scans of 2–10 carriers run in an assembly
+// kernel (scan_amd64.s) that keeps every carrier in registers and makes
+// one pass over the grid; every other scan runs the Go kernels. The two
+// families are bit-identical, so no output depends on the machine's
+// instruction set.
+//
 // All scans use the half-open convention: n samples cover
 // t ∈ [t0, t0 + n·dt), i.e. t_k = t0 + k·dt for k = 0..n−1; the endpoint
 // t0 + n·dt is excluded. For integer-offset CIB plans over one 1 s period
@@ -43,39 +49,51 @@ const renormMask = 2047
 // SumSeries accumulates Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)} into
 // (re[k], im[k]) for k in [0, n). re and im must have length ≥ n and
 // arrive zeroed (or hold a partial sum to extend). freqs and coeffs must
-// have equal length; SumSeries panics otherwise because a mismatch is
+// have equal length; a scan panics otherwise because a mismatch is
 // always a programming error.
 //
-// Carriers are processed in groups of up to four by unrolled interleaved
-// kernels (see groupWidth): a group's recurrences are independent, so the
-// CPU overlaps their multiply latencies, and each pass over re/im covers
-// the whole group instead of one carrier. The result is bit-identical to
-// the serial per-carrier loop (sumSeriesSerial in the tests, the
-// reference): for every sample k the partial sums accumulate in ascending
-// carrier order with the exact same operations, and each carrier's
-// recurrence and renormalization sequence is unchanged.
+// The result is bit-identical to the serial per-carrier loop
+// (sumSeriesSerial in the tests, the reference): for every sample k the
+// partial sums accumulate in ascending carrier order with the exact same
+// operations, and each carrier's recurrence and renormalization sequence
+// is unchanged. scan picks the kernel family that computes it.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
 //ivn:hotpath
 func SumSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64) {
-	if len(freqs) != len(coeffs) {
-		panic("phasor: freqs/coeffs length mismatch")
-	}
 	if n <= 0 {
 		return
 	}
-	scan(freqs, coeffs, t0, dt, n, re, im, false)
+	scan(freqs, coeffs, t0, dt, n, re, im, scanSum)
 }
 
-// groupWidth returns how many of the left carriers the next pass takes:
-// four, except that five left split 3+2 (so 5→3+2, 9→4+3+2, 10→4+4+2).
-// A one-carrier pass is a single latency-bound multiply chain at about
-// twice the cost per carrier-sample of a wider one, so no pass runs one
-// carrier unless the whole set is one carrier. Groups stop at four
-// because a wider pass runs out of amd64's 15 allocatable XMM registers
-// and spills every sample.
+// The scan modes: what a scan does with each sample's completed sum
+// S(k) = (x, y), starting from the partial sum (re[k], im[k]).
+const (
+	// scanSum stores x into re[k] and y into im[k].
+	scanSum = iota
+	// scanPeak stores nothing and returns the power maximum
+	// max_k x²+y² (strictly greater replaces, so the first index wins a
+	// tie) and its index.
+	scanPeak
+	// scanPower stores the power x²+y² into re[k] and returns the
+	// maximum as scanPeak does.
+	scanPower
+)
+
+// maxAVXCarriers is the widest scan the AVX kernel runs: five YMM
+// registers of two carriers each.
+const maxAVXCarriers = 10
+
+// groupWidth returns how many of the left carriers the next pass of the
+// Go kernels takes: four, except that five left split 3+2 (so 5→3+2,
+// 9→4+3+2, 10→4+4+2). A one-carrier pass is a single latency-bound
+// multiply chain at about twice the cost per carrier-sample of a wider
+// one, so no pass runs one carrier unless the whole set is one carrier.
+// Groups stop at four because a wider pass runs out of amd64's 15
+// allocatable XMM registers and spills every sample.
 func groupWidth(left int) int {
 	if left == 5 {
 		return 3
@@ -83,35 +101,57 @@ func groupWidth(left int) int {
 	return min(left, 4)
 }
 
-// scan runs the carrier groups over re[:n]/im[:n] in ascending carrier
-// order. With peak unset every group adds its carriers into re/im and
-// scan returns (0, 0). With peak set, the last group does not store its
-// sums: it returns the power maximum max_k re[k]²+im[k]² of the complete
-// series and its first index, leaving re/im holding only the earlier
-// groups' partial sums.
+// scan runs one scan of re[:n]/im[:n] in mode (scanSum, scanPeak or
+// scanPower) and returns the power maximum and its first index, or
+// (0, 0) in scanSum. After scanPeak re/im hold unspecified partial sums,
+// and after scanPower im does.
+//
+// Two kernel families compute it, bit for bit alike. A scan of 2 to
+// maxAVXCarriers carriers on a CPU with AVX takes the AVX kernel
+// (scanAVX): every carrier in one pass. Every other scan — one carrier,
+// more than maxAVXCarriers, another architecture or a CPU without AVX —
+// takes the Go kernels sumSeries1..4, which run the carriers in groups
+// of up to four in ascending order: every group but the last adds into
+// re/im, and the last applies the mode.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func scan(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64, peak bool) (best float64, arg int) {
+func scan(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64, mode int) (best float64, arg int) {
+	if len(freqs) != len(coeffs) {
+		panic("phasor: freqs/coeffs length mismatch")
+	}
 	re = re[:n]
 	im = im[:n]
+	if takesAVX(len(freqs)) {
+		return scanAVX(freqs, coeffs, t0, dt, re, im, mode)
+	}
 	for len(freqs) > 0 {
 		w := groupWidth(len(freqs))
-		last := peak && w == len(freqs)
+		m := scanSum
+		if w == len(freqs) {
+			m = mode
+		}
 		switch w {
 		case 1:
-			best, arg = sumSeries1(freqs[0], coeffs[0], t0, dt, re, im, last)
+			best, arg = sumSeries1(freqs[0], coeffs[0], t0, dt, re, im, m)
 		case 2:
-			best, arg = sumSeries2(freqs[:2:2], coeffs[:2:2], t0, dt, re, im, last)
+			best, arg = sumSeries2(freqs[:2:2], coeffs[:2:2], t0, dt, re, im, m)
 		case 3:
-			best, arg = sumSeries3(freqs[:3:3], coeffs[:3:3], t0, dt, re, im, last)
+			best, arg = sumSeries3(freqs[:3:3], coeffs[:3:3], t0, dt, re, im, m)
 		default:
-			best, arg = sumSeries4(freqs[:4:4], coeffs[:4:4], t0, dt, re, im, last)
+			best, arg = sumSeries4(freqs[:4:4], coeffs[:4:4], t0, dt, re, im, m)
 		}
 		freqs, coeffs = freqs[w:], coeffs[w:]
 	}
 	return best, arg
+}
+
+// takesAVX reports whether a scan of the given number of carriers runs
+// the AVX kernel. One carrier stays on sumSeries1: its chain gains only a
+// permute from the packed form, so it runs slower there.
+func takesAVX(carriers int) bool {
+	return useAVX && carriers >= 2 && carriers <= maxAVXCarriers
 }
 
 // startPhasor rotates coeff to its value at t0 and returns the per-step
@@ -144,10 +184,9 @@ func startPhasor(f float64, coeff complex128, t0, dt float64) (curRe, curIm, rot
 // (w-way instruction-level parallelism on the latency-bound complex
 // multiplies), and re/im are touched once per sample instead of once per
 // carrier. Additions into sample k run in ascending carrier order,
-// reproducing the serial loop's partial-sum sequence exactly. peak is
-// scan's loop-invariant last-group flag: when set, the kernel keeps the
-// power maximum (strictly greater replaces, so the first index wins a
-// tie) and its index instead of storing re[k]/im[k].
+// reproducing the serial loop's partial-sum sequence exactly. mode is
+// scan's loop-invariant mode for this group (scanSum for every group but
+// the last).
 //
 // The 3- and 4-wide kernels keep their loop-invariant rotations in a
 // local array, which stays in memory, so each multiply reads its rotation
@@ -157,7 +196,7 @@ func startPhasor(f float64, coeff complex128, t0, dt float64) (curRe, curIm, rot
 //ivn:unit f Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeries1(f float64, coeff complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+func sumSeries1(f float64, coeff complex128, t0, dt float64, re, im []float64, mode int) (best float64, arg int) {
 	c0r, c0i, r0r, r0i, m0 := startPhasor(f, coeff, t0, dt)
 	im = im[:len(re)]
 	for k := range re {
@@ -165,13 +204,17 @@ func sumSeries1(f float64, coeff complex128, t0, dt float64, re, im []float64, p
 		x += c0r
 		y := im[k]
 		y += c0i
-		if peak {
-			if p := float64(x*x) + float64(y*y); p > best {
-				best, arg = p, k
-			}
-		} else {
+		if mode == scanSum {
 			re[k] = x
 			im[k] = y
+		} else {
+			p := float64(x*x) + float64(y*y)
+			if mode == scanPower {
+				re[k] = p
+			}
+			if p > best {
+				best, arg = p, k
+			}
 		}
 		c0r, c0i = float64(c0r*r0r)-float64(c0i*r0i), float64(c0r*r0i)+float64(c0i*r0r)
 		if k&renormMask == renormMask {
@@ -188,7 +231,7 @@ func sumSeries1(f float64, coeff complex128, t0, dt float64, re, im []float64, p
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeries2(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+func sumSeries2(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, mode int) (best float64, arg int) {
 	_ = freqs[1]
 	_ = coeffs[1]
 	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
@@ -201,13 +244,17 @@ func sumSeries2(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 		y := im[k]
 		y += c0i
 		y += c1i
-		if peak {
-			if p := float64(x*x) + float64(y*y); p > best {
-				best, arg = p, k
-			}
-		} else {
+		if mode == scanSum {
 			re[k] = x
 			im[k] = y
+		} else {
+			p := float64(x*x) + float64(y*y)
+			if mode == scanPower {
+				re[k] = p
+			}
+			if p > best {
+				best, arg = p, k
+			}
 		}
 		c0r, c0i = float64(c0r*r0r)-float64(c0i*r0i), float64(c0r*r0i)+float64(c0i*r0r)
 		c1r, c1i = float64(c1r*r1r)-float64(c1i*r1i), float64(c1r*r1i)+float64(c1i*r1r)
@@ -230,7 +277,7 @@ func sumSeries2(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeries3(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+func sumSeries3(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, mode int) (best float64, arg int) {
 	_ = freqs[2]
 	_ = coeffs[2]
 	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
@@ -247,13 +294,17 @@ func sumSeries3(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 		y += c0i
 		y += c1i
 		y += c2i
-		if peak {
-			if p := float64(x*x) + float64(y*y); p > best {
-				best, arg = p, k
-			}
-		} else {
+		if mode == scanSum {
 			re[k] = x
 			im[k] = y
+		} else {
+			p := float64(x*x) + float64(y*y)
+			if mode == scanPower {
+				re[k] = p
+			}
+			if p > best {
+				best, arg = p, k
+			}
 		}
 		c0r, c0i = float64(c0r*rot[0])-float64(c0i*rot[1]), float64(c0r*rot[1])+float64(c0i*rot[0])
 		c1r, c1i = float64(c1r*rot[2])-float64(c1i*rot[3]), float64(c1r*rot[3])+float64(c1i*rot[2])
@@ -282,7 +333,7 @@ func sumSeries3(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, peak bool) (best float64, arg int) {
+func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, mode int) (best float64, arg int) {
 	_ = freqs[3]
 	_ = coeffs[3]
 	c0r, c0i, r0r, r0i, m0 := startPhasor(freqs[0], coeffs[0], t0, dt)
@@ -302,13 +353,17 @@ func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 		y += c1i
 		y += c2i
 		y += c3i
-		if peak {
-			if p := float64(x*x) + float64(y*y); p > best {
-				best, arg = p, k
-			}
-		} else {
+		if mode == scanSum {
 			re[k] = x
 			im[k] = y
+		} else {
+			p := float64(x*x) + float64(y*y)
+			if mode == scanPower {
+				re[k] = p
+			}
+			if p > best {
+				best, arg = p, k
+			}
 		}
 		c0r, c0i = float64(c0r*rot[0])-float64(c0i*rot[1]), float64(c0r*rot[1])+float64(c0i*rot[0])
 		c1r, c1i = float64(c1r*rot[2])-float64(c1i*rot[3]), float64(c1r*rot[3])+float64(c1i*rot[2])
@@ -363,8 +418,10 @@ func MagnitudeSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int
 // samples k ∈ [0, n) whose magnitude
 // |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}| exceeds level. The grid is
 // taken as one period of a periodic envelope, so a run may wrap from the
-// last sample to the first: the series is scanned twice end to end, and
-// the count is capped at n.
+// last sample to the first; a level every sample clears gives n.
+//
+// A sample's decision is math.Hypot(x, y) > level, taken from its power
+// x²+y² wherever that is provably the same answer (see dwellBand).
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
@@ -375,26 +432,52 @@ func LongestRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int
 		return 0
 	}
 	re, im := getScratch(n)
-	SumSeries(freqs, coeffs, t0, dt, n, re, im)
-	mag := re // the magnitudes overwrite the real parts
-	for k := range mag {
-		mag[k] = math.Hypot(re[k], im[k])
-	}
-	best, run := 0, 0
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range mag {
-			if v > level {
-				run++
-				if run > best {
-					best = run
-				}
-			} else {
-				run = 0
-			}
+	scan(freqs, coeffs, t0, dt, n, re, im, scanSum)
+	lo, hi := dwellBand(level)
+	// lead is the run before the first sample below level, or -1 while
+	// none has been seen; run ends as the run that closes the period.
+	best, run, lead := 0, 0, -1
+	for k, x := range re {
+		// Above when the power clears the band, not when it falls short
+		// of it; inside the band, or for a NaN power, Hypot decides.
+		y := im[k]
+		if p := float64(x*x) + float64(y*y); p > hi || !(p < lo) && math.Hypot(x, y) > level {
+			run++
+			best = max(best, run)
+			continue
 		}
+		if lead < 0 {
+			lead = run
+		}
+		run = 0
 	}
 	putScratch(re, im)
-	return min(best, n)
+	if lead < 0 {
+		return n
+	}
+	return max(best, run+lead) // the closing run wraps into the leading one
+}
+
+// dwellBand returns the band (lo, hi) of powers x²+y² outside which a
+// sample's power decides math.Hypot(x, y) > level: above when the power
+// is > hi, not above when it is < lo. Inside the band, and for a NaN
+// power, the caller asks Hypot.
+//
+// The band is level²·(1 ± 1e-12). Within level ∈ (1e-90, 1e90), level²
+// and a power near it are normal floats: the rounded power x·x + y·y errs
+// from x²+y² by at most about 3 ulp (two rounded products and a rounded
+// add; a square small enough to lose precision to underflow is smaller
+// than 1e-12·level² by over a hundred orders of magnitude), Hypot errs
+// by a few ulp, and each band edge is rounded twice, so a power beyond
+// an edge is ~1000× too far from level² for Hypot to disagree. Outside
+// that range (level ≤ 1e-90, ≥ 1e90, negative or NaN) the band is
+// everything, and Hypot decides every sample.
+func dwellBand(level float64) (lo, hi float64) {
+	if !(level > 1e-90 && level < 1e90) {
+		return math.Inf(-1), math.Inf(1)
+	}
+	l2 := level * level
+	return l2 * (1 - 1e-12), l2 * (1 + 1e-12)
 }
 
 // PeakPower returns max_k |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}|²
@@ -409,9 +492,8 @@ func PeakPower(freqs []float64, coeffs []complex128, t0, dt float64, n int) floa
 	return p
 }
 
-// peakPowerArg returns the power peak and its first grid index. The last
-// carrier group's pass computes the power in place of storing the sum
-// (scan's peak flag), so the full series is never written out.
+// peakPowerArg returns the power peak and its first grid index. The scan
+// runs in scanPeak, so the full series is never written out.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
@@ -420,11 +502,8 @@ func peakPowerArg(freqs []float64, coeffs []complex128, t0, dt float64, n int) (
 	if n <= 0 || len(freqs) == 0 {
 		return 0, -1
 	}
-	if len(freqs) != len(coeffs) {
-		panic("phasor: freqs/coeffs length mismatch")
-	}
 	re, im := getScratch(n)
-	best, arg := scan(freqs, coeffs, t0, dt, n, re, im, true)
+	best, arg := scan(freqs, coeffs, t0, dt, n, re, im, scanPeak)
 	putScratch(re, im)
 	return best, arg
 }
@@ -469,15 +548,7 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 
 	// Coarse pass; keep the per-cell powers in re.
 	re, im := getScratch(nCoarse)
-	SumSeries(freqs, coeffs, 0, dtC, nCoarse, re, im)
-	maxP := 0.0
-	for k := 0; k < nCoarse; k++ {
-		p := float64(re[k]*re[k]) + float64(im[k]*im[k])
-		re[k] = p
-		if p > maxP {
-			maxP = p
-		}
-	}
+	maxP, _ := scan(freqs, coeffs, 0, dtC, nCoarse, re, im, scanPower)
 
 	// Every coarse point is also a fine point (k·dtC = k·ratio·dtF), so the
 	// coarse peak is a valid lower bound on the fine-grid answer.

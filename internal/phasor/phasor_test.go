@@ -1,7 +1,6 @@
 package phasor
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -221,13 +220,40 @@ func TestDegenerateInputs(t *testing.T) {
 	SumSeries([]float64{1, 2}, []complex128{1}, 0, 1, 4, make([]float64, 4), make([]float64, 4))
 }
 
-func BenchmarkPeakPowerRefined10Carriers(b *testing.B) {
-	r := rng.New(1)
-	freqs, coeffs := randomSet(r, 10, 150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PeakPowerRefined(freqs, coeffs, 1.0, 2048, 8192)
+// kernelFamily names one family of scan kernels: the Go kernels
+// sumSeries1..4, or the AVX kernel with sumSeries1 for one carrier and
+// the Go kernels beyond maxAVXCarriers.
+type kernelFamily struct {
+	name string
+	avx  bool
+}
+
+// kernelFamilies returns the families this machine runs: the Go kernels
+// everywhere, the AVX kernel where the CPU has it.
+func kernelFamilies() []kernelFamily {
+	fams := []kernelFamily{{"go", false}}
+	if avxSupported() {
+		fams = append(fams, kernelFamily{"avx", true})
+	}
+	return fams
+}
+
+// useFamily points every scan at fam until the returned function runs.
+// It is the one seam between the tests and scan's dispatch; the phasor
+// tests do not run in parallel, so flipping useAVX races nothing.
+func useFamily(fam kernelFamily) (restore func()) {
+	old := useAVX
+	useAVX = fam.avx
+	return func() { useAVX = old }
+}
+
+// forEachFamily runs f as one subtest per kernel family.
+func forEachFamily(t *testing.T, f func(t *testing.T)) {
+	for _, fam := range kernelFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			defer useFamily(fam)()
+			f(t)
+		})
 	}
 }
 
@@ -236,13 +262,19 @@ func BenchmarkPeakPowerRefined10Carriers(b *testing.B) {
 // 2047 first shows at sample 2048) and a span crossing it twice.
 var bitExactSamples = []int{1, 17, 2047, 2048, 2049, 4099}
 
-// TestSumSeriesInterleavedBitExact pins the grouped kernels to the serial
-// reference loop, bit for bit: same ascending-carrier partial sums per
-// sample, same recurrence and renormalization sequence per carrier. It
-// covers every carrier count 1–13, so every group split (4, 3+2, 4+4+2,
-// 4+4+3+2, …), both t0 forms, zeroed and partial-sum inputs, and spans
-// on both sides of the renorm cadence.
+// TestSumSeriesInterleavedBitExact pins both kernel families to the
+// serial reference loop, bit for bit: same ascending-carrier partial sums
+// per sample, same recurrence and renormalization sequence per carrier.
+// It covers every carrier count 1–13, so every group split of the Go
+// kernels (4, 3+2, 4+4+2, 4+4+3+2, …), every register layout of the AVX
+// kernel (1–5 pairs, with and without an odd carrier), both t0 forms,
+// zeroed and partial-sum inputs, and spans on both sides of the renorm
+// cadence.
 func TestSumSeriesInterleavedBitExact(t *testing.T) {
+	forEachFamily(t, testSumSeriesInterleavedBitExact)
+}
+
+func testSumSeriesInterleavedBitExact(t *testing.T) {
 	r := rng.New(19)
 	for carriers := 1; carriers <= 13; carriers++ {
 		for _, samples := range bitExactSamples {
@@ -277,24 +309,47 @@ func TestSumSeriesInterleavedBitExact(t *testing.T) {
 // serialPeak is the reference peak scan: the serial sum, then a separate
 // power/argmax loop keeping the first index of the maximum.
 func serialPeak(freqs []float64, coeffs []complex128, t0, dt float64, n int) (float64, int) {
+	return maxArg(serialPower(freqs, coeffs, t0, dt, n))
+}
+
+// serialPower is the reference power series: the serial sum's re²+im².
+func serialPower(freqs []float64, coeffs []complex128, t0, dt float64, n int) []float64 {
 	re := make([]float64, n)
 	im := make([]float64, n)
 	sumSeriesSerial(freqs, coeffs, t0, dt, n, re, im)
-	best, arg := 0.0, 0
+	return powers(re, im)
+}
+
+// powers returns re[k]²+im[k]² for every k, as the kernels round it.
+func powers(re, im []float64) []float64 {
+	p := make([]float64, len(re))
 	for k := range re {
-		if p := float64(re[k]*re[k]) + float64(im[k]*im[k]); p > best {
-			best, arg = p, k
+		p[k] = float64(re[k]*re[k]) + float64(im[k]*im[k])
+	}
+	return p
+}
+
+// maxArg returns the maximum of p, starting from 0, and its first index.
+func maxArg(p []float64) (float64, int) {
+	best, arg := 0.0, 0
+	for k, v := range p {
+		if v > best {
+			best, arg = v, k
 		}
 	}
 	return best, arg
 }
 
-// TestPeakPowerArgMatchesSerial pins the fused peak scan (the last
-// group's pass keeps the power maximum instead of storing the sum) to
-// the serial sum followed by a separate power/argmax pass: the same
-// value bit for bit and the same index, for every carrier count 1–13.
-// The constant-envelope cases pin the first-index tie rule.
+// TestPeakPowerArgMatchesSerial pins both families' peak and power
+// modes to the serial sum followed by a separate power/argmax pass: the
+// same maximum bit for bit and the same index from scanPeak, and the
+// same power series and maximum from scanPower, for every carrier count
+// 1–13. The constant-envelope cases pin the first-index tie rule.
 func TestPeakPowerArgMatchesSerial(t *testing.T) {
+	forEachFamily(t, testPeakPowerArgMatchesSerial)
+}
+
+func testPeakPowerArgMatchesSerial(t *testing.T) {
 	r := rng.New(23)
 	for carriers := 1; carriers <= 13; carriers++ {
 		for _, samples := range bitExactSamples {
@@ -309,6 +364,17 @@ func TestPeakPowerArgMatchesSerial(t *testing.T) {
 			if got != want || gotArg != wantArg {
 				t.Fatalf("%d carriers, %d samples: peak (%v at %d) != serial (%v at %d)",
 					carriers, samples, got, gotArg, want, wantArg)
+			}
+			pow := make([]float64, samples)
+			got, _ = scan(freqs, coeffs, t0, dt, samples, pow, make([]float64, samples), scanPower)
+			wantPow := serialPower(freqs, coeffs, t0, dt, samples)
+			if got != want {
+				t.Fatalf("%d carriers, %d samples: power-mode maximum %v != serial %v", carriers, samples, got, want)
+			}
+			for k := range pow {
+				if pow[k] != wantPow[k] {
+					t.Fatalf("%d carriers, %d samples, k=%d: power %v != serial %v", carriers, samples, k, pow[k], wantPow[k])
+				}
 			}
 		}
 		// Every carrier at 0 Hz: a flat envelope, so every sample ties.
@@ -345,16 +411,27 @@ func serialRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int,
 	return min(best, n)
 }
 
-// TestLongestRunAboveMatchesSerial pins LongestRunAbove to the serial
-// reference at levels that cut the envelope, that it never reaches (0)
-// and that it always clears (n, the cap on a run that wraps forever).
+// TestLongestRunAboveMatchesSerial pins LongestRunAbove, on both kernel
+// families, to the serial reference (its Hypot loop) at levels that cut
+// the envelope, that sit exactly on a sample's magnitude, that it never
+// reaches and that it always clears (n, the cap on a run that wraps
+// forever), and at levels outside the power test's range (negative, 0,
+// tiny, huge, NaN).
 func TestLongestRunAboveMatchesSerial(t *testing.T) {
+	forEachFamily(t, testLongestRunAboveMatchesSerial)
+}
+
+func testLongestRunAboveMatchesSerial(t *testing.T) {
 	r := rng.New(29)
 	for carriers := 1; carriers <= 10; carriers++ {
 		for _, samples := range bitExactSamples {
 			freqs, coeffs := randomSet(r, carriers, 200)
 			dt := 1.0 / float64(samples)
-			for _, level := range []float64{-1, 0.5, 0.5 * float64(carriers), 1e9} {
+			re := make([]float64, samples)
+			im := make([]float64, samples)
+			sumSeriesSerial(freqs, coeffs, 0, dt, samples, re, im)
+			onSample := math.Hypot(re[samples/2], im[samples/2])
+			for _, level := range []float64{-1, 0, 1e-300, 0.5, 0.5 * float64(carriers), onSample, 1e9, 1e300, math.NaN()} {
 				got := LongestRunAbove(freqs, coeffs, 0, dt, samples, level)
 				if want := serialRunAbove(freqs, coeffs, 0, dt, samples, level); got != want {
 					t.Fatalf("%d carriers, %d samples, level %v: run %d, serial %d", carriers, samples, level, got, want)
@@ -420,55 +497,4 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// benchSamples is the grid every kernel benchmark scans: the fine grid of
-// a 1 s CIB period.
-const benchSamples = 8192
-
-// benchCarriers are the carrier counts the kernel benchmarks run: one,
-// two and three carriers are single-group scans of each width below four,
-// five is the 3+2 split, and ten, the paper's antenna count, is 4+4+2.
-var benchCarriers = []int{1, 2, 3, 5, 10}
-
-// benchScan runs body once per iteration as sub-benchmarks N=<carriers>
-// and reports the cost per carrier-sample.
-func benchScan(b *testing.B, body func(freqs []float64, coeffs []complex128, re, im []float64)) {
-	for _, carriers := range benchCarriers {
-		b.Run(fmt.Sprintf("N=%d", carriers), func(b *testing.B) {
-			freqs, coeffs := randomSet(rng.New(1), carriers, 150)
-			// re/im keep accumulating across iterations: the kernels'
-			// cost does not depend on the values they add to.
-			re := make([]float64, benchSamples)
-			im := make([]float64, benchSamples)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body(freqs, coeffs, re, im)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(carriers*benchSamples)), "ns/carrier-sample")
-		})
-	}
-}
-
-func BenchmarkSumSeries(b *testing.B) {
-	benchScan(b, func(freqs []float64, coeffs []complex128, re, im []float64) {
-		SumSeries(freqs, coeffs, 0, 1.0/benchSamples, benchSamples, re, im)
-	})
-}
-
-// BenchmarkSumSeriesSerial benchmarks the serial reference so the grouped
-// kernels' speed-up stays measurable.
-func BenchmarkSumSeriesSerial(b *testing.B) {
-	benchScan(b, func(freqs []float64, coeffs []complex128, re, im []float64) {
-		sumSeriesSerial(freqs, coeffs, 0, 1.0/benchSamples, benchSamples, re, im)
-	})
-}
-
-var peakSink float64
-
-func BenchmarkPeakPower(b *testing.B) {
-	benchScan(b, func(freqs []float64, coeffs []complex128, _, _ []float64) {
-		peakSink = PeakPower(freqs, coeffs, 0, 1.0/benchSamples, benchSamples)
-	})
 }

@@ -32,14 +32,24 @@
 // document holds one run or benchmark per line, so two snapshots diff
 // line by line.
 //
+// benchcheck -diff OLD NEW compares two snapshots, the parent's and a
+// change's. For every run the two share (same workload and trace flag)
+// it prints each metric's value in both and the relative change, and it
+// prints the kernel rows side by side. An end-to-end metric of an
+// untraced run that is worse by more than its BENCHMARK.json bound is
+// flagged. A snapshot is one sample per run, so a flag asks for
+// alternating pairs before anything is concluded, and the exit status is
+// non-zero only when a snapshot does not validate.
+//
 // Usage:
 //
 //	go run ./scripts/benchcheck BENCH_2026-08-09_label.json...
 //	go run ./scripts/benchcheck -record BENCH_<date>_<label>.json -label L -date YYYY-MM-DD \
 //		-revision R -best-of N -runs runs.jsonl -kernels kernels.txt
+//	go run ./scripts/benchcheck -diff BENCH_<date>_parent.json BENCH_<date>_change.json
 //
-// Both read BENCHMARK.json from the working directory, the repository
-// root.
+// All three read BENCHMARK.json from the working directory, the
+// repository root.
 package main
 
 import (
@@ -52,8 +62,10 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // snapshot is one BENCH_*.json document.
@@ -91,6 +103,7 @@ type result struct {
 	Attempted int  `json:"attempted"`
 	Failed    int  `json:"failed"`
 	Metrics   map[string]struct {
+		Unit  string  `json:"unit"`
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
@@ -106,10 +119,15 @@ type bench struct {
 }
 
 // declared is what BENCHMARK.json declares that runs must cover: its
-// workloads and its end-to-end metrics.
+// workloads and its end-to-end metrics, each with the direction that is
+// better and the relative bound by which it may worsen.
 type declared struct {
 	Workloads []struct{ Name string } `json:"workloads"`
-	EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	EndToEnd  []struct {
+		Name   string
+		Better string
+		Bound  float64
+	} `json:"end_to_end"`
 }
 
 func readDeclared(path string) (declared, error) {
@@ -373,6 +391,145 @@ func writeRows[T any](b *bytes.Buffer, name string, rows []T, comma string) erro
 	return nil
 }
 
+// readSnapshot reads and validates one snapshot.
+func readSnapshot(path string, d declared) (snapshot, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return snapshot{}, err
+	}
+	s, err := validate(raw, d)
+	if err != nil {
+		return s, fmt.Errorf("%s: %v", path, err)
+	}
+	return s, nil
+}
+
+// runKey names a run by its workload and trace flag.
+func runKey(r run) string { return fmt.Sprintf("%s --trace %d", r.Workload, r.Trace) }
+
+// delta is the relative change from a to b, as text.
+func delta(a, b float64) string {
+	if a == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(b-a)/a)
+}
+
+// num formats a metric value: whole numbers (counts) in full, anything
+// else to four significant digits.
+func num(v float64) string {
+	if math.Mod(v, 1) == 0 && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
+// diffSnapshots writes the comparison of old (the parent) and new (the
+// change) to w and returns the flagged metrics, as "<run> <metric>".
+// Both snapshots must have validated.
+func diffSnapshots(w io.Writer, old, new snapshot, d declared) []string {
+	var flagged []string
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "parent %s (%s)\tchange %s (%s)\n", old.Label, old.Revision, new.Label, new.Revision)
+	newRuns := map[string]run{}
+	for _, r := range new.Runs {
+		newRuns[runKey(r)] = r
+	}
+	for _, ro := range old.Runs {
+		key := runKey(ro)
+		rn, ok := newRuns[key]
+		if !ok {
+			fmt.Fprintf(tw, "\n%s: only in the parent\n", key)
+			continue
+		}
+		delete(newRuns, key)
+		var a, b result
+		// Both results parsed when the snapshots validated.
+		_ = json.Unmarshal(ro.Result, &a)
+		_ = json.Unmarshal(rn.Result, &b)
+		fmt.Fprintf(tw, "\n%s (%gs windows)\tparent\tchange\tdelta\t\n", key, ro.Seconds)
+		names := make([]string, 0, len(a.Metrics))
+		for name := range a.Metrics {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			ma := a.Metrics[name]
+			mb, ok := b.Metrics[name]
+			if !ok {
+				fmt.Fprintf(tw, "  %s\t%s %s\t—\t\t\n", name, num(ma.Value), ma.Unit)
+				continue
+			}
+			note := ""
+			if ro.Trace == 0 {
+				if worse, bound, ok := worseBeyondBound(d, name, ma.Value, mb.Value); ok && worse {
+					note = fmt.Sprintf("WORSE than its %g bound", bound)
+					flagged = append(flagged, key+" "+name)
+				}
+			}
+			fmt.Fprintf(tw, "  %s\t%s %s\t%s %s\t%s\t%s\n", name, num(ma.Value), ma.Unit, num(mb.Value), mb.Unit, delta(ma.Value, mb.Value), note)
+		}
+	}
+	for _, r := range new.Runs {
+		if _, ok := newRuns[runKey(r)]; ok {
+			fmt.Fprintf(tw, "\n%s: only in the change\n", runKey(r))
+		}
+	}
+
+	newBench := map[string]bench{}
+	for _, k := range new.Benchmarks {
+		newBench[k.Name] = k
+	}
+	fmt.Fprintf(tw, "\nkernels\tparent\tchange\tdelta\t\n")
+	for _, ko := range old.Benchmarks {
+		kn, ok := newBench[ko.Name]
+		if !ok {
+			fmt.Fprintf(tw, "  %s\t%s ns/op\t—\t\t\n", ko.Name, num(ko.NsPerOp))
+			continue
+		}
+		delete(newBench, ko.Name)
+		fmt.Fprintf(tw, "  %s\t%s ns/op\t%s ns/op\t%s\t\n", ko.Name, num(ko.NsPerOp), num(kn.NsPerOp), delta(ko.NsPerOp, kn.NsPerOp))
+		units := make([]string, 0, len(ko.Metrics))
+		for unit := range ko.Metrics {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			if v, ok := kn.Metrics[unit]; ok {
+				fmt.Fprintf(tw, "  %s\t%s %s\t%s %s\t%s\t\n", ko.Name, num(ko.Metrics[unit]), unit, num(v), unit, delta(ko.Metrics[unit], v))
+			}
+		}
+	}
+	for _, k := range new.Benchmarks {
+		if _, ok := newBench[k.Name]; ok {
+			fmt.Fprintf(tw, "  %s\t—\t%s ns/op\t\t\n", k.Name, num(k.NsPerOp))
+		}
+	}
+	// tabwriter's error is the writer's; w is standard output.
+	_ = tw.Flush()
+	if len(flagged) > 0 {
+		fmt.Fprintf(w, "\nflagged (one sample each; confirm with alternating pairs): %s\n", strings.Join(flagged, ", "))
+	}
+	return flagged
+}
+
+// worseBeyondBound reports whether the end-to-end metric name moved from
+// a to b in its worse direction by more than its bound; ok is false for
+// a metric BENCHMARK.json does not list as end-to-end.
+func worseBeyondBound(d declared, name string, a, b float64) (worse bool, bound float64, ok bool) {
+	for _, e := range d.EndToEnd {
+		if e.Name != name {
+			continue
+		}
+		change := (b - a) / a
+		if e.Better == "higher" {
+			change = -change
+		}
+		return change > e.Bound, e.Bound, true
+	}
+	return false, 0, false
+}
+
 func thisMachine() *machine {
 	m := &machine{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(), Go: runtime.Version()}
 	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
@@ -394,11 +551,13 @@ func main() {
 	bestOf := flag.Int("best-of", 1, "with -record: repetitions of each kernel benchmark")
 	runsPath := flag.String("runs", "", "with -record: file of run lines, one JSON object each (required)")
 	kernelsPath := flag.String("kernels", "", "with -record: go test -bench output of the kernel benchmarks (required)")
+	diff := flag.Bool("diff", false, "compare two snapshots, OLD then NEW")
 	flag.Parse()
 	recording := *out != ""
 	if recording && (*label == "" || *date == "" || *runsPath == "" || *kernelsPath == "") ||
+		*diff && (recording || flag.NArg() != 2) ||
 		!recording && flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_*.json...\n       benchcheck -record OUT -label L -date D -runs RUNS -kernels KERNELS [-revision R] [-best-of N]")
+		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_*.json...\n       benchcheck -record OUT -label L -date D -runs RUNS -kernels KERNELS [-revision R] [-best-of N]\n       benchcheck -diff OLD NEW")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -409,6 +568,18 @@ func main() {
 	d, err := readDeclared("BENCHMARK.json")
 	if err != nil {
 		fail(err)
+	}
+	if *diff {
+		old, err := readSnapshot(flag.Arg(0), d)
+		if err != nil {
+			fail(err)
+		}
+		new, err := readSnapshot(flag.Arg(1), d)
+		if err != nil {
+			fail(err)
+		}
+		diffSnapshots(os.Stdout, old, new, d)
+		return
 	}
 	if recording {
 		s := snapshot{Date: *date, Label: *label, Revision: *revision, Machine: thisMachine(), BestOf: bestOf}

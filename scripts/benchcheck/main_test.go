@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -218,5 +219,86 @@ func TestRecord(t *testing.T) {
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Errorf("record wrote %s for an incorrect run: %v", bad, err)
+	}
+}
+
+// diffDoc is a small snapshot of the current schema: one untraced
+// figures run with the given run_ms and setup_s, one traced run and one
+// kernel row.
+func diffDoc(label string, runMS, setupS, rss, nsPerOp float64) string {
+	return fmt.Sprintf(`{"date": "2026-01-01", "label": %q, "best_of": 1, "runs": [
+  {"workload": "figures", "trace": 0, "seed": 11, "seconds": 30, "result": {"attempted": 10, "correct": true, "failed": 0, "metrics": {
+    "run_ms": {"unit": "ms", "value": %g}, "setup_s": {"unit": "s", "value": %g},
+    "alloc_mb_per_run": {"unit": "MiB", "value": 2.5}, "peak_rss_mb": {"unit": "MiB", "value": %g}}}},
+  {"workload": "figures", "trace": 1, "seed": 11, "seconds": 30, "result": {"attempted": 10, "correct": true, "failed": 0, "metrics": {
+    "phasor.samples": {"unit": "count", "value": 3382800}, "phasor.self_ms": {"unit": "ms", "value": %g}}}}
+], "benchmarks": [
+  {"name": "BenchmarkSumSeries/N=10", "iters": 100, "ns_per_op": %g, "metrics": {"ns/carrier-sample": %g}}
+]}`, label, runMS, setupS, rss, 2*runMS, nsPerOp, nsPerOp/81920)
+}
+
+// diffDeclared is a BENCHMARK.json with one workload and three bounded
+// end-to-end metrics, one of them better when higher.
+func diffDeclared(t *testing.T) declared {
+	t.Helper()
+	var d declared
+	err := json.Unmarshal([]byte(`{"workloads": [{"name": "figures"}], "end_to_end": [
+		{"name": "run_ms", "better": "lower", "bound": 0.25},
+		{"name": "setup_s", "better": "lower", "bound": 0.25},
+		{"name": "peak_rss_mb", "better": "higher", "bound": 0.1}]}`), &d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDiffFlagsOnlyBoundBreaches compares two small snapshots: run_ms
+// worsens by 30% (bound 25%) and is flagged; setup_s improves; the
+// better-when-higher peak_rss_mb falls by 20% (bound 10%) and is flagged;
+// the traced run's 30% rise is not, because only untraced runs carry the
+// end-to-end metrics. Every row shows both values and the change, counts
+// in full.
+func TestDiffFlagsOnlyBoundBreaches(t *testing.T) {
+	d := diffDeclared(t)
+	old, err := validate([]byte(diffDoc("parent", 200, 0.2, 10, 50000)), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	new, err := validate([]byte(diffDoc("change", 260, 0.1, 8, 25000)), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	flagged := diffSnapshots(&out, old, new, d)
+	if want := []string{"figures --trace 0 peak_rss_mb", "figures --trace 0 run_ms"}; !slices.Equal(flagged, want) {
+		t.Errorf("flagged %q, want %q", flagged, want)
+	}
+	for _, want := range []string{
+		"run_ms", "200 ms", "260 ms", "+30.0%", "WORSE",
+		"setup_s", "-50.0%",
+		"3382800 count",
+		"BenchmarkSumSeries/N=10", "50000 ns/op", "25000 ns/op", "ns/carrier-sample",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("diff output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "setup_s WORSE") {
+		t.Errorf("an improved setup_s was flagged:\n%s", out.String())
+	}
+}
+
+// TestDiffRefusesMalformedSnapshot: -diff reads a snapshot through the
+// same validation as a check, so a malformed one is an error, not a
+// comparison.
+func TestDiffRefusesMalformedSnapshot(t *testing.T) {
+	d := diffDeclared(t)
+	path := filepath.Join(t.TempDir(), "BENCH_bad.json")
+	bad := strings.Replace(diffDoc("bad", 200, 0.2, 10, 50000), `"correct": true`, `"correct": false`, 1)
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSnapshot(path, d); err == nil {
+		t.Fatal("a run that is not correct read as a valid snapshot")
 	}
 }

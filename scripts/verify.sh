@@ -33,14 +33,21 @@
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              phasor's shared scan-scratch free list,
 #                              under the race detector
-# 5a. fuzz                   — 20 s of coverage-guided fuzzing of
-#                              gen2's FuzzBroadcastMatchesPerTagLoop:
-#                              command programs through the round-member
+# 5a. fuzz                   — 20 s of coverage-guided fuzzing each of
+#                              gen2's FuzzBroadcastMatchesPerTagLoop
+#                              (command programs through the round-member
 #                              broadcaster and its slot calendar against
-#                              the per-tag loop (stage 4 replays the
-#                              committed corpus under
-#                              internal/gen2/testdata/fuzz; a failing
-#                              input found here is written there)
+#                              the per-tag loop) and phasor's
+#                              FuzzScanMatchesSerial (every scan mode of
+#                              both kernel families, Go and AVX, against
+#                              the serial reference, bit for bit). Stage 4
+#                              replays the committed corpora under each
+#                              package's testdata/fuzz; a failing input
+#                              found here is written there. The phasor
+#                              run caps minimizing a new input at 3 s: a
+#                              long scan runs for milliseconds under
+#                              coverage, and the default 60 s would spend
+#                              the whole window minimizing one input
 # 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
 #                              internal/phasor, internal/rng, internal/gen2
 #                              and internal/session must list no fused
@@ -55,7 +62,12 @@
 #                              on amd64 Linux; ivnsim's golden test then
 #                              pins the text and CSV goldens on a second
 #                              architecture, while its JSON goldens and
-#                              output digests stay amd64-only). The run
+#                              output digests stay amd64-only). On 386
+#                              phasor has no AVX kernel, so this run is
+#                              where every scan, and every output built
+#                              on one, goes through the Go kernels
+#                              (sumSeries1..4) alone; on amd64 the tests
+#                              run both families. The run
 #                              sets CGO_ENABLED=0: without a 386 C
 #                              toolchain the go command builds 386 with
 #                              cgo off anyway, but a 386 test binary's
@@ -126,6 +138,9 @@ stage "go test -race (parallel trial paths)" \
 
 stage "fuzz (Population against the per-tag loop)" \
   go test -run '^$' -fuzz '^FuzzBroadcastMatchesPerTagLoop$' -fuzztime 20s ./internal/gen2/
+
+stage "fuzz (scan kernels against the serial reference)" \
+  go test -run '^$' -fuzz '^FuzzScanMatchesSerial$' -fuzztime 20s -fuzzminimizetime 3s ./internal/phasor/
 
 # no_fused_arm64 PKG SYMBOL: the arm64 listing of PKG must name SYMBOL (an
 # empty listing would pass the grep below vacuously) and hold no fused
