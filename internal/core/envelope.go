@@ -30,6 +30,11 @@ import (
 // has 10 carriers); a larger one spills to the heap through append.
 const stackCarriers = 16
 
+// trialGroup is how many Monte-Carlo trials the estimators below draw
+// before they scan them in one batched call: the width of phasor's lane
+// kernel, which scans that many trials per pass.
+const trialGroup = 4
+
 // Envelope evaluates Y(t) = |Σᵢ e^{j(2πΔfᵢt + βᵢ)}| (paper Eq. 5, after
 // factoring out the common carrier). offsets and betas must have equal
 // length; Envelope panics otherwise because the mismatch is always a
@@ -53,11 +58,12 @@ func Envelope(offsets, betas []float64, t float64) float64 {
 }
 
 // phaseCoeffs appends the unit phasors e^{jβᵢ} to dst and returns it.
-// Callers pass an empty slice of a [stackCarriers] array of their own.
+// Callers pass a slice of a stack array of their own with room for them:
+// a [stackCarriers] array, or drawTrials's [trialGroup·stackCarriers].
 func phaseCoeffs(dst []complex128, betas []float64) []complex128 {
 	for _, b := range betas {
 		s, c := math.Sincos(b)
-		//ivn:allow hotpath stays in the caller's stack array for every plan of up to stackCarriers carriers; the largest built has 10
+		//ivn:allow hotpath stays in the caller's stack array for every plan of up to stackCarriers carriers (per trial, in drawTrials); the largest built has 10
 		dst = append(dst, complex(c, s))
 	}
 	return dst
@@ -99,57 +105,60 @@ func drawBetas(dst []float64, r *rng.Rand) {
 	}
 }
 
+// drawTrials draws the phases of the next g trials in turn, as one
+// drawBetas each into betas, and appends each draw's unit phasors to dst:
+// trial after trial, the layout phasor's batched scans read. Callers pass
+// an empty slice of a [trialGroup·stackCarriers] array of their own.
+func drawTrials(dst []complex128, betas []float64, g int, r *rng.Rand) []complex128 {
+	for range g {
+		drawBetas(betas, r)
+		dst = phaseCoeffs(dst, betas)
+	}
+	return dst
+}
+
 // ExpectedPeak estimates E_β[max_t Y(t)] (the Eq. 6 objective) by Monte
 // Carlo: trials random phase draws, each scanning samplesPerTrial points
 // over one envelope period. The period is 1 s by the paper's integer-Δf
-// convention. Deterministic for a given r state.
+// convention. Deterministic for a given r state: the trials are drawn in
+// order, trialGroup at a time, and the scans draw nothing.
+//
+//ivn:hotpath
 func ExpectedPeak(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
 	if len(offsets) == 0 || trials <= 0 || samplesPerTrial <= 0 {
 		return 0
 	}
 	var bb [stackCarriers]float64
-	var cb [stackCarriers]complex128
+	var cb [trialGroup * stackCarriers]complex128
+	var peaks [trialGroup]float64
 	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
 	dt := 1.0 / float64(samplesPerTrial)
 	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		coeffs := phaseCoeffs(cb[:0], betas)
-		acc += math.Sqrt(phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
+	for t := 0; t < trials; t += trialGroup {
+		g := min(trialGroup, trials-t)
+		phasor.PeakPowers(offsets, drawTrials(cb[:0], betas, g, r), dt, samplesPerTrial, peaks[:g])
+		for _, p := range peaks[:g] {
+			acc += math.Sqrt(p)
+		}
 	}
 	return acc / float64(trials)
 }
 
 // PeakCDF samples the distribution of per-channel-draw peak *power* gains
 // (peak² — Fig. 6 plots power) for a frequency set: one sample per random
-// β draw. The returned slice has trials entries.
+// β draw, drawn as ExpectedPeak draws them. The returned slice has trials
+// entries.
 func PeakCDF(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) []float64 {
-	out := make([]float64, 0, trials)
+	out := make([]float64, trials)
 	var bb [stackCarriers]float64
-	var cb [stackCarriers]complex128
+	var cb [trialGroup * stackCarriers]complex128
 	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
 	dt := 1.0 / float64(samplesPerTrial)
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		coeffs := phaseCoeffs(cb[:0], betas)
-		out = append(out, phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
+	for t := 0; t < trials; t += trialGroup {
+		g := min(trialGroup, trials-t)
+		phasor.PeakPowers(offsets, drawTrials(cb[:0], betas, g, r), dt, samplesPerTrial, out[t:t+g])
 	}
 	return out
-}
-
-// MaxDwellAbove returns the longest contiguous time (seconds, out of one
-// 1 s period) the envelope stays above level for a given phase draw. The
-// envelope is sampled on the same half-open grid as EnvelopeSeries
-// (t ∈ [0, 1), samples points); a run may wrap the period edge.
-//
-//ivn:hotpath
-func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64 {
-	if len(offsets) == 0 || samples <= 0 {
-		return 0
-	}
-	var cb [stackCarriers]complex128
-	dt := 1.0 / float64(samples)
-	return float64(phasor.LongestRunAbove(offsets, phaseCoeffs(cb[:0], betas), 0, dt, samples, level)) * dt
 }
 
 // ExpectedDwellTime estimates E_β[max contiguous dwell above level] — the
@@ -157,16 +166,29 @@ func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64
 // *continuous* above-threshold intervals; once the discovery stage has
 // established the attainable level, slower (smaller-Δf) plans hold the
 // envelope above it for longer per burst.
+//
+// Each trial's dwell is the longest run of samples above level on the
+// half-open grid t ∈ [0, 1) of samplesPerTrial points (the grid of
+// EnvelopeSeries), in seconds; a run may wrap the period edge. The trials
+// are drawn as ExpectedPeak draws them.
+//
+//ivn:hotpath
 func ExpectedDwellTime(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
-	if len(offsets) == 0 || trials <= 0 {
+	if len(offsets) == 0 || trials <= 0 || samplesPerTrial <= 0 {
 		return 0
 	}
 	var bb [stackCarriers]float64
+	var cb [trialGroup * stackCarriers]complex128
+	var runs [trialGroup]int
 	betas := append(bb[:0], offsets...) // sized like offsets; drawBetas overwrites it
+	dt := 1.0 / float64(samplesPerTrial)
 	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		acc += MaxDwellAbove(offsets, betas, level, samplesPerTrial)
+	for t := 0; t < trials; t += trialGroup {
+		g := min(trialGroup, trials-t)
+		phasor.LongestRunsAbove(offsets, drawTrials(cb[:0], betas, g, r), dt, samplesPerTrial, level, runs[:g])
+		for _, run := range runs[:g] {
+			acc += float64(run) * dt
+		}
 	}
 	return acc / float64(trials)
 }

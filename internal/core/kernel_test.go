@@ -64,35 +64,36 @@ func TestPeakEnvelopeMatchesSeriesMax(t *testing.T) {
 	}
 }
 
-func TestMaxDwellAboveMatchesSeriesScan(t *testing.T) {
-	// MaxDwellAbove, which counts through phasor.LongestRunAbove, must
-	// agree with a direct scan of the same half-open series.
-	r := rng.New(33)
+// TestExpectedDwellTimeMatchesSeriesScan: ExpectedDwellTime, which
+// counts through phasor.LongestRunsAbove, must agree with a direct scan
+// of the same half-open series for each of its phase draws. Five trials
+// of five carriers fill one group of the lane kernel and pad another.
+func TestExpectedDwellTimeMatchesSeriesScan(t *testing.T) {
+	const trials, samples = 5, 1024
 	offsets := PaperOffsets()[:5]
-	betas := make([]float64, len(offsets))
-	drawBetas(betas, r)
-	const samples = 1024
 	level := 2.0
-	series := EnvelopeSeries(offsets, betas, 0, 1.0/samples, samples, nil)
-	best, run := 0, 0
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range series {
-			if v > level {
-				run++
-				if run > best {
-					best = run
+	r := rng.New(33)
+	betas := make([]float64, len(offsets))
+	dt := 1.0 / samples
+	var acc float64
+	for range trials {
+		drawBetas(betas, r)
+		series := EnvelopeSeries(offsets, betas, 0, dt, samples, nil)
+		best, run := 0, 0
+		for pass := 0; pass < 2; pass++ {
+			for _, v := range series {
+				if v > level {
+					run++
+					best = max(best, run)
+				} else {
+					run = 0
 				}
-			} else {
-				run = 0
 			}
 		}
+		acc += float64(min(best, samples)) * dt
 	}
-	if best > samples {
-		best = samples
-	}
-	want := float64(best) / samples
-	got := MaxDwellAbove(offsets, betas, level, samples)
-	if got != want {
-		t.Fatalf("MaxDwellAbove %v, direct scan %v", got, want)
+	want := acc / trials
+	if got := ExpectedDwellTime(offsets, level, trials, samples, rng.New(33)); got != want {
+		t.Fatalf("ExpectedDwellTime %v, direct scan %v", got, want)
 	}
 }

@@ -22,7 +22,9 @@
 // kernel (scan_amd64.s) that keeps every carrier in registers and makes
 // one pass over the grid; every other scan runs the Go kernels. The two
 // families are bit-identical, so no output depends on the machine's
-// instruction set.
+// instruction set. The batched scans PeakPowers and LongestRunsAbove
+// (batch.go) run several Monte-Carlo trials of one frequency plan, four
+// at a time in a lane kernel of their own on the same CPUs.
 //
 // All scans use the half-open convention: n samples cover
 // t ∈ [t0, t0 + n·dt), i.e. t_k = t0 + k·dt for k = 0..n−1; the endpoint
@@ -30,10 +32,10 @@
 // the envelope is periodic, so the excluded endpoint would only duplicate
 // t0.
 //
-// The scans that need working storage (MagnitudeSeries, LongestRunAbove
-// and the peak scans) take an re/im accumulator pair from a
-// package-private free list and give it back before they return, so
-// steady-state scans allocate nothing.
+// The scans that need working storage (MagnitudeSeries, LongestRunAbove,
+// and the peak scans on the Go kernels) take an re/im accumulator pair
+// from a package-private free list and give it back before they return,
+// so steady-state scans allocate nothing.
 package phasor
 
 import (
@@ -70,7 +72,10 @@ func SumSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, 
 }
 
 // The scan modes: what a scan does with each sample's completed sum
-// S(k) = (x, y), starting from the partial sum (re[k], im[k]).
+// S(k) = (x, y). The sum mode starts from the partial sum (re[k], im[k]);
+// the peak and power modes start from zero, so on the Go kernels, which
+// add into re/im, they need a cleared pair, and the AVX kernel reads
+// neither.
 const (
 	// scanSum stores x into re[k] and y into im[k].
 	scanSum = iota
@@ -104,7 +109,9 @@ func groupWidth(left int) int {
 // scan runs one scan of re[:n]/im[:n] in mode (scanSum, scanPeak or
 // scanPower) and returns the power maximum and its first index, or
 // (0, 0) in scanSum. After scanPeak re/im hold unspecified partial sums,
-// and after scanPower im does.
+// and after scanPower im does. On the AVX kernel a peak scan may pass
+// nil for both and a power scan nil for im, and a power scan's re need
+// not be cleared.
 //
 // Two kernel families compute it, bit for bit alike. A scan of 2 to
 // maxAVXCarriers carriers on a CPU with AVX takes the AVX kernel
@@ -121,11 +128,11 @@ func scan(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []
 	if len(freqs) != len(coeffs) {
 		panic("phasor: freqs/coeffs length mismatch")
 	}
+	if takesAVX(len(freqs)) {
+		return scanAVX(freqs, coeffs, t0, dt, n, re, im, mode)
+	}
 	re = re[:n]
 	im = im[:n]
-	if takesAVX(len(freqs)) {
-		return scanAVX(freqs, coeffs, t0, dt, re, im, mode)
-	}
 	for len(freqs) > 0 {
 		w := groupWidth(len(freqs))
 		m := scanSum
@@ -405,7 +412,7 @@ func sumSeries4(freqs []float64, coeffs []complex128, t0, dt float64, re, im []f
 //ivn:unit dt s
 //ivn:hotpath
 func MagnitudeSeries(freqs []float64, coeffs []complex128, t0, dt float64, n int, dst []float64) {
-	re, im := getScratch(n)
+	re, im := getScratch(n, true)
 	SumSeries(freqs, coeffs, t0, dt, n, re, im)
 	dst = dst[:n]
 	for k := 0; k < n; k++ {
@@ -431,7 +438,7 @@ func LongestRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int
 	if n <= 0 {
 		return 0
 	}
-	re, im := getScratch(n)
+	re, im := getScratch(n, true)
 	scan(freqs, coeffs, t0, dt, n, re, im, scanSum)
 	lo, hi := dwellBand(level)
 	// lead is the run before the first sample below level, or -1 while
@@ -473,12 +480,16 @@ func LongestRunAbove(freqs []float64, coeffs []complex128, t0, dt float64, n int
 // that range (level ≤ 1e-90, ≥ 1e90, negative or NaN) the band is
 // everything, and Hypot decides every sample.
 func dwellBand(level float64) (lo, hi float64) {
-	if !(level > 1e-90 && level < 1e90) {
+	if !bandDecides(level) {
 		return math.Inf(-1), math.Inf(1)
 	}
 	l2 := level * level
 	return l2 * (1 - 1e-12), l2 * (1 + 1e-12)
 }
+
+// bandDecides reports whether level lies in the range where dwellBand's
+// band decides the samples outside it.
+func bandDecides(level float64) bool { return level > 1e-90 && level < 1e90 }
 
 // PeakPower returns max_k |Σ_i coeffs[i]·e^{j·2π·freqs[i]·(t0+k·dt)}|²
 // over the half-open grid k ∈ [0, n).
@@ -493,7 +504,8 @@ func PeakPower(freqs []float64, coeffs []complex128, t0, dt float64, n int) floa
 }
 
 // peakPowerArg returns the power peak and its first grid index. The scan
-// runs in scanPeak, so the full series is never written out.
+// runs in scanPeak, so the full series is never written out, and on the
+// AVX kernel it takes no scratch pair at all.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
@@ -502,7 +514,10 @@ func peakPowerArg(freqs []float64, coeffs []complex128, t0, dt float64, n int) (
 	if n <= 0 || len(freqs) == 0 {
 		return 0, -1
 	}
-	re, im := getScratch(n)
+	if takesAVX(len(freqs)) {
+		return scan(freqs, coeffs, t0, dt, n, nil, nil, scanPeak)
+	}
+	re, im := getScratch(n, true)
 	best, arg := scan(freqs, coeffs, t0, dt, n, re, im, scanPeak)
 	putScratch(re, im)
 	return best, arg
@@ -546,8 +561,9 @@ func PeakPowerRefined(freqs []float64, coeffs []complex128, duration float64, nC
 	dtF := duration / float64(nFine)
 	ratio := nFine / nCoarse
 
-	// Coarse pass; keep the per-cell powers in re.
-	re, im := getScratch(nCoarse)
+	// Coarse pass; keep the per-cell powers in re. The AVX kernel only
+	// writes re, so its pair needs no clearing.
+	re, im := getScratch(nCoarse, !takesAVX(len(freqs)))
 	maxP, _ := scan(freqs, coeffs, 0, dtC, nCoarse, re, im, scanPower)
 
 	// Every coarse point is also a fine point (k·dtC = k·ratio·dtF), so the
@@ -596,10 +612,11 @@ var (
 	scratchFree []scratchPair
 )
 
-// getScratch returns a zeroed re/im pair of length n: the most recently
-// returned pair, cleared, when it has the capacity, else a new one. The
-// kernels add into re/im, so a pair must arrive zeroed.
-func getScratch(n int) (re, im []float64) {
+// getScratch returns an re/im pair of length n: the most recently
+// returned pair when it has the capacity, else a new one. With zeroed a
+// recycled pair is cleared; the kernels add into re/im, so every scan but
+// an AVX power scan needs that.
+func getScratch(n int, zeroed bool) (re, im []float64) {
 	var p scratchPair
 	//ivn:allow hotpath sync.Mutex's Lock does not allocate
 	scratchMu.Lock()
@@ -613,8 +630,10 @@ func getScratch(n int) (re, im []float64) {
 		return make([]float64, n), make([]float64, n)
 	}
 	re, im = p.re[:n], p.im[:n]
-	clear(re)
-	clear(im)
+	if zeroed {
+		clear(re)
+		clear(im)
+	}
 	return re, im
 }
 

@@ -41,15 +41,22 @@ type avxState struct {
 //go:noescape
 func scanBlockAVX(st *avxState, carriers, mode int, re, im []float64, k0, k1 int, best float64, arg int) (float64, int)
 
-// scanAVX is scan's AVX path: every carrier in one pass over re/im, one
-// assembly call per renormalization block of renormMask+1 samples, with
-// the renormalization between blocks done in Go exactly as the Go
-// kernels do it.
+// scanAVX is scan's AVX path: every carrier in one pass over the n
+// samples, one assembly call per renormalization block of renormMask+1
+// samples, with the renormalization between blocks done in Go exactly as
+// the Go kernels do it. Only scanSum reads re/im; scanPeak touches
+// neither and scanPower writes re.
 //
 //ivn:unit freqs Hz
 //ivn:unit t0 s
 //ivn:unit dt s
-func scanAVX(freqs []float64, coeffs []complex128, t0, dt float64, re, im []float64, mode int) (best float64, arg int) {
+func scanAVX(freqs []float64, coeffs []complex128, t0, dt float64, n int, re, im []float64, mode int) (best float64, arg int) {
+	switch mode {
+	case scanSum:
+		re, im = re[:n], im[:n]
+	case scanPower:
+		re = re[:n]
+	}
 	var st avxState
 	var mag [maxAVXCarriers]float64
 	for i := range freqs {
@@ -60,7 +67,6 @@ func scanAVX(freqs []float64, coeffs []complex128, t0, dt float64, re, im []floa
 		row[1][h], row[1][h+1] = ri, ri
 		mag[i] = m
 	}
-	n := len(re)
 	for k0 := 0; ; k0 += renormMask + 1 {
 		k1 := min(k0+renormMask+1, n)
 		//ivn:allow hotpath an assembly block works in registers, st and the caller's re/im; it allocates nothing

@@ -8,9 +8,11 @@
 // at +0 and (i, i, i′, i′) at +32, read as memory operands.
 //
 // Per sample the kernel reproduces the Go kernels' operations exactly:
-//   - X8 = (re[k], im[k]) gets each carrier added in ascending order, one
-//     rounded 128-bit add per carrier (no zero carrier is ever added: +0
-//     would turn a −0 partial sum into +0);
+//   - X8 starts from the partial sum (re[k], im[k]) in SUM and from +0 in
+//     PEAK and POWER (the Go kernels load it from a cleared pair), and
+//     gets each carrier added in ascending order, one rounded 128-bit add
+//     per carrier (no zero carrier is ever added: +0 would turn a −0
+//     partial sum into +0);
 //   - the mode stores the sum (SUM), keeps the power maximum and its first
 //     index (PEAK), or stores the power into re[k] and keeps its maximum
 //     (POWER); the power is x·x + y·y, two rounded products and one add;
@@ -96,12 +98,20 @@ skip:
 	MOVQ BX, R9; \
 skip:
 
-// LOOP is one sample loop over BX in [BX, CX): load the partial sum, add
-// the carriers, apply the mode, advance the phasors.
-#define LOOP(loop, skip, SUMS, MODE, ROTS) \
-loop: \
+// LOADSUM loads the partial sum (re[k], im[k]) into X8; ZEROSUM clears
+// it.
+#define LOADSUM \
 	VMOVSD (SI)(BX*8), X8; \
-	VMOVHPD (DI)(BX*8), X8, X8; \
+	VMOVHPD (DI)(BX*8), X8, X8
+
+#define ZEROSUM \
+	VXORPD X8, X8, X8
+
+// LOOP is one sample loop over BX in [BX, CX): start the sum, add the
+// carriers, apply the mode, advance the phasors.
+#define LOOP(loop, skip, START, SUMS, MODE, ROTS) \
+loop: \
+	START; \
 	SUMS; \
 	MODE(skip); \
 	ROTS; \
@@ -115,9 +125,9 @@ loop: \
 	CMPQ R10, $1; \
 	JEQ peak; \
 	JGT power; \
-	LOOP(sum, sum, SUMS, SUM, ROTS); \
-	LOOP(peak, peakSkip, SUMS, PEAK, ROTS); \
-	LOOP(power, powerSkip, SUMS, POWER, ROTS)
+	LOOP(sum, sum, LOADSUM, SUMS, SUM, ROTS); \
+	LOOP(peak, peakSkip, ZEROSUM, SUMS, PEAK, ROTS); \
+	LOOP(power, powerSkip, ZEROSUM, SUMS, POWER, ROTS)
 
 // func scanBlockAVX(st *avxState, carriers, mode int, re, im []float64, k0, k1 int, best float64, arg int) (float64, int)
 TEXT ·scanBlockAVX(SB), NOSPLIT, $0-120

@@ -15,9 +15,9 @@ import (
 
 // FuzzScanMatchesSerial holds every scan mode of both kernel families to
 // the serial reference on scans decoded from the fuzz input (see
-// decodeScan), bit for bit: SumSeries, scanPeak and scanPower from a
-// partial sum, and peakPowerArg and LongestRunAbove from zero, the last
-// against the reference's Hypot loop.
+// decodeScan), bit for bit: SumSeries from a partial sum, and scanPeak,
+// scanPower, peakPowerArg and LongestRunAbove from zero, the last against
+// the reference's Hypot loop.
 //
 // The committed corpus under testdata/fuzz holds odd carrier counts, a
 // −0 partial sum that every carrier keeps −0 at its first sample (an
@@ -138,11 +138,10 @@ func checkScan(t *testing.T, c scanCase) {
 	n := c.n
 	wantRe, wantIm := filled(n, c.re0), filled(n, c.im0)
 	sumSeriesSerial(c.freqs, c.coeffs, c.t0, c.dt, n, wantRe, wantIm)
-	wantPow := powers(wantRe, wantIm)
-	wantBest, wantArg := maxArg(wantPow)
 	zeroRe, zeroIm := make([]float64, n), make([]float64, n)
 	sumSeriesSerial(c.freqs, c.coeffs, c.t0, c.dt, n, zeroRe, zeroIm)
-	zeroBest, zeroArg := maxArg(powers(zeroRe, zeroIm))
+	wantPow := powers(zeroRe, zeroIm)
+	wantBest, wantArg := maxArg(wantPow)
 	level := c.level
 	if c.levelAt >= 0 {
 		level = math.Hypot(zeroRe[c.levelAt], zeroIm[c.levelAt])
@@ -160,13 +159,13 @@ func checkScan(t *testing.T, c scanCase) {
 						fam.name, len(c.freqs), n, k, re[k], im[k], wantRe[k], wantIm[k])
 				}
 			}
-			best, arg := scan(c.freqs, c.coeffs, c.t0, c.dt, n, filled(n, c.re0), filled(n, c.im0), scanPeak)
+			best, arg := scan(c.freqs, c.coeffs, c.t0, c.dt, n, make([]float64, n), make([]float64, n), scanPeak)
 			if !sameBits(best, wantBest) || arg != wantArg {
 				t.Fatalf("%s, %d carriers, n=%d: scanPeak %v at %d, serial %v at %d",
 					fam.name, len(c.freqs), n, best, arg, wantBest, wantArg)
 			}
-			pow := filled(n, c.re0)
-			best, _ = scan(c.freqs, c.coeffs, c.t0, c.dt, n, pow, filled(n, c.im0), scanPower)
+			pow := make([]float64, n)
+			best, _ = scan(c.freqs, c.coeffs, c.t0, c.dt, n, pow, make([]float64, n), scanPower)
 			for k := range pow {
 				if !sameBits(pow[k], wantPow[k]) {
 					t.Fatalf("%s, %d carriers, n=%d: scanPower[%d] = %v, serial %v", fam.name, len(c.freqs), n, k, pow[k], wantPow[k])
@@ -175,9 +174,9 @@ func checkScan(t *testing.T, c scanCase) {
 			if !sameBits(best, wantBest) {
 				t.Fatalf("%s, %d carriers, n=%d: scanPower maximum %v, serial %v", fam.name, len(c.freqs), n, best, wantBest)
 			}
-			if best, arg := peakPowerArg(c.freqs, c.coeffs, c.t0, c.dt, n); !sameBits(best, zeroBest) || arg != zeroArg {
+			if best, arg := peakPowerArg(c.freqs, c.coeffs, c.t0, c.dt, n); !sameBits(best, wantBest) || arg != wantArg {
 				t.Fatalf("%s, %d carriers, n=%d: peakPowerArg %v at %d, serial %v at %d",
-					fam.name, len(c.freqs), n, best, arg, zeroBest, zeroArg)
+					fam.name, len(c.freqs), n, best, arg, wantBest, wantArg)
 			}
 			if got := LongestRunAbove(c.freqs, c.coeffs, c.t0, c.dt, n, level); got != wantRun {
 				t.Fatalf("%s, %d carriers, n=%d, level %v: LongestRunAbove %d, serial %d",
@@ -219,9 +218,13 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 // TestScanTakesAVXPath fails when the CPU has AVX (as the operating
 // system reports it in /proc/cpuinfo, which lists avx only when the YMM
 // state is enabled) but scans of 2–10 carriers do not run the AVX
-// kernel. Two checks: scan's dispatch predicate, and for 5–10 carriers a
-// result only the AVX kernel gives — scanPeak leaves re/im as they came,
-// where the Go kernels' earlier groups store partial sums into them.
+// kernel, or batches of 2–6 carriers the lane kernel. Four checks: the
+// two dispatch predicates; for 5–10 carriers a result only the AVX
+// kernel gives — scanPeak leaves re/im as they came, where the Go
+// kernels' earlier groups store partial sums into them; and for a
+// 4-trial LongestRunsAbove batch of 3–6 carriers a side effect only the
+// lane kernel lacks — it takes no pair from the free list, where the
+// per-trial scans take the top pair and clear it.
 func TestScanTakesAVXPath(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the AVX kernel is amd64 only")
@@ -249,6 +252,31 @@ func TestScanTakesAVXPath(t *testing.T) {
 			if re[k] != 0 || im[k] != 0 {
 				t.Fatalf("%d carriers: scanPeak stored a partial sum at %d; the Go kernels ran, not the AVX kernel", carriers, k)
 			}
+		}
+	}
+	for carriers := 1; carriers <= maxLaneCarriers+2; carriers++ {
+		if want := carriers >= 2 && carriers <= maxLaneCarriers; takesLanes(carriers) != want {
+			t.Errorf("takesLanes(%d) = %v, want %v", carriers, !want, want)
+		}
+	}
+	for carriers := 3; carriers <= maxLaneCarriers; carriers++ {
+		const n = 64
+		r := rng.New(uint64(carriers))
+		var freqs []float64
+		var coeffs []complex128
+		for range lanes {
+			f, c := randomSet(r, carriers, 200)
+			freqs, coeffs = f, append(coeffs, c...)
+		}
+		re, im := getScratch(n, true)
+		re[0] = math.NaN()
+		putScratch(re, im)
+		LongestRunsAbove(freqs, coeffs, 1.0/n, n, 0.5*float64(carriers), make([]int, lanes))
+		re, im = getScratch(n, false)
+		poisoned := math.IsNaN(re[0])
+		putScratch(re, im)
+		if !poisoned {
+			t.Fatalf("%d carriers: a %d-trial LongestRunsAbove cleared the free list's top pair; the per-trial scans ran, not the lane kernel", carriers, lanes)
 		}
 	}
 }

@@ -58,7 +58,7 @@ kernels() {
   go test -run '^$' -bench "$2" -benchmem -benchtime "$MICRO_TIME" -count "$COUNT" "$1" | tee -a "$TMP/kernels.txt"
 }
 kernels ./internal/phasor 'SumSeries$|PeakPower$'
-kernels ./internal/core 'EnvelopeSeries10Carriers$|ExpectedPeak$'
+kernels ./internal/core 'EnvelopeSeries10Carriers$|ExpectedPeak$|MonteCarlo$'
 kernels ./internal/baseline 'PeakReceivedPower'
 kernels ./internal/dsp 'MaxCorrelation4096x96$'
 kernels ./internal/gen2 'QueryAdjustPass'

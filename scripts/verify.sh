@@ -37,17 +37,26 @@
 #                              gen2's FuzzBroadcastMatchesPerTagLoop
 #                              (command programs through the round-member
 #                              broadcaster and its slot calendar against
-#                              the per-tag loop) and phasor's
+#                              the per-tag loop), phasor's
 #                              FuzzScanMatchesSerial (every scan mode of
 #                              both kernel families, Go and AVX, against
-#                              the serial reference, bit for bit). Stage 4
-#                              replays the committed corpora under each
-#                              package's testdata/fuzz; a failing input
-#                              found here is written there. The phasor
-#                              run caps minimizing a new input at 3 s: a
-#                              long scan runs for milliseconds under
-#                              coverage, and the default 60 s would spend
-#                              the whole window minimizing one input
+#                              the serial reference, bit for bit) and
+#                              FuzzBatchMatchesPerTrial (the batched
+#                              Monte-Carlo scans, lane kernel included,
+#                              against the per-trial scans, bit for bit),
+#                              and session's FuzzRunRound (inventory
+#                              rounds under faults, recovery and a stub
+#                              channel against the round invariants:
+#                              the command budget, the slot tally, the
+#                              re-ACK bounds, Q's range, traced equal to
+#                              untraced). Stage 4 replays the committed
+#                              corpora under each package's
+#                              testdata/fuzz; a failing input found here
+#                              is written there. The phasor runs cap
+#                              minimizing a new input at 3 s: a long scan
+#                              runs for milliseconds under coverage, and
+#                              the default 60 s would spend the whole
+#                              window minimizing one input
 # 5b. cross-arch kernel      — `GOARCH=arm64 go build -gcflags=-S` of
 #                              internal/phasor, internal/rng, internal/gen2
 #                              and internal/session must list no fused
@@ -141,6 +150,12 @@ stage "fuzz (Population against the per-tag loop)" \
 
 stage "fuzz (scan kernels against the serial reference)" \
   go test -run '^$' -fuzz '^FuzzScanMatchesSerial$' -fuzztime 20s -fuzzminimizetime 3s ./internal/phasor/
+
+stage "fuzz (batched scans against the per-trial scans)" \
+  go test -run '^$' -fuzz '^FuzzBatchMatchesPerTrial$' -fuzztime 20s -fuzzminimizetime 3s ./internal/phasor/
+
+stage "fuzz (inventory rounds against their invariants)" \
+  go test -run '^$' -fuzz '^FuzzRunRound$' -fuzztime 20s ./internal/session/
 
 # no_fused_arm64 PKG SYMBOL: the arm64 listing of PKG must name SYMBOL (an
 # empty listing would pass the grep below vacuously) and hold no fused
