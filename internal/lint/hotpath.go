@@ -11,7 +11,7 @@ import (
 // figure kernels. A function marked
 //
 //	//ivn:hotpath
-//	func MaxDwellAbove(...) ... { ... }
+//	func PeakPower(...) ... { ... }
 //
 // has its entire static call-graph closure checked, each function's
 // body scanned when the walk first reaches it: any reachable allocation

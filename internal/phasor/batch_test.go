@@ -18,7 +18,9 @@ import (
 // trials, so full groups, padded last groups and both together; scans of
 // 2 049 and 4 100 samples, across one and two renormalizations; a level
 // equal to one lane's exact sample magnitude while x·x + y·y rounds above
-// level·level; levels 1e-95, 1e95 and NaN; a lane with no sample below
+// level·level; a level equal to one lane's largest sample, which lies
+// past the first renormalization, so a 1-ulp drift there moves its run;
+// levels 1e-95, 1e95 and NaN; a lane with no sample below
 // its level; a run that wraps the period; a flat envelope whose every
 // sample ties the peak; and coefficients of +0 and −0.
 func FuzzBatchMatchesPerTrial(f *testing.F) {
